@@ -1,6 +1,6 @@
-.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke lint-invariants bench-trajectory bench-kernels sched-smoke
+.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke lint-invariants bench-trajectory bench-kernels sched-smoke perfbench-selftest
 
-ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke bench-kernels sched-smoke lint-invariants clippy fmt-check
+ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke bench-kernels sched-smoke perfbench-selftest lint-invariants clippy fmt-check
 
 build:
 	cargo build --release --workspace
@@ -89,6 +89,12 @@ sched-smoke:
 	cargo bench -p pii-bench --bench sched -- --smoke --out $(CURDIR)/target/BENCH_sched.json
 	cargo run --release -q --example validate_sched_json target/BENCH_sched.json --min-in-flight 64
 	cargo run --release -q --example validate_sched_json BENCH_sched.json --min-in-flight 1000
+
+# The end-to-end benchmark harness is a workspace of its own (perfbench/),
+# so the workspace build never compiles it: build it and run its
+# self-tests, so an API change it depends on fails here.
+perfbench-selftest:
+	cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Workspace invariant gate: pii-lint must report zero unsuppressed findings
 # (exit 1 otherwise), and its hand-rolled JSON mode must satisfy the

@@ -10,10 +10,17 @@
 //! unmasked URL (host replaced by the CNAME target) is matched too, the way
 //! CNAME-aware blockers operate. A sender/receiver counts as blocked when
 //! **all** of its leaking requests are prevented.
+//!
+//! The join from leak events to requests and initiator chains builds each
+//! sender's URL → request index once and reuses it for every leak request
+//! of that sender, rather than rebuilding it per leak.
 
 use crate::report::{count_pct, Comparison, Table};
 use crate::study::StudyResults;
 use pii_blocklist::{lists, FilterSet, RequestInfo};
+use pii_core::LeakEvent;
+use pii_crawler::CrawlDataset;
+use pii_dns::ZoneStore;
 use pii_net::http::Request;
 use pii_web::site::LeakMethod;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -30,66 +37,81 @@ struct LeakRequest<'a> {
     unmasked_host: Option<String>,
 }
 
-#[allow(clippy::type_complexity)]
-fn collect<'a>(r: &'a StudyResults) -> Vec<LeakRequest<'a>> {
-    // Group events by (sender, request index).
-    let mut grouped: BTreeMap<(&str, usize), (BTreeSet<&str>, BTreeSet<LeakMethod>, bool)> =
-        BTreeMap::new();
-    for e in &r.report.events {
+/// The receivers, methods and cloaking flag of one `(sender, request)` group.
+type Group<'a> = (BTreeSet<&'a str>, BTreeSet<LeakMethod>, bool);
+
+fn collect(r: &StudyResults) -> Vec<LeakRequest<'_>> {
+    join(&r.dataset, &r.universe.zones, &r.report.events)
+}
+
+/// Join the leak events, grouped by `(sender, request index)`, to their
+/// crawl records, initiator chains and unmasked hosts. Groups are visited
+/// sender by sender, so each sender's crawl and URL index are looked up and
+/// built once and shared by all of that sender's groups.
+fn join<'a>(
+    dataset: &'a CrawlDataset,
+    zones: &ZoneStore,
+    events: &'a [LeakEvent],
+) -> Vec<LeakRequest<'a>> {
+    let mut grouped: BTreeMap<&str, BTreeMap<usize, Group>> = BTreeMap::new();
+    for e in events {
         let entry = grouped
-            .entry((e.sender.as_str(), e.request_index))
+            .entry(e.sender.as_str())
+            .or_default()
+            .entry(e.request_index)
             .or_default();
         entry.0.insert(e.receiver_domain.as_str());
         entry.1.insert(e.method);
         entry.2 |= e.cloaked;
     }
     let mut out = Vec::new();
-    for ((sender, index), (receivers, methods, cloaked)) in grouped {
+    for (sender, groups) in grouped {
         // A leak event whose crawl or record is missing from the dataset is a
         // degraded capture: skip the row rather than abort the whole table.
-        let Some(crawl) = r.dataset.site(sender) else {
+        let Some(crawl) = dataset.site(sender) else {
             continue;
         };
-        let Some(record) = crawl.records.get(index) else {
-            continue;
-        };
-        let request = &record.request;
-        // Walk the initiator chain by URL equality within the same crawl.
+        // Walk initiator chains by URL equality within the same crawl.
         let by_url: HashMap<String, &Request> = crawl
             .records
             .iter()
             .map(|rec| (rec.request.url.to_string(), &rec.request))
             .collect();
-        let mut chain = Vec::new();
-        let mut cursor = request.initiator.as_ref().map(|u| u.to_string());
-        for _ in 0..5 {
-            let Some(url) = cursor.take() else { break };
-            let Some(req) = by_url.get(&url) else { break };
-            chain.push(*req);
-            let next = req.initiator.as_ref().map(|u| u.to_string());
-            if next.as_deref() == Some(url.as_str()) {
-                break; // self-initiated: end of chain
+        for (index, (receivers, methods, cloaked)) in groups {
+            let Some(record) = crawl.records.get(index) else {
+                continue;
+            };
+            let request = &record.request;
+            let mut chain = Vec::new();
+            let mut cursor = request.initiator.as_ref().map(|u| u.to_string());
+            for _ in 0..5 {
+                let Some(url) = cursor.take() else { break };
+                let Some(req) = by_url.get(&url) else { break };
+                chain.push(*req);
+                let next = req.initiator.as_ref().map(|u| u.to_string());
+                if next.as_deref() == Some(url.as_str()) {
+                    break; // self-initiated: end of chain
+                }
+                cursor = next;
             }
-            cursor = next;
+            let unmasked_host = if cloaked {
+                zones
+                    .resolve(&request.url.host)
+                    .cname_chain
+                    .first()
+                    .cloned()
+            } else {
+                None
+            };
+            out.push(LeakRequest {
+                sender,
+                receivers,
+                methods,
+                request,
+                chain,
+                unmasked_host,
+            });
         }
-        let unmasked_host = if cloaked {
-            r.universe
-                .zones
-                .resolve(&request.url.host)
-                .cname_chain
-                .first()
-                .cloned()
-        } else {
-            None
-        };
-        out.push(LeakRequest {
-            sender,
-            receivers,
-            methods,
-            request,
-            chain,
-            unmasked_host,
-        });
     }
     out
 }
@@ -382,6 +404,209 @@ pub fn missed_tracking_providers(r: &StudyResults) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::study::testutil::shared;
+    use pii_browser::engine::FetchRecord;
+    use pii_crawler::{CrawlOutcome, SiteCrawl};
+    use pii_net::http::ResourceKind;
+    use pii_net::{Method, Response, Url};
+
+    /// The per-leak join `join` replaced: it looks the crawl up and rebuilds
+    /// the URL index for every `(sender, request)` group.
+    fn per_leak_join<'a>(
+        dataset: &'a CrawlDataset,
+        zones: &ZoneStore,
+        events: &'a [LeakEvent],
+    ) -> Vec<LeakRequest<'a>> {
+        let mut grouped: BTreeMap<(&str, usize), Group> = BTreeMap::new();
+        for e in events {
+            let entry = grouped
+                .entry((e.sender.as_str(), e.request_index))
+                .or_default();
+            entry.0.insert(e.receiver_domain.as_str());
+            entry.1.insert(e.method);
+            entry.2 |= e.cloaked;
+        }
+        let mut out = Vec::new();
+        for ((sender, index), (receivers, methods, cloaked)) in grouped {
+            let Some(crawl) = dataset.site(sender) else {
+                continue;
+            };
+            let Some(record) = crawl.records.get(index) else {
+                continue;
+            };
+            let request = &record.request;
+            let by_url: HashMap<String, &Request> = crawl
+                .records
+                .iter()
+                .map(|rec| (rec.request.url.to_string(), &rec.request))
+                .collect();
+            let mut chain = Vec::new();
+            let mut cursor = request.initiator.as_ref().map(|u| u.to_string());
+            for _ in 0..5 {
+                let Some(url) = cursor.take() else { break };
+                let Some(req) = by_url.get(&url) else { break };
+                chain.push(*req);
+                let next = req.initiator.as_ref().map(|u| u.to_string());
+                if next.as_deref() == Some(url.as_str()) {
+                    break;
+                }
+                cursor = next;
+            }
+            let unmasked_host = if cloaked {
+                zones
+                    .resolve(&request.url.host)
+                    .cname_chain
+                    .first()
+                    .cloned()
+            } else {
+                None
+            };
+            out.push(LeakRequest {
+                sender,
+                receivers,
+                methods,
+                request,
+                chain,
+                unmasked_host,
+            });
+        }
+        out
+    }
+
+    /// Rows as comparable values: requests and chain links by address, so
+    /// "the same request" means the same record of the same crawl.
+    #[allow(clippy::type_complexity)]
+    fn rows<'a>(
+        leaks: &[LeakRequest<'a>],
+    ) -> Vec<(
+        &'a str,
+        Vec<&'a str>,
+        Vec<LeakMethod>,
+        *const Request,
+        Vec<*const Request>,
+        Option<String>,
+    )> {
+        leaks
+            .iter()
+            .map(|l| {
+                (
+                    l.sender,
+                    l.receivers.iter().copied().collect(),
+                    l.methods.iter().copied().collect(),
+                    l.request as *const Request,
+                    l.chain.iter().map(|r| *r as *const Request).collect(),
+                    l.unmasked_host.clone(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn per_sender_join_equals_per_leak_join_on_the_study() {
+        let r = shared();
+        let leaks = collect(r);
+        let reference = per_leak_join(&r.dataset, &r.universe.zones, &r.report.events);
+        assert!(leaks.len() > 1000, "{} leak requests", leaks.len());
+        assert!(leaks.iter().any(|l| !l.chain.is_empty()));
+        assert!(leaks.iter().any(|l| l.unmasked_host.is_some()));
+        assert_eq!(rows(&leaks), rows(&reference));
+    }
+
+    fn record(url: &str, initiator: Option<&str>) -> FetchRecord {
+        let mut request = Request::new(Method::Get, Url::parse(url).unwrap(), ResourceKind::Script);
+        request.initiator = initiator.map(|u| Url::parse(u).unwrap());
+        FetchRecord {
+            request,
+            response: Response::ok(),
+            blocked: None,
+            error: None,
+            from_cache: None,
+        }
+    }
+
+    fn crawl(domain: &str, records: Vec<FetchRecord>) -> SiteCrawl {
+        SiteCrawl {
+            domain: domain.to_string(),
+            outcome: CrawlOutcome::Completed {
+                email_confirmed: true,
+                bot_detection_passed: true,
+            },
+            records,
+            stored_cookies: Vec::new(),
+            resilience: None,
+        }
+    }
+
+    #[test]
+    fn per_sender_join_equals_per_leak_join_on_a_hand_built_crawl() {
+        // Site a.com: a self-initiated loader and a seven-hop chain, longer
+        // than the five-hop cap. Site b.com reuses a.com's URLs, so a
+        // cross-sender index mix-up would show.
+        let hop = |i: usize| format!("https://t{i}.net/s.js");
+        let mut a = vec![record("https://a.com/", Some("https://a.com/"))];
+        for i in 0..7 {
+            let parent = if i == 0 {
+                "https://a.com/".to_string()
+            } else {
+                hop(i - 1)
+            };
+            a.push(record(&hop(i), Some(&parent)));
+        }
+        a.push(record("https://leak.net/p?e=1", Some(&hop(6))));
+        let b = vec![
+            record("https://b.com/", None),
+            record(&hop(0), Some("https://b.com/")),
+            record("https://leak.net/p?e=2", Some(&hop(0))),
+            record("https://leak.net/p?e=3", Some("https://gone.net/x.js")),
+        ];
+        let dataset = CrawlDataset {
+            crawls: vec![crawl("a.com", a), crawl("b.com", b)],
+            ..shared().dataset.clone()
+        };
+        // Events for both senders, interleaved, plus one whose record and
+        // one whose crawl is missing from the dataset.
+        let template = shared().report.events[0].clone();
+        let event = |sender: &str, request_index: usize, receiver: &str, cloaked: bool| LeakEvent {
+            sender: sender.to_string(),
+            receiver_domain: receiver.to_string(),
+            request_index,
+            cloaked,
+            ..template.clone()
+        };
+        let events = vec![
+            event("b.com", 2, "leak.net", false),
+            event("a.com", 8, "leak.net", false),
+            event("b.com", 3, "leak.net", true),
+            event("a.com", 0, "a.com", false),
+            event("a.com", 8, "other.net", false),
+            event("b.com", 1, "t0.net", false),
+            event("a.com", 99, "leak.net", false),
+            event("c.com", 0, "leak.net", false),
+        ];
+        let zones = &shared().universe.zones;
+        let leaks = join(&dataset, zones, &events);
+        assert_eq!(rows(&leaks), rows(&per_leak_join(&dataset, zones, &events)));
+        let chain_of = |sender: &str, url: &str| -> Vec<String> {
+            let leak = leaks
+                .iter()
+                .find(|l| l.sender == sender && l.request.url.to_string() == url)
+                .unwrap();
+            leak.chain.iter().map(|r| r.url.to_string()).collect()
+        };
+        assert_eq!(leaks.len(), 5);
+        // Capped at five hops, nearest initiator first.
+        assert_eq!(
+            chain_of("a.com", "https://leak.net/p?e=1"),
+            (2..7).rev().map(hop).collect::<Vec<_>>()
+        );
+        // The self-initiated document ends its own chain.
+        assert_eq!(chain_of("a.com", "https://a.com/"), ["https://a.com/"]);
+        // b.com's hop 0 is its own record, initiated by b.com's document.
+        assert_eq!(
+            chain_of("b.com", "https://leak.net/p?e=2"),
+            [hop(0), "https://b.com/".to_string()]
+        );
+        assert!(chain_of("b.com", "https://leak.net/p?e=3").is_empty());
+    }
 
     #[test]
     fn cookie_method_is_fully_blocked_by_easyprivacy() {

@@ -7,6 +7,7 @@
 //! upstream file format, so a user can load the real list with
 //! [`PublicSuffixList::parse`].
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Embedded snapshot in upstream `public_suffix_list.dat` format.
@@ -109,24 +110,111 @@ impl PublicSuffixList {
         Self::parse(EMBEDDED)
     }
 
-    /// Length (in labels) of the public suffix of `host`, or 0 when no rule
-    /// matches (the PSL prescribes treating the last label as the suffix
-    /// then — see [`PublicSuffixList::public_suffix`]).
-    fn suffix_label_count(&self, labels: &[&str]) -> usize {
+    /// Length (in labels) of the public suffix of the normalised `host`, or
+    /// 0 when no rule matches (the PSL prescribes treating the last label as
+    /// the suffix then — see [`PublicSuffixList::public_suffix`]).
+    ///
+    /// Every candidate suffix is a slice of `host` that starts at a label
+    /// boundary, so the rule lookups borrow it instead of joining labels.
+    fn suffix_label_count(&self, host: &str) -> usize {
+        let labels = label_count(host);
+        let starts = std::iter::once(0).chain(host.match_indices('.').map(|(dot, _)| dot + 1));
+        let mut best = 0usize;
+        for (start, at) in starts.enumerate() {
+            let candidate = &host[at..];
+            if self.exceptions.contains(candidate) {
+                // Exception rule: the suffix is one label shorter.
+                return labels - start - 1;
+            }
+            if self.rules.contains(candidate) {
+                best = best.max(labels - start);
+            }
+            // Wildcard `*.foo` matches `<anything>.foo`.
+            if let Some(dot) = candidate.find('.') {
+                if self.wildcards.contains(&candidate[dot + 1..]) {
+                    best = best.max(labels - start);
+                }
+            }
+        }
+        best
+    }
+
+    /// The registrable domain of the normalised `host`, borrowed from it.
+    fn registrable<'h>(&self, host: &'h str) -> Option<&'h str> {
+        let n = self.suffix_label_count(host).max(1); // 0: unknown TLD fallback
+        if label_count(host) <= n {
+            return None;
+        }
+        Some(last_labels(host, n + 1))
+    }
+
+    /// The public suffix (eTLD) of `host`.
+    pub fn public_suffix(&self, host: &str) -> String {
+        let host = normalise(host);
+        // 0 (unknown TLD): the prevailing rule is "*", i.e. the last label.
+        let n = self.suffix_label_count(&host).max(1);
+        last_labels(&host, n).to_string()
+    }
+
+    /// The registrable domain (eTLD+1) of `host`, or `None` when the host
+    /// *is* a public suffix.
+    pub fn registrable_domain(&self, host: &str) -> Option<String> {
+        self.registrable(&normalise(host)).map(str::to_string)
+    }
+
+    /// Whether two hosts belong to the same site (same registrable domain).
+    pub fn same_site(&self, a: &str, b: &str) -> bool {
+        let (a, b) = (normalise(a), normalise(b));
+        match (self.registrable(&a), self.registrable(&b)) {
+            (Some(x), Some(y)) => x == y,
+            _ => false,
+        }
+    }
+}
+
+/// `host` without trailing dots, ASCII-lowercased; borrowed unless it holds
+/// an uppercase byte.
+fn normalise(host: &str) -> Cow<'_, str> {
+    let host = host.trim_end_matches('.');
+    if host.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(host.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(host)
+    }
+}
+
+/// Number of dot-separated labels in `host` (empty labels count).
+fn label_count(host: &str) -> usize {
+    host.bytes().filter(|&b| b == b'.').count() + 1
+}
+
+/// The last `n` labels of `host`, or all of it when it has no more.
+fn last_labels(host: &str, n: usize) -> &str {
+    match host.rmatch_indices('.').nth(n - 1) {
+        Some((dot, _)) => &host[dot + 1..],
+        None => host,
+    }
+}
+
+/// The label-joining implementation the borrowed-slice one replaced, kept
+/// as the oracle for the differential test below.
+#[cfg(test)]
+mod reference {
+    use super::PublicSuffixList;
+
+    fn suffix_label_count(psl: &PublicSuffixList, labels: &[&str]) -> usize {
         let mut best = 0usize;
         for start in 0..labels.len() {
             let candidate = labels[start..].join(".");
-            if self.exceptions.contains(&candidate) {
-                // Exception rule: the suffix is one label shorter.
+            if psl.exceptions.contains(&candidate) {
                 return labels.len() - start - 1;
             }
-            if self.rules.contains(&candidate) {
+            if psl.rules.contains(&candidate) {
                 best = best.max(labels.len() - start);
             }
-            // Wildcard `*.foo` matches `<anything>.foo`.
             if start + 1 < labels.len() {
                 let parent = labels[start + 1..].join(".");
-                if self.wildcards.contains(&parent) {
+                if psl.wildcards.contains(&parent) {
                     best = best.max(labels.len() - start);
                 }
             }
@@ -134,26 +222,22 @@ impl PublicSuffixList {
         best
     }
 
-    /// The public suffix (eTLD) of `host`.
-    pub fn public_suffix(&self, host: &str) -> String {
+    pub fn public_suffix(psl: &PublicSuffixList, host: &str) -> String {
         let host = host.trim_end_matches('.').to_ascii_lowercase();
         let labels: Vec<&str> = host.split('.').collect();
-        let n = self.suffix_label_count(&labels);
+        let n = suffix_label_count(psl, &labels);
         if n == 0 {
-            // Unknown TLD: the prevailing rule is "*": last label.
             labels.last().copied().unwrap_or("").to_string()
         } else {
             labels[labels.len() - n..].join(".")
         }
     }
 
-    /// The registrable domain (eTLD+1) of `host`, or `None` when the host
-    /// *is* a public suffix.
-    pub fn registrable_domain(&self, host: &str) -> Option<String> {
+    pub fn registrable_domain(psl: &PublicSuffixList, host: &str) -> Option<String> {
         let host = host.trim_end_matches('.').to_ascii_lowercase();
         let labels: Vec<&str> = host.split('.').collect();
-        let n = match self.suffix_label_count(&labels) {
-            0 => 1, // unknown TLD fallback
+        let n = match suffix_label_count(psl, &labels) {
+            0 => 1,
             n => n,
         };
         if labels.len() <= n {
@@ -162,9 +246,8 @@ impl PublicSuffixList {
         Some(labels[labels.len() - n - 1..].join("."))
     }
 
-    /// Whether two hosts belong to the same site (same registrable domain).
-    pub fn same_site(&self, a: &str, b: &str) -> bool {
-        match (self.registrable_domain(a), self.registrable_domain(b)) {
+    pub fn same_site(psl: &PublicSuffixList, a: &str, b: &str) -> bool {
+        match (registrable_domain(psl, a), registrable_domain(psl, b)) {
             (Some(x), Some(y)) => x == y,
             _ => false,
         }
@@ -174,9 +257,130 @@ impl PublicSuffixList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn psl() -> PublicSuffixList {
         PublicSuffixList::embedded()
+    }
+
+    /// Labels that exercise every rule kind: normal, multi-label, wildcard
+    /// and exception, private, unknown, mixed case, non-ASCII and empty.
+    const LABELS: &[&str] = &[
+        "",
+        "a",
+        "x-1",
+        "www",
+        "WWW",
+        "Www",
+        "example",
+        "Shop",
+        "com",
+        "COM",
+        "co",
+        "Co",
+        "jp",
+        "uk",
+        "io",
+        "ck",
+        "CK",
+        "bar",
+        "herokuapp",
+        "HerokuApp",
+        "github",
+        "weirdtld",
+        "é",
+        "É",
+    ];
+
+    fn assert_matches_reference(p: &PublicSuffixList, a: &str, b: &str) {
+        for h in [a, b] {
+            assert_eq!(p.public_suffix(h), reference::public_suffix(p, h), "{h:?}");
+            assert_eq!(
+                p.registrable_domain(h),
+                reference::registrable_domain(p, h),
+                "{h:?}"
+            );
+        }
+        assert_eq!(
+            p.same_site(a, b),
+            reference::same_site(p, a, b),
+            "{a:?} vs {b:?}"
+        );
+    }
+
+    proptest! {
+        /// Slice-based classification equals the label-joining reference
+        /// on hosts built from rule-bearing labels, and on a subdomain of
+        /// each (the same-site case).
+        #[test]
+        fn classification_matches_reference_on_rule_labels(
+            picks in proptest::collection::vec(proptest::collection::vec(0..LABELS.len(), 0..6), 32..33),
+        ) {
+            let p = psl();
+            // An empty first or last label makes a leading or trailing dot.
+            let hosts: Vec<String> = picks
+                .iter()
+                .map(|picks| picks.iter().map(|&i| LABELS[i]).collect::<Vec<_>>().join("."))
+                .collect();
+            for pair in hosts.windows(2) {
+                assert_matches_reference(&p, &pair[0], &pair[1]);
+                assert_matches_reference(&p, &format!("Sub.{}", pair[0]), &pair[0]);
+            }
+        }
+
+        /// …and on arbitrary strings over the host alphabet and its
+        /// neighbours, and on suffix-bearing hosts against their uppercase
+        /// form.
+        #[test]
+        fn classification_matches_reference_on_arbitrary_hosts(
+            arbitrary in proptest::collection::vec("[a-zA-Z0-9._éÉ-]{0,20}", 32..33),
+            suffixed in proptest::collection::vec(
+                "[a-cA-C.]{0,8}(\\.(com|co\\.jp|ck|www\\.ck|herokuapp\\.com|github\\.io)){0,1}\\.{0,2}",
+                32..33,
+            ),
+        ) {
+            let p = psl();
+            for (a, b) in arbitrary.iter().zip(&suffixed) {
+                assert_matches_reference(&p, a, b);
+                assert_matches_reference(&p, b, &b.to_ascii_uppercase());
+            }
+        }
+    }
+
+    #[test]
+    fn classification_matches_reference_on_edge_hosts() {
+        let p = psl();
+        let hosts = [
+            "",
+            ".",
+            "..",
+            "a..com",
+            ".com",
+            "com.",
+            "COM",
+            "Example.Com.",
+            "a.b.c.d.co.jp",
+            "www.ck",
+            "WWW.CK",
+            "sub.www.ck",
+            "bar.ck",
+            "x.foo.bar.ck",
+            "ck",
+            ".ck",
+            "herokuapp.com",
+            "app.herokuapp.com",
+            "a.b.HEROKUAPP.com",
+            "host.weirdtld",
+            "weirdtld",
+            "a.github.io",
+            "é.com",
+            "X.É.co.uk",
+        ];
+        for a in hosts {
+            for b in hosts {
+                assert_matches_reference(&p, a, b);
+            }
+        }
     }
 
     #[test]

@@ -115,9 +115,11 @@ impl Cookie {
 
 /// RFC 6265 §5.1.3 domain matching.
 pub fn domain_match(host: &str, cookie_domain: &str) -> bool {
-    let host = host.to_ascii_lowercase();
-    let domain = cookie_domain.to_ascii_lowercase();
-    host == domain || (host.ends_with(&domain) && host[..host.len() - domain.len()].ends_with('.'))
+    let (host, domain) = (host.as_bytes(), cookie_domain.as_bytes());
+    let Some(split) = host.len().checked_sub(domain.len()) else {
+        return false;
+    };
+    host[split..].eq_ignore_ascii_case(domain) && (split == 0 || host[split - 1] == b'.')
 }
 
 /// RFC 6265 §5.1.4 path matching.
@@ -306,6 +308,29 @@ mod tests {
         assert!(domain_match("example.com", "example.com"));
         assert!(!domain_match("badexample.com", "example.com"));
         assert!(!domain_match("example.com", "shop.example.com"));
+    }
+
+    #[test]
+    fn domain_matching_ignores_ascii_case() {
+        assert!(domain_match("Shop.EXAMPLE.com", "example.com"));
+        assert!(domain_match("shop.example.com", "Example.COM"));
+        assert!(domain_match("EXAMPLE.COM", "example.com"));
+        assert!(!domain_match("BADEXAMPLE.com", "Example.com"));
+    }
+
+    #[test]
+    fn domain_matching_edges() {
+        // Equal length: only an exact (case-insensitive) match counts.
+        assert!(domain_match("abc.com", "ABC.com"));
+        assert!(!domain_match("abd.com", "abc.com"));
+        // The suffix must start at a label boundary.
+        assert!(domain_match("bad.example.com", "example.com"));
+        // A domain longer than the host never matches.
+        assert!(!domain_match("com", "example.com"));
+        assert!(!domain_match("", "example.com"));
+        // Non-ASCII bytes compare exactly.
+        assert!(domain_match("a.é.com", "é.com"));
+        assert!(!domain_match("a.É.com", "é.com"));
     }
 
     #[test]

@@ -161,9 +161,13 @@ impl Source {
 
     /// [`Source::read_at`] with I/O failure degraded to an empty buffer —
     /// the recovery scan treats an unreadable range like EOF and keeps
-    /// whatever it already indexed, rather than aborting the replay.
+    /// whatever it already indexed, rather than aborting the replay. Each
+    /// such degradation bumps `store.read.io_error_as_eof`.
     fn read_or_eof(&self, offset: u64, len: usize) -> Vec<u8> {
-        self.read_at(offset, len).unwrap_or_default()
+        self.read_at(offset, len).unwrap_or_else(|_| {
+            pii_telemetry::counter("store.read.io_error_as_eof", 1);
+            Vec::new()
+        })
     }
 }
 
@@ -511,4 +515,33 @@ pub(crate) fn verify_payload_for(
         return Err(FrameError::Corrupt("segment payload CRC"));
     }
     Ok(payload)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_io_error_read_as_eof_is_counted() {
+        // A file backend that claims more bytes than the file holds: the
+        // read past the real end fails with an I/O error, not a short read.
+        let path =
+            std::env::temp_dir().join(format!("pii-store-read-or-eof-{}.bin", std::process::id()));
+        std::fs::write(&path, [0u8; 16]).unwrap();
+        let source = Source::File {
+            file: Mutex::new(std::fs::File::open(&path).unwrap()),
+            len: 64,
+        };
+        // The counter is process-global; no other test in this crate reads
+        // through a failing file, so its change here is this test's own.
+        pii_telemetry::enable();
+        let before = pii_telemetry::snapshot().counter("store.read.io_error_as_eof");
+        assert_eq!(source.read_or_eof(0, 8), vec![0u8; 8]);
+        let clean = pii_telemetry::snapshot().counter("store.read.io_error_as_eof");
+        assert!(source.read_or_eof(8, 32).is_empty());
+        let after = pii_telemetry::snapshot().counter("store.read.io_error_as_eof");
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(clean, before, "a clean read must not count");
+        assert_eq!(after, clean + 1);
+    }
 }
