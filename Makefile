@@ -1,6 +1,6 @@
-.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke lint-invariants bench-trajectory bench-kernels sched-smoke perfbench-selftest
+.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke lint-invariants bench-trajectory bench-kernels perfbench-selftest
 
-ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke bench-kernels sched-smoke perfbench-selftest lint-invariants clippy fmt-check
+ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke bench-kernels perfbench-selftest lint-invariants clippy fmt-check
 
 build:
 	cargo build --release --workspace
@@ -79,16 +79,6 @@ bench-kernels:
 	cargo bench -p pii-bench --bench kernels -- --smoke --out $(CURDIR)/target/BENCH_kernels.json
 	cargo run --release -q --example validate_bench_json target/BENCH_kernels.json --min-crc-speedup 1.2
 	cargo run --release -q --example validate_bench_json BENCH_kernels.json --min-crc-speedup 2.0
-
-# Evented-executor smoke: a reduced-universe run of the scheduler bench
-# (which asserts evented == threaded byte-identity on every measured pass),
-# validated by the vendored-serde_json reader. The checked-in 10x artifact
-# is validated at the 1000-sites-in-flight floor the subsystem claims; the
-# fresh smoke artifact at a reduced-universe 64.
-sched-smoke:
-	cargo bench -p pii-bench --bench sched -- --smoke --out $(CURDIR)/target/BENCH_sched.json
-	cargo run --release -q --example validate_sched_json target/BENCH_sched.json --min-in-flight 64
-	cargo run --release -q --example validate_sched_json BENCH_sched.json --min-in-flight 1000
 
 # The end-to-end benchmark harness is a workspace of its own (perfbench/),
 # so the workspace build never compiles it: build it and run its

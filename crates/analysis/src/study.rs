@@ -10,9 +10,7 @@ use pii_browser::profiles::BrowserKind;
 use pii_core::detect::{DetectionReport, LeakDetector};
 use pii_core::tokens::{TokenSet, TokenSetBuilder};
 use pii_core::tracking::{analyze, TrackingAnalysis};
-use pii_crawler::{
-    CrawlDataset, CrawlOutcome, CrawlSummary, Crawler, Engine, FunnelStats, RetryPolicy,
-};
+use pii_crawler::{CrawlDataset, CrawlOutcome, CrawlSummary, Crawler, FunnelStats, RetryPolicy};
 use pii_dns::PublicSuffixList;
 use pii_net::cache::CacheStrategy;
 use pii_net::fault::FaultProfile;
@@ -57,9 +55,6 @@ pub struct Study {
     /// Per-site virtual-time deadline for live crawls (CLI
     /// `--watchdog-ms`); see [`Crawler::watchdog_ms`]. `None` disables it.
     pub watchdog_ms: Option<u64>,
-    /// Crawl execution engine (CLI `--engine`); both engines produce
-    /// byte-identical captures, so the study output does not depend on it.
-    pub engine: Engine,
     /// HTTP cache strategy for the crawl's browsers (CLI `--cache`).
     /// `None` disables the cache, preserving the historical capture.
     pub cache: Option<CacheStrategy>,
@@ -84,7 +79,6 @@ impl Study {
             retry: RetryPolicy::default(),
             source: CaptureSource::Live,
             watchdog_ms: None,
-            engine: Engine::default(),
             cache: None,
             repeat: 1,
         }
@@ -139,7 +133,6 @@ impl Study {
                 crawler.faults = universe.fault_plan(self.faults);
                 crawler.retry = self.retry;
                 crawler.watchdog_ms = self.watchdog_ms;
-                crawler.engine = self.engine;
                 crawler.cache = self.cache;
                 crawler.repeat = self.repeat;
                 let dataset = {
@@ -369,7 +362,6 @@ impl Study {
         crawler.faults = universe.fault_plan(self.faults);
         crawler.retry = self.retry;
         crawler.watchdog_ms = self.watchdog_ms;
-        crawler.engine = self.engine;
         crawler.cache = self.cache;
         crawler.repeat = self.repeat;
         let (writer, kept) = if resume {

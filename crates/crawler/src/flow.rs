@@ -13,50 +13,7 @@ use pii_net::fault::FaultPlan;
 use pii_net::Url;
 use pii_web::site::Site;
 use pii_web::Universe;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Which execution engine drives the crawl. Both produce byte-identical
-/// captures; they differ only in how sites are scheduled onto the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The reference engine: one OS thread per worker, crossbeam scope,
-    /// work claimed from a shared queue.
-    #[default]
-    Threaded,
-    /// The `pii-sched` engine: every site is a task on a deterministic
-    /// event-driven executor over virtual time, all on one OS thread.
-    Evented,
-}
-
-impl Engine {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Engine::Threaded => "threaded",
-            Engine::Evented => "evented",
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Engine, String> {
-        match s {
-            "threaded" => Ok(Engine::Threaded),
-            "evented" => Ok(Engine::Evented),
-            other => Err(format!(
-                "unknown engine '{other}' (expected threaded or evented)"
-            )),
-        }
-    }
-}
 
 /// Observer for [`Crawler::run_streaming`]: called with the site's
 /// canonical index and its finished crawl, from whichever worker thread
@@ -93,9 +50,6 @@ pub struct Crawler<'a> {
     /// on the seeded fault schedule, never on wall-clock or scheduling, so
     /// a watchdogged run is exactly as deterministic as a plain one.
     pub watchdog_ms: Option<u64>,
-    /// Which execution engine schedules the sites. Both engines produce
-    /// byte-identical captures; `Threaded` is the reference.
-    pub engine: Engine,
     /// HTTP cache strategy handed to every browser. `None` (the default)
     /// disables the cache, preserving the historical capture byte for byte.
     pub cache: Option<CacheStrategy>,
@@ -103,9 +57,6 @@ pub struct Crawler<'a> {
     /// replays the revisit pages against warm caches, with the cache clock
     /// advanced between visits.
     pub repeat: u32,
-    /// Evented engine only: how many sites may be in flight at once.
-    /// Admission beyond the budget queues FIFO.
-    pub in_flight_budget: usize,
 }
 
 impl<'a> Crawler<'a> {
@@ -119,10 +70,8 @@ impl<'a> Crawler<'a> {
             faults: FaultPlan::none(),
             retry: RetryPolicy::default(),
             watchdog_ms: None,
-            engine: Engine::default(),
             cache: None,
             repeat: 1,
-            in_flight_budget: 2048,
         }
     }
 
@@ -193,9 +142,10 @@ impl<'a> Crawler<'a> {
         }
     }
 
-    /// The worker pool underneath both execution modes. `deliver` receives
-    /// every site exactly once, by value: completed shards in completion
-    /// order from the worker threads, then — after the pool drains — a
+    /// The worker pool underneath both the materialized and the streaming
+    /// crawl: one OS thread per worker, sites claimed from a shared queue. `deliver` receives every
+    /// site exactly once, by value: completed shards in completion order
+    /// from the worker threads, then — after the pool drains — a
     /// quarantined placeholder in index order for any site nobody delivered
     /// (worker lost outside the panic guard), so no site is silently
     /// dropped. The pool itself holds no results.
@@ -208,51 +158,6 @@ impl<'a> Crawler<'a> {
         let sites = self.site_list(filter);
         let plan = (!self.faults.is_inert()).then_some(&self.faults);
         let board = DeliveryBoard::new(sites.len());
-        match self.engine {
-            Engine::Threaded => self.run_pool_threaded(&profile, &sites, plan, &board, deliver),
-            Engine::Evented => {
-                crate::evented::run_pool(self, &profile, &sites, plan, &board, deliver);
-            }
-        }
-        // Gap-fill: a site nobody delivered (worker lost outside the panic
-        // guard) is quarantined rather than silently dropped.
-        board.fill_gaps(|index| {
-            deliver(
-                index,
-                quarantined(sites[index], "crawl worker lost".to_string()),
-            );
-        });
-        profile.kind
-    }
-
-    /// Resolve the optional domain filter against the universe, preserving
-    /// universe order.
-    fn site_list(&self, filter: Option<&[String]>) -> Vec<&Site> {
-        // Hash the filter once: the resume path passes hundreds of missing
-        // domains, and a per-site linear scan over that list is O(n·m).
-        let filter: Option<std::collections::HashSet<&str>> =
-            filter.map(|f| f.iter().map(|d| d.as_str()).collect());
-        self.universe
-            .sites
-            .iter()
-            .filter(|s| {
-                filter
-                    .as_ref()
-                    .is_none_or(|f| f.contains(s.domain.as_str()))
-            })
-            .collect()
-    }
-
-    /// The reference engine: one OS thread per worker, work claimed from a
-    /// shared queue.
-    fn run_pool_threaded(
-        &self,
-        profile: &pii_browser::profiles::BrowserProfile,
-        sites: &[&Site],
-        plan: Option<&FaultPlan>,
-        board: &DeliveryBoard,
-        deliver: &(dyn Fn(usize, SiteCrawl) + Sync),
-    ) {
         let ledger = PanicLedger::new(sites.len());
         let next = AtomicUsize::new(0);
         // Sites whose worker panicked, tagged with the panicking worker so a
@@ -265,6 +170,7 @@ impl<'a> Crawler<'a> {
         let _ = crossbeam::thread::scope(|scope| {
             for worker_id in 0..self.workers.max(1) {
                 let (next, requeued, ledger) = (&next, &requeued, &ledger);
+                let (sites, board, profile) = (&sites, &board, &profile);
                 scope.spawn(move |_| {
                     let mut browser = self.fresh_browser(profile, plan);
                     loop {
@@ -353,47 +259,36 @@ impl<'a> Crawler<'a> {
                 });
             }
         });
-    }
-
-    /// Run the evented engine directly and return its executor statistics
-    /// alongside the dataset — the scheduler bench measures sustained
-    /// in-flight sites and events/sec through this.
-    pub fn run_evented_with_stats(
-        &self,
-        kind: BrowserKind,
-    ) -> (CrawlDataset, pii_sched::ExecStats) {
-        let profile = kind.profile();
-        let sites = self.site_list(None);
-        let plan = (!self.faults.is_inert()).then_some(&self.faults);
-        let results: Mutex<Vec<(usize, SiteCrawl)>> = Mutex::new(Vec::new());
-        let board = DeliveryBoard::new(sites.len());
-        let stats =
-            crate::evented::run_pool(self, &profile, &sites, plan, &board, &|index, crawl| {
-                results.lock().push((index, crawl));
-            });
+        // Gap-fill: a site nobody delivered (worker lost outside the panic
+        // guard) is quarantined rather than silently dropped.
         board.fill_gaps(|index| {
-            results.lock().push((
+            deliver(
                 index,
                 quarantined(sites[index], "crawl worker lost".to_string()),
-            ));
+            );
         });
-        let mut results = results.into_inner();
-        results.sort_by_key(|(i, _)| *i);
-        (
-            CrawlDataset {
-                browser: profile.kind,
-                crawls: results.into_iter().map(|(_, crawl)| crawl).collect(),
-            },
-            stats,
-        )
+        profile.kind
     }
 
-    /// The seed every deterministic scheduling decision derives from.
-    pub(crate) fn steal_seed(&self) -> u64 {
-        self.universe.spec.seed
+    /// Resolve the optional domain filter against the universe, preserving
+    /// universe order.
+    fn site_list(&self, filter: Option<&[String]>) -> Vec<&Site> {
+        // Hash the filter once: the resume path passes hundreds of missing
+        // domains, and a per-site linear scan over that list is O(n·m).
+        let filter: Option<std::collections::HashSet<&str>> =
+            filter.map(|f| f.iter().map(|d| d.as_str()).collect());
+        self.universe
+            .sites
+            .iter()
+            .filter(|s| {
+                filter
+                    .as_ref()
+                    .is_none_or(|f| f.contains(s.domain.as_str()))
+            })
+            .collect()
     }
 
-    pub(crate) fn fresh_browser<'b>(
+    fn fresh_browser<'b>(
         &'b self,
         profile: &pii_browser::profiles::BrowserProfile,
         plan: Option<&'b FaultPlan>,
@@ -431,7 +326,7 @@ fn crawl_one(
 /// The traffic of a site that would have hung the run is discarded (as a
 /// killed worker's would be), but its resilience accounting is kept so the
 /// degradation report can say *why* the site was given up on.
-pub(crate) fn apply_watchdog(crawl: SiteCrawl, watchdog_ms: Option<u64>) -> SiteCrawl {
+fn apply_watchdog(crawl: SiteCrawl, watchdog_ms: Option<u64>) -> SiteCrawl {
     let Some(limit) = watchdog_ms else {
         return crawl;
     };
@@ -452,7 +347,7 @@ pub(crate) fn apply_watchdog(crawl: SiteCrawl, watchdog_ms: Option<u64>) -> Site
 }
 
 /// A site the pool gave up on after repeated worker panics.
-pub(crate) fn quarantined(site: &Site, reason: String) -> SiteCrawl {
+fn quarantined(site: &Site, reason: String) -> SiteCrawl {
     pii_telemetry::counter("crawler.quarantined", 1);
     SiteCrawl {
         domain: site.domain.clone(),
@@ -464,7 +359,7 @@ pub(crate) fn quarantined(site: &Site, reason: String) -> SiteCrawl {
 }
 
 /// Human-readable reason out of a caught panic payload.
-pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
         (*message).to_string()
     } else if let Some(message) = payload.downcast_ref::<String>() {
@@ -683,6 +578,33 @@ mod tests {
         for c in &ds.crawls {
             assert!(targets.contains(&c.domain));
         }
+    }
+
+    #[test]
+    fn repeat_visits_with_warm_caches_serve_from_cache_and_add_traffic() {
+        let u = Universe::generate();
+        let targets: Vec<String> = u.sender_sites().take(6).map(|s| s.domain.clone()).collect();
+        let run = |repeat: u32| {
+            let mut crawler = Crawler::new(&u);
+            crawler.workers = 4;
+            crawler.cache = Some(CacheStrategy::CacheFirst);
+            crawler.repeat = repeat;
+            crawler.run_on(BrowserKind::Firefox88Vanilla, Some(&targets))
+        };
+        let twice = run(2);
+        // The second visit really happened against a warm cache: some
+        // requests were answered locally (suppressed) instead of going on
+        // the wire.
+        let suppressed = twice
+            .crawls
+            .iter()
+            .flat_map(|c| &c.records)
+            .filter(|r| r.from_cache.is_some_and(|d| d.suppressed()))
+            .count();
+        assert!(suppressed > 0, "warm revisits should serve from cache");
+        // And a single-visit run has strictly fewer records.
+        let count = |ds: &CrawlDataset| ds.crawls.iter().map(|c| c.records.len()).sum::<usize>();
+        assert!(count(&twice) > count(&run(1)));
     }
 
     #[test]

@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 
 pub mod capture;
-mod evented;
 pub mod flow;
 pub mod har;
 mod pool;
@@ -37,5 +36,5 @@ pub mod retry;
 mod steps;
 
 pub use capture::{CrawlDataset, CrawlOutcome, FunnelStats, SiteCrawl, SiteResilience};
-pub use flow::{CrawlSink, CrawlSummary, Crawler, Engine};
+pub use flow::{CrawlSink, CrawlSummary, Crawler};
 pub use retry::{RetryPolicy, SimClock};

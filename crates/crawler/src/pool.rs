@@ -1,8 +1,7 @@
-//! Bookkeeping shared by both crawl engines.
+//! Accountability bookkeeping for the crawl pool.
 //!
-//! The threaded pool and the evented executor schedule work very
-//! differently, but the *accountability* rules are engine-independent and
-//! live here so they cannot drift:
+//! Whatever happens to a worker, the pool keeps two promises, and the rules
+//! for both live here:
 //!
 //! - every site is delivered exactly once ([`DeliveryBoard`]), with a
 //!   quarantined placeholder gap-filled in index order for any site nobody
@@ -32,7 +31,7 @@ impl DeliveryBoard {
     }
 
     /// Call `fill` for every undelivered index, in index order. Runs after
-    /// the engine drains, so no site is silently dropped.
+    /// the pool drains, so no site is silently dropped.
     pub(crate) fn fill_gaps(self, mut fill: impl FnMut(usize)) {
         for (index, seen) in self.delivered.into_inner().into_iter().enumerate() {
             if !seen {
@@ -43,8 +42,8 @@ impl DeliveryBoard {
 }
 
 /// Panic-retry policy: one retry per site, then quarantine. The ledger
-/// records which sites already burned their retry; both engines consult it
-/// through [`PanicLedger::first_panic`] so the semantics stay identical.
+/// records which sites already burned their retry; the pool consults it
+/// through [`PanicLedger::first_panic`].
 pub(crate) struct PanicLedger {
     retried: Mutex<Vec<bool>>,
 }

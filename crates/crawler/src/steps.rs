@@ -1,19 +1,17 @@
 //! The §3.2 authentication flow as an explicit state machine.
 //!
-//! Both crawl engines (the threaded pool and the evented executor) drive a
-//! site through the same page sequence: homepage → sign-up → submit →
-//! optional confirmation → post-signup browsing, and — when repeat visits
-//! are configured — warm-cache revisits. [`SiteFlow`] encodes that sequence
-//! once, as a pull-based machine: the engine asks for the next
-//! [`FlowStep`], performs it however it schedules work, and reports the
-//! result back on the next call. Because page order, outcome mapping, and
-//! failure-reason strings live here and only here, the two engines cannot
-//! drift — byte-identical captures fall out by construction.
+//! Every site is driven through the same page sequence: homepage →
+//! sign-up → submit → optional confirmation → post-signup browsing, and —
+//! when repeat visits are configured — warm-cache revisits. [`SiteFlow`]
+//! encodes that sequence once, as a pull-based machine: the crawl loop asks
+//! for the next [`FlowStep`], performs it, and reports the result back on
+//! the next call. Page order, outcome mapping, and failure-reason strings
+//! live here and only here.
 //!
 //! The machine runs in two modes. *Config* mode (no fault plan) trusts
 //! `site.outcome` like the original happy path; *measured* mode derives
 //! outcomes from the failures the transport actually exhibited, consulting
-//! the [`PageFailure`] the engine passes back in.
+//! the [`PageFailure`] the crawl loop passes back in.
 
 use crate::capture::{CrawlOutcome, SiteCrawl, SiteResilience};
 use crate::retry::{RetryPolicy, SimClock};
@@ -32,11 +30,11 @@ const POST_SIGNUP_PAGES: [&str; 3] = ["/signin", "/account", "/products/1"];
 /// One page's terminal failure: the error of the last attempt and how many
 /// attempts were spent.
 pub(crate) struct PageFailure {
-    pub(crate) error: FetchError,
-    pub(crate) attempts: u32,
+    error: FetchError,
+    attempts: u32,
 }
 
-/// What the engine should do next with this site.
+/// What the crawl loop should do next with this site.
 pub(crate) enum FlowStep {
     /// Load this page (with retries, in measured mode), then call
     /// [`SiteFlow::next`] again with the result.
@@ -239,7 +237,7 @@ impl SiteFlow {
                 }
                 None => self.visit_finished(visit),
             },
-            // Defensive: an engine that keeps polling a finished flow gets
+            // Defensive: a caller that keeps polling a finished flow gets
             // a quarantine, not an infinite loop.
             Stage::Done => FlowStep::Finish(CrawlOutcome::Quarantined(
                 "flow advanced past completion".to_string(),
@@ -262,26 +260,14 @@ impl SiteFlow {
     }
 }
 
-/// One page-load attempt's result, as the engines see it.
-pub(crate) enum AttemptOutcome {
-    /// The page rendered (possibly on a retry).
-    Loaded,
-    /// The attempt failed but the policy allows another after a virtual
-    /// backoff of `delay_ms`.
-    Backoff { delay_ms: u64 },
-    /// Out of attempts or budget: the page is lost.
-    Failed(PageFailure),
-}
-
-/// Retry-loop state for one site's measured crawl. Owned by whichever
-/// engine drives the site; the bookkeeping order inside [`PageRun::attempt`]
-/// is part of the capture's byte-identity contract.
+/// Retry-loop state for one site's measured crawl. The bookkeeping order
+/// inside [`PageRun::load`] is part of the capture's byte-identity contract.
 pub(crate) struct PageRun<'p> {
-    pub(crate) plan: &'p FaultPlan,
-    pub(crate) retry: &'p RetryPolicy,
-    pub(crate) clock: SimClock,
-    pub(crate) resilience: SiteResilience,
-    pub(crate) records: Vec<FetchRecord>,
+    plan: &'p FaultPlan,
+    retry: &'p RetryPolicy,
+    clock: SimClock,
+    resilience: SiteResilience,
+    records: Vec<FetchRecord>,
 }
 
 impl<'p> PageRun<'p> {
@@ -295,54 +281,9 @@ impl<'p> PageRun<'p> {
         }
     }
 
-    /// Perform attempt number `attempt` (1-based) of one page load. Failed
+    /// Load one page to completion, retrying per the policy. Failed
     /// attempts stay in the capture as aborted records; backoff advances
     /// the virtual clock only.
-    pub(crate) fn attempt(
-        &mut self,
-        browser: &mut Browser<'_>,
-        site: &Site,
-        ctx: &PageContext,
-        attempt: u32,
-    ) -> AttemptOutcome {
-        browser.set_fault_attempt(attempt);
-        self.resilience.attempts += 1;
-        match browser.load_page_checked(site, ctx) {
-            Ok(mut records) => {
-                if attempt > 1 {
-                    self.resilience.rescued = true;
-                    pii_telemetry::counter("crawler.rescued_pages", 1);
-                }
-                self.records.append(&mut records);
-                AttemptOutcome::Loaded
-            }
-            Err(failure) => {
-                self.resilience.errors.push(format!(
-                    "{}@{}#{attempt}",
-                    failure.error.label(),
-                    ctx.path
-                ));
-                self.records.push(*failure.record);
-                let delay = self.retry.backoff_ms(self.plan, &site.domain, attempt);
-                let out_of_attempts = attempt >= self.retry.max_attempts;
-                let out_of_budget = !self.retry.budget_allows(self.clock.now_ms(), delay);
-                if out_of_attempts || out_of_budget {
-                    return AttemptOutcome::Failed(PageFailure {
-                        error: failure.error,
-                        attempts: attempt,
-                    });
-                }
-                self.clock.advance(delay);
-                self.resilience.retries += 1;
-                pii_telemetry::counter("crawler.retries", 1);
-                pii_telemetry::observe("crawler.backoff_ms", delay);
-                AttemptOutcome::Backoff { delay_ms: delay }
-            }
-        }
-    }
-
-    /// Load one page to completion, spinning the attempt loop in place (the
-    /// threaded engine; the evented engine turns each backoff into a timer).
     pub(crate) fn load(
         &mut self,
         browser: &mut Browser<'_>,
@@ -351,10 +292,39 @@ impl<'p> PageRun<'p> {
     ) -> Result<(), PageFailure> {
         let mut attempt = 1u32;
         loop {
-            match self.attempt(browser, site, ctx, attempt) {
-                AttemptOutcome::Loaded => return Ok(()),
-                AttemptOutcome::Failed(failure) => return Err(failure),
-                AttemptOutcome::Backoff { .. } => attempt = attempt.saturating_add(1),
+            browser.set_fault_attempt(attempt);
+            self.resilience.attempts += 1;
+            match browser.load_page_checked(site, ctx) {
+                Ok(mut records) => {
+                    if attempt > 1 {
+                        self.resilience.rescued = true;
+                        pii_telemetry::counter("crawler.rescued_pages", 1);
+                    }
+                    self.records.append(&mut records);
+                    return Ok(());
+                }
+                Err(failure) => {
+                    self.resilience.errors.push(format!(
+                        "{}@{}#{attempt}",
+                        failure.error.label(),
+                        ctx.path
+                    ));
+                    self.records.push(*failure.record);
+                    let delay = self.retry.backoff_ms(self.plan, &site.domain, attempt);
+                    let out_of_attempts = attempt >= self.retry.max_attempts;
+                    let out_of_budget = !self.retry.budget_allows(self.clock.now_ms(), delay);
+                    if out_of_attempts || out_of_budget {
+                        return Err(PageFailure {
+                            error: failure.error,
+                            attempts: attempt,
+                        });
+                    }
+                    self.clock.advance(delay);
+                    self.resilience.retries += 1;
+                    pii_telemetry::counter("crawler.retries", 1);
+                    pii_telemetry::observe("crawler.backoff_ms", delay);
+                    attempt = attempt.saturating_add(1);
+                }
             }
         }
     }

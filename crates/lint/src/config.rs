@@ -6,9 +6,7 @@
 //! - W01/W05 are global: wall-clock reads and unjustified `unsafe` are
 //!   never acceptable anywhere in the pipeline.
 //! - W02 covers the crates whose iteration order can reach output bytes —
-//!   analysis (tables), store (archive bytes), core (detection reports) —
-//!   plus the scheduler (`crates/sched`), whose event order decides which
-//!   browser performs which fetch and must be a pure function of the seed.
+//!   analysis (tables), store (archive bytes), core (detection reports).
 //! - W03 covers the three proven overflow hot spots: universe generation,
 //!   archive offset accounting, retry backoff.
 //! - W04 covers the paths whose contract is degradation-to-
@@ -34,11 +32,8 @@ const W03_FILES: [&str; 7] = [
 ];
 
 /// The degradation-contract files in core and store (W04); the whole
-/// analysis crate is additionally in scope. The scheduler's wheel and
-/// executor are included because a panic there takes down the whole evented
-/// crawl, not one site — the engine's catch_unwind guards site tasks, not
-/// the machinery between them.
-const W04_FILES: [&str; 11] = [
+/// analysis crate is additionally in scope.
+const W04_FILES: [&str; 9] = [
     "crates/core/src/detect.rs",
     "crates/core/src/scan.rs",
     "crates/core/src/tokens.rs",
@@ -48,16 +43,13 @@ const W04_FILES: [&str; 11] = [
     "crates/store/src/verify.rs",
     "crates/store/src/vbin.rs",
     "crates/store/src/fast.rs",
-    "crates/sched/src/wheel.rs",
-    "crates/sched/src/executor.rs",
 ];
 
 /// Is `rule` active for the file at workspace-relative `path`?
 pub fn in_scope(rule: Rule, path: &str) -> bool {
     let output_crate = path.starts_with("crates/analysis/src/")
         || path.starts_with("crates/store/src/")
-        || path.starts_with("crates/core/src/")
-        || path.starts_with("crates/sched/src/");
+        || path.starts_with("crates/core/src/");
     match rule {
         Rule::W00 | Rule::W01 | Rule::W05 => true,
         Rule::W02 => output_crate,

@@ -996,23 +996,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unknown_fields_fall_back_instead_of_misdecoding() {
-        // A future writer might add a field; the fast decoder must refuse
-        // (triggering the generic fallback), not silently drop data.
-        let crawl = exhaustive_crawl();
-        let tree = serde::value::to_value(&crawl).unwrap();
+    /// What a future writer that added a field would emit: the exhaustive
+    /// crawl's value tree plus one unknown `new_field`.
+    fn new_field_bytes() -> Vec<u8> {
+        let tree = serde::value::to_value(&exhaustive_crawl()).unwrap();
         let serde::Value::Obj(mut entries) = tree else {
             panic!("crawl serializes to an object")
         };
         entries.push(("new_field".into(), serde::Value::U64(1)));
         let mut bytes = Vec::new();
         crate::vbin::encode_value(&serde::Value::Obj(entries), &mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn unknown_fields_fall_back_instead_of_misdecoding() {
+        // A future writer might add a field; the fast decoder must refuse
+        // (triggering the generic fallback), not silently drop data.
+        let bytes = new_field_bytes();
         assert!(decode_site_crawl(&bytes).is_err());
         // …and the generic route accepts it (unknown fields ignored).
         let back: Result<SiteCrawl, _> =
             serde::value::from_value(crate::vbin::decode_value(&bytes).unwrap());
         assert!(back.is_ok());
+    }
+
+    #[test]
+    fn decode_site_counts_each_generic_fallback() {
+        let counter = "store.decode.generic_fallback";
+        let clean = pii_encodings::deflate::compress(&generic_bytes(&exhaustive_crawl()));
+        let unfamiliar = pii_encodings::deflate::compress(&new_field_bytes());
+        // The counter is process-global; no other test in this crate decodes
+        // an unfamiliar site payload, so its change here is this test's own.
+        pii_telemetry::enable();
+        let before = pii_telemetry::snapshot().counter(counter);
+        let decoded = crate::format::decode_site(&clean).unwrap();
+        assert_eq!(generic_bytes(&decoded), generic_bytes(&exhaustive_crawl()));
+        let after_clean = pii_telemetry::snapshot().counter(counter);
+        assert!(crate::format::decode_site(&unfamiliar).is_ok());
+        let after_fallback = pii_telemetry::snapshot().counter(counter);
+        assert_eq!(after_clean, before, "a clean payload must not count");
+        assert_eq!(after_fallback, after_clean + 1);
     }
 
     #[test]

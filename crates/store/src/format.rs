@@ -171,13 +171,15 @@ pub fn encode_site(crawl: &pii_crawler::SiteCrawl) -> EncodedRecord {
 }
 
 /// [`decode_record`] for site segments: the direct decoder first, the
-/// generic value-tree route when the payload's shape is unfamiliar.
+/// generic value-tree route when the payload's shape is unfamiliar. Each
+/// fallback bumps `store.decode.generic_fallback`.
 pub fn decode_site(payload: &[u8]) -> Result<pii_crawler::SiteCrawl, FrameError> {
     let raw = pii_encodings::deflate::decompress(payload)
         .map_err(|_| FrameError::Corrupt("deflate stream"))?;
     if let Ok(crawl) = crate::fast::decode_site_crawl(&raw) {
         return Ok(crawl);
     }
+    pii_telemetry::counter("store.decode.generic_fallback", 1);
     let tree = crate::vbin::decode_value(&raw).map_err(|_| FrameError::Corrupt("record body"))?;
     serde::value::from_value(tree).map_err(|_| FrameError::Corrupt("record shape"))
 }

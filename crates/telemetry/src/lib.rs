@@ -124,16 +124,12 @@ impl Snapshot {
 /// of that, the per-worker DNS cache's behaviour (each worker's resolver
 /// cache persists across the sites it happens to crawl, so hits — and
 /// first-touch alias discoveries — follow the assignment, not the seed).
-/// `study.workers` is the pool size itself, echoed as a gauge. `sched.*`
-/// counters describe the evented executor's scheduling behaviour (events,
-/// steals, peak in-flight, …) — deterministic for a fixed lane count, but a
-/// function of the lane configuration rather than the seed alone.
+/// `study.workers` is the pool size itself, echoed as a gauge.
 pub fn is_scheduling_dependent(name: &str) -> bool {
     name == "dns.cache_hits"
         || name == "dns.aliased"
         || name == "study.workers"
         || name.starts_with("crawler.worker.")
-        || name.starts_with("sched.")
 }
 
 /// Thread-safe telemetry sink. One process-global instance serves the

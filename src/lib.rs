@@ -34,7 +34,6 @@ pub use pii_encodings as encodings;
 pub use pii_hashes as hashes;
 pub use pii_lint as lint;
 pub use pii_net as net;
-pub use pii_sched as sched;
 pub use pii_store as store;
 pub use pii_telemetry as telemetry;
 pub use pii_web as web;

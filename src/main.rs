@@ -43,11 +43,6 @@
 //! pii-study --watchdog-ms <n> <cmd>    per-site virtual-time deadline: a site whose retry
 //!                                      backoff exceeds n simulated ms is quarantined
 //!                                      instead of stalling the crawl (deterministic)
-//! pii-study --engine <threaded|evented> <cmd>
-//!                                      crawl execution engine: `threaded` (default) is the
-//!                                      OS-thread worker pool, `evented` runs every site as
-//!                                      a task on the pii-sched virtual-time executor; both
-//!                                      produce byte-identical study output
 //! pii-study --cache <strategy> <cmd>   HTTP cache for the crawl's browsers:
 //!                                      cache-first | network-first | stale-while-revalidate
 //!                                      (default: no cache, the paper's cold-visit capture)
@@ -64,14 +59,14 @@ use pii_suite::analysis::{
     ablations, aggregates, browsers, counterfactual, crowdsource, dataset, degradation, figure2,
     table1, table2, table3, table4, Study, StudyResults,
 };
-use pii_suite::crawler::{Engine, RetryPolicy};
+use pii_suite::crawler::RetryPolicy;
 use pii_suite::net::cache::CacheStrategy;
 use pii_suite::net::fault::FaultProfile;
 use pii_suite::web::UniverseSpec;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pii-study [seed|--seed <u64>] [--from <store>] [--stream] [--workers <n>] [--faults <none|paper-may-2021|hostile>] [--retries <n>] [--watchdog-ms <n>] [--engine <threaded|evented>] [--cache <cache-first|network-first|stale-while-revalidate>] [--repeat <n>] [--metrics] [--trace <out.json>] <full|tables|stats|sweep [N]|browsers|blocklists|ablations|counterfactual|crowdsource [K]|crawl --out <store> [--resume] [--kill <point>]|store <verify|repair> <store> [--out <fixed>]|lint [--json]|export <dir>>"
+        "usage: pii-study [seed|--seed <u64>] [--from <store>] [--stream] [--workers <n>] [--faults <none|paper-may-2021|hostile>] [--retries <n>] [--watchdog-ms <n>] [--cache <cache-first|network-first|stale-while-revalidate>] [--repeat <n>] [--metrics] [--trace <out.json>] <full|tables|stats|sweep [N]|browsers|blocklists|ablations|counterfactual|crowdsource [K]|crawl --out <store> [--resume] [--kill <point>]|store <verify|repair> <store> [--out <fixed>]|lint [--json]|export <dir>>"
     );
     std::process::exit(2);
 }
@@ -93,8 +88,6 @@ struct StudyArgs {
     stream: bool,
     /// Per-site virtual-time deadline for live crawls.
     watchdog_ms: Option<u64>,
-    /// Crawl execution engine (`--engine`).
-    engine: Engine,
     /// HTTP cache strategy for the crawl's browsers (`--cache`).
     cache: Option<CacheStrategy>,
     /// Visits per site (`--repeat`).
@@ -117,7 +110,6 @@ fn configure_study(args: &StudyArgs) -> Study {
         study.retry = RetryPolicy::with_max_attempts(retries);
     }
     study.watchdog_ms = args.watchdog_ms;
-    study.engine = args.engine;
     study.cache = args.cache;
     if let Some(repeat) = args.repeat {
         study.repeat = repeat.max(1);
@@ -175,7 +167,6 @@ fn main() {
         from: None,
         stream: false,
         watchdog_ms: None,
-        engine: Engine::default(),
         cache: None,
         repeat: None,
     };
@@ -236,13 +227,6 @@ fn main() {
                     usage();
                 };
                 study_args.watchdog_ms = Some(value);
-                args = &args[2..];
-            }
-            Some("--engine") => {
-                let Some(value) = args.get(1).and_then(|s| s.parse::<Engine>().ok()) else {
-                    usage();
-                };
-                study_args.engine = value;
                 args = &args[2..];
             }
             Some("--cache") => {

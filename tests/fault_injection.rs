@@ -68,15 +68,25 @@ fn measured_funnel_reproduces_section_3_2() {
 #[test]
 fn fault_injected_crawl_is_deterministic_across_worker_counts() {
     let u = universe();
-    let run = |workers: usize| {
-        let mut crawler = Crawler::new(u);
-        crawler.workers = workers;
-        crawler.faults = u.fault_plan(FaultProfile::PaperMay2021);
-        dataset_json(&crawler.run(BrowserKind::Firefox88Vanilla))
-    };
-    let baseline = run(1);
-    for workers in [2, 3, 8, 64] {
-        assert_eq!(baseline, run(workers), "diverged at {workers} workers");
+    for profile in [
+        FaultProfile::None,
+        FaultProfile::PaperMay2021,
+        FaultProfile::Hostile,
+    ] {
+        let run = |workers: usize| {
+            let mut crawler = Crawler::new(u);
+            crawler.workers = workers;
+            crawler.faults = u.fault_plan(profile);
+            dataset_json(&crawler.run(BrowserKind::Firefox88Vanilla))
+        };
+        let baseline = run(1);
+        for workers in [1, 2, 3, 5, 8, 64] {
+            assert_eq!(
+                baseline,
+                run(workers),
+                "diverged at {workers} workers under {profile:?}"
+            );
+        }
     }
 }
 
