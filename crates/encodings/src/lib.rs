@@ -10,7 +10,8 @@
 //! As with `pii-hashes`, both the simulated tracker tags and the detector's
 //! candidate-token generator share these implementations. The text codecs
 //! follow their RFCs exactly (RFC 4648 for base16/32/64, the Bitcoin
-//! alphabet for base58); DEFLATE emits stored or fixed-Huffman blocks and
+//! alphabet for base58); DEFLATE emits one dynamic- or fixed-Huffman block,
+//! whichever is smaller (stored blocks when neither beats the input), and
 //! inflates all three block types per RFC 1951; gzip adds the RFC 1952
 //! framing with a real CRC-32. The bzip2 codec keeps the reference pipeline
 //! (RLE → Burrows-Wheeler → move-to-front → RLE2 → Huffman) in a simplified

@@ -140,13 +140,23 @@ pub struct EncodedRecord {
 /// `vbin` module doc — and is *exact*: floats round-trip by bit pattern
 /// rather than through decimal formatting.
 pub fn encode_record<T: Serialize>(value: &T) -> EncodedRecord {
-    // lint:allow(W04) -- encode side, not replay: serializing the workspace's own derive-generated records is infallible
-    let tree = serde::value::to_value(value).expect("archive records serialize");
-    let mut raw = Vec::new();
-    crate::vbin::encode_value(&tree, &mut raw);
+    let raw = {
+        let _span = pii_telemetry::span("store.encode");
+        // lint:allow(W04) -- encode side, not replay: serializing the workspace's own derive-generated records is infallible
+        let tree = serde::value::to_value(value).expect("archive records serialize");
+        let mut raw = Vec::new();
+        crate::vbin::encode_value(&tree, &mut raw);
+        raw
+    };
+    deflate_record(&raw)
+}
+
+/// The DEFLATE step shared by both record encoders.
+fn deflate_record(raw: &[u8]) -> EncodedRecord {
+    let _span = pii_telemetry::span("store.deflate");
     EncodedRecord {
         raw_len: raw.len() as u32,
-        payload: pii_encodings::deflate::compress(&raw),
+        payload: pii_encodings::deflate::compress(raw),
     }
 }
 
@@ -163,11 +173,11 @@ pub fn decode_record<T: for<'de> Deserialize<'de>>(payload: &[u8]) -> Result<T, 
 /// tests and the `tests/store.rs` proptests pin the equivalence.
 pub fn encode_site(crawl: &pii_crawler::SiteCrawl) -> EncodedRecord {
     let mut raw = Vec::new();
-    crate::fast::encode_site_crawl(crawl, &mut raw);
-    EncodedRecord {
-        raw_len: raw.len() as u32,
-        payload: pii_encodings::deflate::compress(&raw),
+    {
+        let _span = pii_telemetry::span("store.encode");
+        crate::fast::encode_site_crawl(crawl, &mut raw);
     }
+    deflate_record(&raw)
 }
 
 /// [`decode_record`] for site segments: the direct decoder first, the

@@ -274,8 +274,13 @@ impl<W: Write> ArchiveWriter<W> {
     /// repeat. Only meaningful with an armed fail point.
     fn kill(&mut self, partial: &[u8]) -> std::io::Error {
         let point = self.fail.expect("kill requires an armed failpoint").point;
-        let _ = self.out.write_all(partial);
-        let _ = self.out.flush();
+        // The kill error is returned either way; a sink that also failed
+        // to take the torn prefix is counted, not silently dropped.
+        let results = [self.out.write_all(partial), self.out.flush()];
+        let failures = results.iter().filter(|r| r.is_err()).count() as u64;
+        if failures > 0 {
+            pii_telemetry::counter("store.kill.io_error", failures);
+        }
         self.offset = self.offset.saturating_add(partial.len() as u64);
         if let Some(f) = self.fail.as_mut() {
             f.dead = true;
@@ -331,6 +336,7 @@ impl<W: Write> ArchiveWriter<W> {
         label: &str,
         encoded: format::EncodedRecord,
     ) -> std::io::Result<()> {
+        let _span = pii_telemetry::span("store.write");
         self.buf.clear();
         format::write_segment(
             &mut self.buf,
@@ -583,5 +589,51 @@ fn scan_tail(source: &reader::Source, expected: &ArchiveMeta) -> TailScan {
         raw_bytes,
         compressed_bytes,
         dropped_finalization,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink whose every write and flush fails.
+    struct BrokenSink;
+
+    impl Write for BrokenSink {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("sink is broken"))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("sink is broken"))
+        }
+    }
+
+    #[test]
+    fn kill_path_io_errors_are_counted() {
+        let meta = ArchiveMeta {
+            spec: UniverseSpec::default(),
+            browser: BrowserKind::Firefox88Vanilla,
+            faults: FaultProfile::None,
+        };
+        // Tear the file magic after four bytes: the kill writes that torn
+        // prefix and flushes, and both fail on this sink. The counter is
+        // process-global; no other test in this crate kills a writer over a
+        // failing sink, so its change here is this test's own.
+        pii_telemetry::enable();
+        let count = || pii_telemetry::snapshot().counter("store.kill.io_error");
+        let before = count();
+        let killed =
+            ArchiveWriter::new_with_failpoint(Vec::new(), &meta, Some(FailPoint::AtByte(4)));
+        assert!(killed.is_err_and(|e| FailPoint::is_kill(&e)));
+        assert_eq!(count(), before, "a healthy sink must not count");
+        let killed =
+            ArchiveWriter::new_with_failpoint(BrokenSink, &meta, Some(FailPoint::AtByte(4)));
+        assert!(killed.is_err_and(|e| FailPoint::is_kill(&e)));
+        assert_eq!(
+            count(),
+            before.saturating_add(2),
+            "write_all and flush both failed"
+        );
     }
 }

@@ -5,6 +5,7 @@
 
 use pii_suite::analysis::Study;
 use pii_suite::crawler::{CrawlDataset, CrawlOutcome, SiteCrawl};
+use pii_suite::hashes::{hex_digest, HashAlgorithm};
 use pii_suite::net::fault::FaultProfile;
 use pii_suite::prelude::*;
 use pii_suite::store::{format, ArchiveMeta, ArchiveReader, ArchiveWriter, StoreError};
@@ -199,6 +200,45 @@ fn segment_region(bytes: &[u8]) -> std::ops::Range<usize> {
     let start = format::FILE_MAGIC.len() + meta_header.segment_len();
     let (footer_offset, _) = format::read_trailer(bytes).expect("trailer");
     start..footer_offset as usize
+}
+
+/// SHA-256 of the seed-7 1x archive written by one worker. Every other test
+/// here compares archives with each other or with the live pipeline; this
+/// one notices a change to the bytes a capture produces (compressor output,
+/// vbin layout, framing). Re-pin only on a deliberate format change.
+const SEED_7_ARCHIVE_SHA256: &str =
+    "b35f464d971146675c8a861432f0826be024de211ab72525aa9352b071b52c8b";
+
+/// `pii-study --seed 7 --workers 1 crawl --out X`, written in memory.
+#[test]
+fn seed_7_archive_bytes_are_pinned() {
+    let universe = Universe::generate_with(UniverseSpec {
+        seed: 7,
+        ..UniverseSpec::default()
+    });
+    let meta = ArchiveMeta {
+        spec: universe.spec.clone(),
+        browser: BrowserKind::Firefox88Vanilla,
+        faults: FaultProfile::None,
+    };
+    let mut crawler = Crawler::new(&universe);
+    crawler.workers = 1;
+    let writer = std::sync::Mutex::new(ArchiveWriter::new(Vec::new(), &meta).expect("writer"));
+    crawler.run_streaming_on(meta.browser, None, &|index, crawl| {
+        writer
+            .lock()
+            .expect("writer lock")
+            .append_site(index, crawl)
+            .expect("append");
+    });
+    let writer = writer.into_inner().expect("writer lock");
+    let bytes = writer.finish_with_sink().expect("finish").1;
+    assert_eq!(
+        hex_digest(HashAlgorithm::Sha256, &bytes),
+        SEED_7_ARCHIVE_SHA256,
+        "archive bytes changed ({} bytes)",
+        bytes.len()
+    );
 }
 
 proptest! {
