@@ -37,7 +37,10 @@ store-smoke:
 
 # Constant-memory pipeline: the streaming replay of a capture archive must
 # render byte-identically to the materialized replay of the same archive,
-# and the spooled live streaming run must match a plain live run.
+# and a live streaming run, folded through the crawl's reorder buffer, must
+# match a plain live run — at the default pool, at one worker (in-order
+# delivery), and at two workers under hostile faults (out-of-order
+# delivery).
 stream-smoke:
 	cargo run --release -q -- --seed 7 crawl --out target/stream-smoke.store > /dev/null
 	cargo run --release -q -- --from target/stream-smoke.store tables > target/stream-materialized.txt
@@ -46,6 +49,12 @@ stream-smoke:
 	cargo run --release -q -- --seed 7 tables > target/stream-live.txt
 	cargo run --release -q -- --seed 7 --stream tables > target/stream-live-streamed.txt
 	cmp target/stream-live.txt target/stream-live-streamed.txt
+	cargo run --release -q -- --seed 7 --workers 1 tables > target/stream-live-w1.txt
+	cargo run --release -q -- --seed 7 --workers 1 --stream tables > target/stream-live-w1-streamed.txt
+	cmp target/stream-live-w1.txt target/stream-live-w1-streamed.txt
+	cargo run --release -q -- --seed 7 --workers 2 --faults hostile tables > target/stream-live-hostile.txt
+	cargo run --release -q -- --seed 7 --workers 2 --faults hostile --stream tables > target/stream-live-hostile-streamed.txt
+	cmp target/stream-live-hostile.txt target/stream-live-hostile-streamed.txt
 
 # Crash-consistency smoke: kill the archive writer at a segment boundary,
 # confirm `store verify` flags the torn file, resume the crawl, and require

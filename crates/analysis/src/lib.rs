@@ -15,7 +15,7 @@
 //! | [`browsers`]   | §7.1 — browser countermeasures |
 //! | [`aggregates`] | §4.2 headline numbers + §4.2.3 mailbox |
 //! | [`degradation`]| fault-injection degradation + measured §3.2 funnel |
-//! | [`streaming`]  | constant-memory batch replay: archive → detect without a dataset |
+//! | [`streaming`]  | the study fold: live crawl or archive → detect → accumulators, in site order |
 //! | [`dataset`]    | the paper's published artifact lists (CSV/JSON) |
 //! | [`crowdsource`]| the paper's future-work extension: K-contributor study |
 //! | [`ablations`]  | chain-depth recall and scanning-strategy experiments |

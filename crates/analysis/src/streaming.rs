@@ -1,27 +1,38 @@
-//! Constant-memory batch replay: archive → detection without ever holding a
-//! [`pii_crawler::CrawlDataset`].
+//! The study fold: one canonical-order pass from a capture source to the
+//! study's accumulators, shared by every pipeline.
 //!
-//! The materialized replay path decodes every segment into one dataset and
-//! hands it to `detect_parallel`; peak memory is the whole capture. This
-//! module replays the archive's footer index in fixed-size batches instead:
-//! each batch's segments are decoded and detected in parallel (one worker
-//! pool pass, per-site `catch_unwind` exactly like `detect_parallel`), then
-//! folded **sequentially in canonical site order** into the running funnel,
-//! degradation, and detection accumulators — and dropped. Because
-//! `detect_site` is a pure function of one crawl and fragments merge in
-//! canonical order, the folded report is byte-identical to the materialized
-//! path for any worker count; `tests/streaming.rs` pins this across worker
-//! counts and fault profiles.
+//! Whatever the source, each site goes — in canonical site order — through
+//! `FunnelStats::observe`, `DegradationBuilder::observe` and
+//! `DetectionReport::merge` exactly once ([`StudyFold`]). The materialized
+//! study additionally keeps the crawls as its dataset; the streaming study
+//! drops each one as soon as it is folded. Because `detect_site` is a pure
+//! function of one crawl and fragments merge in canonical order, the result
+//! is byte-identical for any source, worker count and mode;
+//! `tests/streaming.rs` pins this across worker counts and fault profiles.
 //!
-//! Peak residency is bounded by one batch of segments, tracked as the
-//! deterministic `study.stream.peak_resident_bytes` gauge (max over batches
-//! of the batch's summed segment bytes) — a pure function of the archive,
-//! so it can be asserted flat across universe scales.
+//! There are two sources:
+//!
+//! - **Archive** ([`replay`]): the footer index is read in
+//!   [`STREAM_BATCH`]-sized batches; each batch's segments are decoded and
+//!   detected in parallel, then folded in index order. Peak residency is
+//!   one batch of segments, tracked as the deterministic
+//!   `study.stream.peak_resident_bytes` gauge (max over batches of the
+//!   batch's summed segment bytes) — a pure function of the archive, so it
+//!   can be asserted flat across universe scales.
+//! - **Live crawl** ([`crawl`]): each site is detected on the crawl worker
+//!   that finished it. The pool delivers in completion order, so the site
+//!   is parked in a reorder buffer that drains while the next canonical
+//!   index is present. A site that is late — requeued after a worker
+//!   panic, or gap-filled once the pool drains — holds every later site in
+//!   the buffer until it arrives.
 
 use crate::degradation::DegradationBuilder;
+use pii_browser::profiles::BrowserKind;
 use pii_core::detect::{DetectionReport, LeakDetector};
-use pii_crawler::FunnelStats;
+use pii_crawler::{Crawler, FunnelStats, SiteCrawl};
+use pii_store::format::{FrameError, IndexEntry};
 use pii_store::reader::{ArchiveReader, ReplayReport, SkippedSegment};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Sites decoded + detected per batch. Large enough to keep a worker pool
@@ -42,30 +53,89 @@ pub struct StreamStats {
     pub peak_resident_bytes: u64,
 }
 
-/// Everything a streaming replay folds out of the archive.
-pub struct StreamReplay {
-    pub funnel: FunnelStats,
-    pub degradation: DegradationBuilder,
-    pub report: DetectionReport,
-    pub replay: ReplayReport,
-    pub stats: StreamStats,
+/// The study's accumulators, fed one site at a time in canonical order.
+#[derive(Default)]
+pub(crate) struct StudyFold {
+    pub(crate) funnel: FunnelStats,
+    pub(crate) degradation: DegradationBuilder,
+    pub(crate) report: DetectionReport,
+    /// The folded crawls, kept only by the materialized pipeline.
+    pub(crate) crawls: Option<Vec<SiteCrawl>>,
 }
 
-/// Replay `reader`'s indexed segments batch by batch through `detector`.
+impl StudyFold {
+    pub(crate) fn new(keep_crawls: bool) -> StudyFold {
+        StudyFold {
+            crawls: keep_crawls.then(Vec::new),
+            ..StudyFold::default()
+        }
+    }
+
+    /// Fold the next site in canonical order with its detection fragment.
+    fn observe(&mut self, crawl: SiteCrawl, fragment: DetectionReport) {
+        self.funnel.observe(&crawl.outcome);
+        self.degradation.observe(&crawl);
+        self.report.merge(fragment);
+        if let Some(crawls) = &mut self.crawls {
+            crawls.push(crawl);
+        }
+    }
+}
+
+/// Fold a live crawl of `crawler`'s universe with browser `kind`. Each site
+/// is detected on the worker that crawled it, then parked until every site
+/// before it has been folded.
+pub(crate) fn crawl(
+    crawler: &Crawler<'_>,
+    kind: BrowserKind,
+    detector: &LeakDetector,
+    fold: &mut StudyFold,
+) {
+    struct Reorder<'f> {
+        next: usize,
+        parked: BTreeMap<usize, (SiteCrawl, DetectionReport)>,
+        fold: &'f mut StudyFold,
+    }
+    let reorder = parking_lot::Mutex::new(Reorder {
+        next: 0,
+        parked: BTreeMap::new(),
+        fold,
+    });
+    crawler.run_pool(kind.profile(), None, &|index, crawl| {
+        let fragment = detector.detect_site_guarded(&crawl);
+        let mut guard = reorder.lock();
+        let buffer = &mut *guard;
+        buffer.parked.insert(index, (crawl, fragment));
+        while let Some((crawl, fragment)) = buffer.parked.remove(&buffer.next) {
+            buffer.fold.observe(crawl, fragment);
+            buffer.next += 1;
+        }
+    });
+    // The pool delivers every index exactly once, so the buffer is empty
+    // here. Should a worker die between marking a site delivered and
+    // delivering it, the sites behind that gap are still folded, in order.
+    let Reorder { parked, fold, .. } = reorder.into_inner();
+    for (crawl, fragment) in parked.into_values() {
+        fold.observe(crawl, fragment);
+    }
+}
+
+/// Fold `reader`'s indexed segments batch by batch through `detector`.
 ///
-/// Per batch: parallel decode + per-site detection (each site's fragment is
-/// computed under `catch_unwind`, degrading to skipped records like
-/// `detect_parallel`), then a sequential canonical-order fold. Damaged
-/// segments become the same `Quarantined` placeholder rows and
-/// [`SkippedSegment`] notes as [`ArchiveReader::read_dataset`], so the
-/// degradation accounting cannot drift between the two paths.
-pub fn replay(reader: &ArchiveReader, detector: &LeakDetector, workers: usize) -> StreamReplay {
+/// Per batch: parallel decode + guarded per-site detection, then a
+/// sequential fold in index order. Damaged segments become the same
+/// `Quarantined` placeholder rows and [`SkippedSegment`] notes as
+/// [`ArchiveReader::read_dataset`], so the degradation accounting cannot
+/// drift between a replay and the archive's own reader.
+pub(crate) fn replay(
+    reader: &ArchiveReader,
+    detector: &LeakDetector,
+    workers: usize,
+    fold: &mut StudyFold,
+) -> (ReplayReport, StreamStats) {
     let _span = pii_telemetry::span("study.stream");
     let entries = reader.entries();
-    let mut funnel = FunnelStats::default();
-    let mut degradation = DegradationBuilder::default();
-    let mut report = DetectionReport::default();
-    let mut replay_report = ReplayReport {
+    let mut replay = ReplayReport {
         segments_total: entries.len(),
         used_footer: reader.used_footer(),
         skipped: reader.scan_damage().to_vec(),
@@ -86,23 +156,20 @@ pub fn replay(reader: &ArchiveReader, detector: &LeakDetector, workers: usize) -
         {
             match slot {
                 Ok((crawl, fragment)) => {
-                    replay_report.segments_verified += 1;
+                    replay.segments_verified += 1;
                     pii_telemetry::counter("store.segments_verified", 1);
-                    funnel.observe(&crawl.outcome);
-                    degradation.observe(&crawl);
-                    report.merge(fragment);
+                    fold.observe(crawl, fragment);
                 }
                 Err(e) => {
                     pii_telemetry::counter("store.segments_skipped", 1);
-                    replay_report.skipped.push(SkippedSegment {
+                    replay.skipped.push(SkippedSegment {
                         label: Some(entry.label.clone()),
                         offset: entry.offset,
                         records: entry.records,
                         reason: e.to_string(),
                     });
                     let placeholder = ArchiveReader::quarantine_placeholder(entry, &e);
-                    funnel.observe(&placeholder.outcome);
-                    degradation.observe(&placeholder);
+                    fold.observe(placeholder, DetectionReport::default());
                 }
             }
         }
@@ -111,47 +178,23 @@ pub fn replay(reader: &ArchiveReader, detector: &LeakDetector, workers: usize) -
         "study.stream.peak_resident_bytes",
         stats.peak_resident_bytes as i64,
     );
-    StreamReplay {
-        funnel,
-        degradation,
-        report,
-        replay: replay_report,
-        stats,
-    }
+    (replay, stats)
 }
 
-/// One batch slot: the decoded crawl plus its detection fragment (empty for
-/// non-completed sites, skipped-records-only when the detect worker
-/// panicked), or the frame error that cost the segment.
-type Slot = Result<(pii_crawler::SiteCrawl, DetectionReport), pii_store::format::FrameError>;
+/// One batch slot: the decoded crawl plus its detection fragment, or the
+/// frame error that cost the segment.
+type Slot = Result<(SiteCrawl, DetectionReport), FrameError>;
 
 /// Decode and detect a batch in parallel, returning slots in batch order.
 fn decode_batch(
     reader: &ArchiveReader,
     detector: &LeakDetector,
     workers: usize,
-    batch: &[pii_store::format::IndexEntry],
+    batch: &[IndexEntry],
 ) -> Vec<Slot> {
-    let fill = |entry: &pii_store::format::IndexEntry| -> Slot {
+    let fill = |entry: &IndexEntry| -> Slot {
         let crawl = reader.read_entry(entry)?;
-        let fragment = if crawl.outcome.completed() {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut fragment = DetectionReport::default();
-                detector.detect_site(&crawl, &mut fragment);
-                fragment
-            }))
-            .unwrap_or_else(|_| {
-                // Mirror `detect_parallel`'s quarantine: the site degrades
-                // into counted skipped records, the replay continues.
-                pii_telemetry::counter("detect.sites_quarantined", 1);
-                DetectionReport {
-                    skipped_records: crawl.records.len(),
-                    ..DetectionReport::default()
-                }
-            })
-        } else {
-            DetectionReport::default()
-        };
+        let fragment = detector.detect_site_guarded(&crawl);
         Ok((crawl, fragment))
     };
     let workers = workers.max(1).min(batch.len().max(1));
@@ -167,9 +210,6 @@ fn decode_batch(
         for _ in 0..workers {
             scope.spawn(|_| loop {
                 let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= batch.len() {
-                    break;
-                }
                 let (Some(slot), Some(item)) = (slots.get(index), batch.get(index)) else {
                     break;
                 };
@@ -183,8 +223,53 @@ fn decode_batch(
             slot.into_inner().unwrap_or(Err(
                 // A worker lost outside the panic guard never filled its
                 // slot; the segment degrades like a damaged one.
-                pii_store::format::FrameError::Corrupt("replay worker lost"),
+                FrameError::Corrupt("replay worker lost"),
             ))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pii_core::tokens::TokenSetBuilder;
+    use pii_dns::PublicSuffixList;
+    use pii_net::fault::{DomainSchedule, FaultProfile};
+    use pii_web::Universe;
+
+    /// A site whose crawl panics is requeued and quarantined late, after
+    /// later sites were delivered; the reorder buffer must hold those sites
+    /// back so the live fold still equals crawl-then-detect in site order.
+    #[test]
+    fn live_fold_restores_site_order_around_a_late_site() {
+        let universe = Universe::generate();
+        let victim = universe.sender_sites().next().unwrap().domain.clone();
+        let mut crawler = Crawler::new(&universe);
+        crawler.workers = 4;
+        crawler.faults = universe.fault_plan(FaultProfile::PaperMay2021);
+        crawler.faults.set(&victim, DomainSchedule::Panic);
+        let tokens = TokenSetBuilder::default().build(&universe.persona);
+        let psl = PublicSuffixList::embedded();
+        let detector = LeakDetector::new(&tokens, &psl, &universe.zones);
+
+        let mut fold = StudyFold::new(true);
+        crawl(
+            &crawler,
+            BrowserKind::Firefox88Vanilla,
+            &detector,
+            &mut fold,
+        );
+        let dataset = crawler.run(BrowserKind::Firefox88Vanilla);
+
+        let crawls = fold.crawls.unwrap();
+        assert_eq!(
+            serde_json::to_string(&crawls).unwrap(),
+            serde_json::to_string(&dataset.crawls).unwrap()
+        );
+        assert_eq!(fold.funnel, dataset.funnel());
+        assert_eq!(fold.funnel.quarantined, 1);
+        let report = detector.detect_parallel(&dataset, 1);
+        assert_eq!(fold.report.events, report.events);
+        assert_eq!(fold.report.skipped_records, report.skipped_records);
+    }
 }

@@ -6,6 +6,7 @@
 //! println!("{}", results.render_all());
 //! ```
 
+use crate::streaming::StudyFold;
 use pii_browser::profiles::BrowserKind;
 use pii_core::detect::{DetectionReport, LeakDetector};
 use pii_core::tokens::{TokenSet, TokenSetBuilder};
@@ -20,8 +21,8 @@ use std::path::{Path, PathBuf};
 
 /// Where the study's capture comes from: a live crawl of the simulated
 /// universe, or a `.store` archive written by an earlier crawl. Detection
-/// and every downstream analysis are source-agnostic — they only ever see
-/// the resulting [`CrawlDataset`].
+/// and every downstream analysis are source-agnostic — both sources feed
+/// the same canonical-order fold ([`crate::streaming`]).
 #[derive(Debug, Clone, Default)]
 pub enum CaptureSource {
     /// Crawl the universe now (the original pipeline).
@@ -109,7 +110,8 @@ impl Study {
         }
     }
 
-    /// Run §3 (crawl) + §4.1 (detection) + §5.2 (tracking analysis).
+    /// Run §3 (crawl) + §4.1 (detection) + §5.2 (tracking analysis),
+    /// keeping the capture as [`StudyResults::dataset`].
     ///
     /// # Panics
     ///
@@ -118,44 +120,52 @@ impl Study {
     /// *inside* an archive never panics — damaged segments are skipped and
     /// reported through the degradation section.
     pub fn run(self) -> StudyResults {
+        self.fold(true)
+    }
+
+    /// [`Study::run`] in streaming, constant-memory mode: each site is
+    /// dropped as soon as it is folded, so no [`CrawlDataset`] is ever
+    /// materialized. Output is byte-identical to [`Study::run`] — same
+    /// tables, same degradation, same counters — for any worker count; only
+    /// `StudyResults::dataset` differs (it stays empty, because not holding
+    /// it is the point). An archive is replayed in batches sized by
+    /// [`crate::streaming::STREAM_BATCH`]; a live crawl is folded as its
+    /// sites complete.
+    ///
+    /// # Panics
+    ///
+    /// As [`Study::run`]: only when the archive cannot be opened at all.
+    pub fn run_streaming(self) -> StudyResults {
+        self.fold(false)
+    }
+
+    /// The one study pipeline behind [`Study::run`] and
+    /// [`Study::run_streaming`]: every site of the capture source, in
+    /// canonical order, through one [`StudyFold`]. `keep_crawls` is the only
+    /// difference between the two.
+    fn fold(self, keep_crawls: bool) -> StudyResults {
         let workers = self.workers.max(1);
-        // Resolve the capture: live crawl, or archive replay. The universe
-        // is regenerated either way (it is a pure function of the spec), so
-        // detection and every analysis below are source-agnostic.
-        let (universe, dataset, faults, replay) = match &self.source {
-            CaptureSource::Live => {
-                let universe = {
-                    let _span = pii_telemetry::span("study.generate");
-                    Universe::generate_with(self.spec)
-                };
-                let mut crawler = Crawler::new(&universe);
-                crawler.workers = workers;
-                crawler.faults = universe.fault_plan(self.faults);
-                crawler.retry = self.retry;
-                crawler.watchdog_ms = self.watchdog_ms;
-                crawler.cache = self.cache;
-                crawler.repeat = self.repeat;
-                let dataset = {
-                    let mut span = pii_telemetry::span("study.crawl");
-                    span.add_arg("browser", self.capture_browser.name());
-                    crawler.run(self.capture_browser)
-                };
-                (universe, dataset, self.faults, None)
+        let reader = match &self.source {
+            CaptureSource::Live => None,
+            // Documented `# Panics` contract on `run`: an archive that
+            // cannot be opened at all has no degraded flow to fall back to.
+            CaptureSource::Archive(path) => Some(
+                ArchiveReader::open(path)
+                    // lint:allow(W04) -- see the `# Panics` contract on `run`
+                    .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display())),
+            ),
+        };
+        // An archive's recorded meta is its capture's configuration.
+        let (spec, browser, faults) = match &reader {
+            Some(reader) => {
+                let meta = reader.meta();
+                (meta.spec.clone(), meta.browser, meta.faults)
             }
-            CaptureSource::Archive(path) => {
-                // Documented `# Panics` contract on `run`: an archive that cannot
-                // be opened at all has no degraded flow to fall back to.
-                let reader = ArchiveReader::open(path)
-                    // lint:allow(W04) -- see the `# Panics` contract above
-                    .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display()));
-                let meta = reader.meta().clone();
-                let universe = {
-                    let _span = pii_telemetry::span("study.generate");
-                    Universe::generate_with(meta.spec)
-                };
-                let replay = reader.read_dataset();
-                (universe, replay.dataset, meta.faults, Some(replay.report))
-            }
+            None => (self.spec.clone(), self.capture_browser, self.faults),
+        };
+        let universe = {
+            let _span = pii_telemetry::span("study.generate");
+            Universe::generate_with(spec)
         };
         pii_telemetry::gauge("study.sites", universe.sites.len() as i64);
         pii_telemetry::gauge("study.workers", workers as i64);
@@ -165,152 +175,76 @@ impl Study {
             self.tokens.build(&universe.persona)
         };
         pii_telemetry::gauge("study.tokens", tokens.len() as i64);
-        let mut report = {
-            let _span = pii_telemetry::span("study.detect");
-            LeakDetector::new(&tokens, &psl, &universe.zones).detect_parallel(&dataset, workers)
+        let mut fold = StudyFold::new(keep_crawls);
+        let (replay, stream) = {
+            let detector = LeakDetector::new(&tokens, &psl, &universe.zones);
+            match &reader {
+                Some(reader) => {
+                    let (replay, stats) =
+                        crate::streaming::replay(reader, &detector, workers, &mut fold);
+                    (Some(replay), Some(stats))
+                }
+                None => {
+                    let mut span = pii_telemetry::span("study.crawl");
+                    span.add_arg("browser", browser.name());
+                    let crawler = self.crawler(&universe);
+                    crate::streaming::crawl(&crawler, browser, &detector, &mut fold);
+                    (None, None)
+                }
+            }
         };
+        let StudyFold {
+            funnel,
+            degradation,
+            mut report,
+            crawls,
+        } = fold;
         pii_telemetry::gauge("study.leak_events", report.events.len() as i64);
         let (tracking, mut degradation) = {
             let _span = pii_telemetry::span("study.analyze");
-            (
-                analyze(&report),
-                crate::degradation::compute(&dataset, faults),
-            )
+            (analyze(&report), degradation.finish(faults, funnel))
         };
-        if let Some(rep) = replay {
+        if let Some(replay) = replay {
             // Records lost to archive damage are accounted for exactly like
             // records lost to a panicking detect worker; a clean replay adds
             // nothing, keeping its output byte-identical to a live run.
-            report.skipped_records += rep.skipped_records();
-            if !rep.skipped.is_empty() {
-                degradation.archive_segments = Some((rep.segments_verified, rep.segments_total));
-                degradation.archive_skipped = rep
+            report.skipped_records += replay.skipped_records();
+            if !replay.skipped.is_empty() {
+                degradation.archive_segments =
+                    Some((replay.segments_verified, replay.segments_total));
+                degradation.archive_skipped = replay
                     .skipped
                     .iter()
                     .map(|s| (s.describe(), s.reason.clone()))
                     .collect();
             }
         }
-        let funnel = dataset.funnel();
         StudyResults {
             universe,
             psl,
-            dataset,
+            dataset: CrawlDataset {
+                browser,
+                crawls: crawls.unwrap_or_default(),
+            },
             funnel,
             tokens,
             report,
             tracking,
             degradation,
-            stream: None,
+            stream: stream.filter(|_| !keep_crawls),
         }
     }
 
-    /// [`Study::run`] in streaming, constant-memory mode: the capture is
-    /// replayed from its archive segment by segment (never materializing a
-    /// [`CrawlDataset`]), in batches sized by
-    /// [`crate::streaming::STREAM_BATCH`]. Output is byte-identical to the
-    /// materialized path — same tables, same degradation, same counters —
-    /// for any worker count; only `StudyResults::dataset` differs (it stays
-    /// empty, because not holding it is the point).
-    ///
-    /// Under [`CaptureSource::Live`] the crawl is first spooled to a
-    /// temporary archive ([`Study::crawl_to_archive`], itself streaming),
-    /// then replayed from it and the spool deleted — so even a live
-    /// streaming study never holds more than one batch of sites.
-    ///
-    /// # Panics
-    ///
-    /// As [`Study::run`]: only when the archive cannot be opened at all, or
-    /// (live mode) when the spool archive cannot be written.
-    pub fn run_streaming(self) -> StudyResults {
-        let workers = self.workers.max(1);
-        match self.source.clone() {
-            CaptureSource::Archive(path) => Study::stream_from(&path, self.tokens.clone(), workers),
-            CaptureSource::Live => {
-                static SPOOL: std::sync::atomic::AtomicUsize =
-                    std::sync::atomic::AtomicUsize::new(0);
-                let spool = std::env::temp_dir().join(format!(
-                    "pii-stream-spool-{}-{}.store",
-                    std::process::id(),
-                    SPOOL.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                ));
-                let tokens = self.tokens.clone();
-                // The guard owns the spool from before the first byte is
-                // written: a panicking crawl, replay, or detection pass
-                // unwinds through it and the temp archive is deleted
-                // instead of leaking into the temp dir.
-                let guard = SpoolGuard(spool);
-                self.crawl_to_archive(&guard.0).unwrap_or_else(|e| {
-                    // lint:allow(W04) -- spool write failure precedes any replay; the SpoolGuard unwinds and deletes the temp archive
-                    panic!(
-                        "cannot spool streaming capture to {}: {e}",
-                        guard.0.display()
-                    )
-                });
-                Study::stream_from(&guard.0, tokens, workers)
-            }
-        }
-    }
-
-    /// The replay half of streaming mode: batch replay of one archive.
-    fn stream_from(path: &Path, tokens: TokenSetBuilder, workers: usize) -> StudyResults {
-        let reader = ArchiveReader::open(path)
-            // lint:allow(W04) -- same documented `# Panics` contract as `run`
-            .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display()));
-        let meta = reader.meta().clone();
-        let universe = {
-            let _span = pii_telemetry::span("study.generate");
-            Universe::generate_with(meta.spec)
-        };
-        pii_telemetry::gauge("study.sites", universe.sites.len() as i64);
-        pii_telemetry::gauge("study.workers", workers as i64);
-        let psl = PublicSuffixList::embedded();
-        let tokens = {
-            let _span = pii_telemetry::span("study.tokens");
-            tokens.build(&universe.persona)
-        };
-        pii_telemetry::gauge("study.tokens", tokens.len() as i64);
-        let detector = LeakDetector::new(&tokens, &psl, &universe.zones);
-        let stream = crate::streaming::replay(&reader, &detector, workers);
-        pii_telemetry::gauge("study.leak_events", stream.report.events.len() as i64);
-        let mut report = stream.report;
-        let (tracking, mut degradation) = {
-            let _span = pii_telemetry::span("study.analyze");
-            (
-                analyze(&report),
-                stream.degradation.finish(meta.faults, stream.funnel),
-            )
-        };
-        // Records lost to archive damage are accounted for exactly like
-        // records lost to a panicking detect worker; a clean replay adds
-        // nothing, keeping its output byte-identical to a live run.
-        report.skipped_records += stream.replay.skipped_records();
-        if !stream.replay.skipped.is_empty() {
-            degradation.archive_segments = Some((
-                stream.replay.segments_verified,
-                stream.replay.segments_total,
-            ));
-            degradation.archive_skipped = stream
-                .replay
-                .skipped
-                .iter()
-                .map(|s| (s.describe(), s.reason.clone()))
-                .collect();
-        }
-        StudyResults {
-            dataset: CrawlDataset {
-                browser: meta.browser,
-                crawls: Vec::new(),
-            },
-            universe,
-            psl,
-            funnel: stream.funnel,
-            tokens,
-            report,
-            tracking,
-            degradation,
-            stream: Some(stream.stats),
-        }
+    /// A crawler over `universe` configured from this study.
+    fn crawler<'u>(&self, universe: &'u Universe) -> Crawler<'u> {
+        let mut crawler = Crawler::new(universe);
+        crawler.workers = self.workers.max(1);
+        crawler.faults = universe.fault_plan(self.faults);
+        crawler.retry = self.retry;
+        crawler.watchdog_ms = self.watchdog_ms;
+        crawler.cache = self.cache;
+        crawler.repeat = self.repeat;
+        crawler
     }
 
     /// Run only §3 (the crawl), streaming each site's capture into the
@@ -348,7 +282,7 @@ impl Study {
     ) -> std::io::Result<(StoreSummary, CrawlSummary)> {
         let universe = {
             let _span = pii_telemetry::span("study.generate");
-            Universe::generate_with(self.spec)
+            Universe::generate_with(self.spec.clone())
         };
         pii_telemetry::gauge("study.sites", universe.sites.len() as i64);
         pii_telemetry::gauge("study.workers", self.workers.max(1) as i64);
@@ -357,13 +291,7 @@ impl Study {
             browser: self.capture_browser,
             faults: self.faults,
         };
-        let mut crawler = Crawler::new(&universe);
-        crawler.workers = self.workers.max(1);
-        crawler.faults = universe.fault_plan(self.faults);
-        crawler.retry = self.retry;
-        crawler.watchdog_ms = self.watchdog_ms;
-        crawler.cache = self.cache;
-        crawler.repeat = self.repeat;
+        let crawler = self.crawler(&universe);
         let (writer, kept) = if resume {
             let (writer, state) = ArchiveWriter::open_append_with_failpoint(path, &meta, kill)?;
             (writer, state.kept)
@@ -443,16 +371,6 @@ impl Study {
     }
 }
 
-/// Owns the temporary spool archive a live streaming run writes; deletes it
-/// on drop, including the unwind path when replay or detection panics.
-struct SpoolGuard(PathBuf);
-
-impl Drop for SpoolGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
 /// Everything downstream experiments need.
 pub struct StudyResults {
     pub universe: Universe,
@@ -470,8 +388,9 @@ pub struct StudyResults {
     pub tracking: TrackingAnalysis,
     /// Self-healing accounting; only rendered when a fault profile was active.
     pub degradation: crate::degradation::Degradation,
-    /// Streaming-replay stats (batch count, peak resident bytes); `None`
-    /// for materialized runs.
+    /// Streaming-replay stats (batch count, peak resident bytes). `None`
+    /// for materialized runs, and for a live streaming run, which reads no
+    /// archive segments to measure.
     pub stream: Option<crate::streaming::StreamStats>,
 }
 
@@ -543,27 +462,6 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::testutil::shared;
-    use super::SpoolGuard;
-
-    #[test]
-    fn spool_guard_removes_the_spool_even_across_a_panic() {
-        let path = std::env::temp_dir().join(format!(
-            "pii-spool-guard-panic-{}.store",
-            std::process::id()
-        ));
-        std::fs::write(&path, b"half-written spool").unwrap();
-        assert!(path.exists());
-        let guarded = path.clone();
-        let unwound = std::panic::catch_unwind(move || {
-            let _guard = SpoolGuard(guarded);
-            panic!("detect worker died mid-stream");
-        });
-        assert!(unwound.is_err(), "the panic must propagate");
-        assert!(
-            !path.exists(),
-            "the guard must delete the spool during unwind, not leak it"
-        );
-    }
 
     #[test]
     fn full_pipeline_headlines() {

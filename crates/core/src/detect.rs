@@ -168,14 +168,19 @@ impl<'a> LeakDetector<'a> {
     /// The token set, PSL, and zone store are shared by reference across
     /// workers; nothing is cloned.
     ///
-    /// A panicking worker does not abort the process: the panic is caught
-    /// per site, the site degrades into a fragment that only counts its
+    /// A panicking worker does not abort the process, at any worker count:
+    /// each site runs through [`detect_site_guarded`](Self::detect_site_guarded),
+    /// so a panic degrades that site into a fragment that only counts its
     /// records as [`DetectionReport::skipped_records`] (mirroring the crawl
     /// pool's quarantine), and the remaining shards complete normally.
     pub fn detect_parallel(&self, dataset: &CrawlDataset, workers: usize) -> DetectionReport {
         let crawls: Vec<&SiteCrawl> = dataset.completed().collect();
+        let mut report = DetectionReport::default();
         if workers <= 1 || crawls.len() <= 1 {
-            return self.detect(dataset);
+            for crawl in crawls {
+                report.merge(self.detect_site_guarded(crawl));
+            }
+            return report;
         }
         let fragments: parking_lot::Mutex<Vec<(usize, DetectionReport)>> =
             parking_lot::Mutex::new(Vec::with_capacity(crawls.len()));
@@ -190,12 +195,7 @@ impl<'a> LeakDetector<'a> {
                     if index >= crawls.len() {
                         break;
                     }
-                    let fragment = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut fragment = DetectionReport::default();
-                        self.detect_site(crawls[index], &mut fragment);
-                        fragment
-                    }))
-                    .unwrap_or_else(|_| skipped_site(crawls[index]));
+                    let fragment = self.detect_site_guarded(crawls[index]);
                     fragments.lock().push((index, fragment));
                 });
             }
@@ -206,11 +206,27 @@ impl<'a> LeakDetector<'a> {
                 by_index[index] = Some(fragment);
             }
         }
-        let mut report = DetectionReport::default();
         for (index, slot) in by_index.into_iter().enumerate() {
             report.merge(slot.unwrap_or_else(|| skipped_site(crawls[index])));
         }
         report
+    }
+
+    /// One site's detection fragment, panic-guarded: empty for a crawl that
+    /// did not complete, and — when detection panics — a fragment counting
+    /// every record of the site as skipped. Every pipeline that detects per
+    /// site goes through here, so a panic degrades the same way whatever the
+    /// worker count or capture source.
+    pub fn detect_site_guarded(&self, crawl: &SiteCrawl) -> DetectionReport {
+        if !crawl.outcome.completed() {
+            return DetectionReport::default();
+        }
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut fragment = DetectionReport::default();
+            self.detect_site(crawl, &mut fragment);
+            fragment
+        }))
+        .unwrap_or_else(|_| skipped_site(crawl))
     }
 
     /// Run detection over one site's capture.
@@ -729,8 +745,6 @@ mod tests {
     #[test]
     fn panicking_detect_worker_degrades_to_skipped_records() {
         let w = world();
-        let mut detector = LeakDetector::new(&w.tokens, &w.psl, &w.universe.zones);
-        let baseline = detector.detect_parallel(&w.dataset, 4);
         let victim = w
             .dataset
             .completed()
@@ -738,31 +752,38 @@ mod tests {
             .map(|c| c.domain.clone())
             .unwrap();
         let victim_records = w.dataset.site(&victim).unwrap().records.len();
-        // The victim's own faultless contribution to the skipped counter.
-        let mut victim_only = DetectionReport::default();
-        detector.detect_site(w.dataset.site(&victim).unwrap(), &mut victim_only);
+        // The guard must not depend on the worker count: one worker takes
+        // the sequential branch, four the sharded one.
+        for workers in [1, 4] {
+            let mut detector = LeakDetector::new(&w.tokens, &w.psl, &w.universe.zones);
+            let baseline = detector.detect_parallel(&w.dataset, workers);
+            // The victim's own faultless contribution to the skipped counter.
+            let mut victim_only = DetectionReport::default();
+            detector.detect_site(w.dataset.site(&victim).unwrap(), &mut victim_only);
 
-        detector.panic_domains.insert(victim.clone());
-        let degraded = detector.detect_parallel(&w.dataset, 4);
+            detector.panic_domains.insert(victim.clone());
+            let degraded = detector.detect_parallel(&w.dataset, workers);
 
-        // The pass finishes; the victim degrades into skipped records while
-        // every other site's events survive byte-identically.
-        assert_eq!(
-            degraded.skipped_records,
-            baseline.skipped_records - victim_only.skipped_records + victim_records
-        );
-        assert_eq!(
-            degraded.total_requests,
-            baseline.total_requests - victim_only.total_requests
-        );
-        assert!(!degraded.senders().contains(&victim.as_str()));
-        let expected: Vec<LeakEvent> = baseline
-            .events
-            .iter()
-            .filter(|e| e.sender != victim)
-            .cloned()
-            .collect();
-        assert_eq!(degraded.events, expected);
+            // The pass finishes; the victim degrades into skipped records
+            // while every other site's events survive byte-identically.
+            assert_eq!(
+                degraded.skipped_records,
+                baseline.skipped_records - victim_only.skipped_records + victim_records,
+                "workers = {workers}"
+            );
+            assert_eq!(
+                degraded.total_requests,
+                baseline.total_requests - victim_only.total_requests
+            );
+            assert!(!degraded.senders().contains(&victim.as_str()));
+            let expected: Vec<LeakEvent> = baseline
+                .events
+                .iter()
+                .filter(|e| e.sender != victim)
+                .cloned()
+                .collect();
+            assert_eq!(degraded.events, expected);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::capture::{CrawlDataset, CrawlOutcome, SiteCrawl};
 use crate::pool::{DeliveryBoard, PanicLedger};
 use crate::retry::RetryPolicy;
-use crate::steps::{FlowStep, PageRun, SiteFlow};
+use crate::steps::{walk, PageRun};
 use parking_lot::Mutex;
 use pii_browser::engine::Browser;
 use pii_browser::profiles::BrowserKind;
@@ -142,14 +142,15 @@ impl<'a> Crawler<'a> {
         }
     }
 
-    /// The worker pool underneath both the materialized and the streaming
-    /// crawl: one OS thread per worker, sites claimed from a shared queue. `deliver` receives every
-    /// site exactly once, by value: completed shards in completion order
-    /// from the worker threads, then — after the pool drains — a
-    /// quarantined placeholder in index order for any site nobody delivered
-    /// (worker lost outside the panic guard), so no site is silently
-    /// dropped. The pool itself holds no results.
-    fn run_pool(
+    /// The worker pool underneath every crawl: one OS thread per worker,
+    /// sites claimed from a shared queue. `deliver` receives every site
+    /// exactly once, by value, with its index into the (filtered) site
+    /// list: completed shards in completion order from the worker threads,
+    /// then — after the pool drains — a quarantined placeholder in index
+    /// order for any site nobody delivered (worker lost outside the panic
+    /// guard), so no site is silently dropped. The pool itself holds no
+    /// results; a consumer that needs site order restores it.
+    pub fn run_pool(
         &self,
         profile: pii_browser::profiles::BrowserProfile,
         filter: Option<&[String]>,
@@ -206,14 +207,14 @@ impl<'a> Crawler<'a> {
                             let browser = &mut browser;
                             let attempt =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                                    crawl_one(
+                                    let crawl = crawl_site(
                                         browser,
                                         sites[index],
                                         plan,
                                         &self.retry,
-                                        self.watchdog_ms,
                                         self.repeat,
-                                    )
+                                    );
+                                    apply_watchdog(crawl, self.watchdog_ms)
                                 }));
                             if let Ok(crawl) = &attempt {
                                 if let Some(res) = &crawl.resilience {
@@ -305,23 +306,6 @@ impl<'a> Crawler<'a> {
     }
 }
 
-/// Crawl one site, dispatching on whether faults are being injected, then
-/// apply the per-site watchdog deadline (if armed).
-fn crawl_one(
-    browser: &mut Browser,
-    site: &Site,
-    plan: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    watchdog_ms: Option<u64>,
-    repeat: u32,
-) -> SiteCrawl {
-    let crawl = match plan {
-        Some(plan) => crawl_site_measured(browser, site, plan, retry, repeat),
-        None => crawl_site(browser, site, repeat),
-    };
-    apply_watchdog(crawl, watchdog_ms)
-}
-
 /// Quarantine a crawl whose virtual clock blew past the watchdog deadline.
 /// The traffic of a site that would have hung the run is discarded (as a
 /// killed worker's would be), but its resilience accounting is kept so the
@@ -375,40 +359,16 @@ pub(crate) fn site_url(site: &Site, path: &str) -> Option<Url> {
     Url::parse(&format!("https://{}{}", site.domain, path)).ok()
 }
 
-/// Run the full §3.2 flow against one site, trusting the configured
-/// outcome. The page sequence lives in [`SiteFlow`]; this just spins it.
-fn crawl_site(browser: &mut Browser, site: &Site, repeat: u32) -> SiteCrawl {
-    browser.reset();
-    let Some(base) = site_url(site, "/") else {
-        return quarantined(site, "site domain does not form a valid URL".to_string());
-    };
-    let mut flow = SiteFlow::new(false, repeat);
-    let mut records = Vec::new();
-    let outcome = loop {
-        match flow.next(browser, site, &base, None) {
-            FlowStep::Load(ctx) => records.extend(browser.load_page(site, &ctx)),
-            FlowStep::NextVisit => browser.advance_visit(),
-            FlowStep::Finish(outcome) => break outcome,
-        }
-    };
-    SiteCrawl {
-        domain: site.domain.clone(),
-        outcome,
-        records,
-        stored_cookies: browser.jar().all().into_iter().cloned().collect(),
-        resilience: None,
-    }
-}
-
-/// Run the §3.2 flow against one site under fault injection: the outcome is
-/// *measured* from the faults the transport actually exhibited, not read
-/// from the site's configuration. (Without a schedule in the plan, every
-/// site behaves perfectly — the configured funnel emerges only because the
-/// plan was derived from the universe.)
-fn crawl_site_measured(
+/// Run the full §3.2 flow against one site. Without a fault plan the
+/// configured outcome is trusted; with one, the outcome is *measured* from
+/// the faults the transport actually exhibited, not read from the site's
+/// configuration. (Without a schedule in the plan, every site behaves
+/// perfectly — the configured funnel emerges only because the plan was
+/// derived from the universe.) The page sequence lives in [`walk`].
+fn crawl_site(
     browser: &mut Browser,
     site: &Site,
-    plan: &FaultPlan,
+    plan: Option<&FaultPlan>,
     retry: &RetryPolicy,
     repeat: u32,
 ) -> SiteCrawl {
@@ -416,19 +376,9 @@ fn crawl_site_measured(
     let Some(base) = site_url(site, "/") else {
         return quarantined(site, "site domain does not form a valid URL".to_string());
     };
-    let mut flow = SiteFlow::new(true, repeat);
-    let mut run = PageRun::new(plan, retry);
-    let mut failed = None;
-    loop {
-        match flow.next(browser, site, &base, failed.as_ref()) {
-            FlowStep::Load(ctx) => failed = run.load(browser, site, &ctx).err(),
-            FlowStep::NextVisit => {
-                browser.advance_visit();
-                failed = None;
-            }
-            FlowStep::Finish(outcome) => return run.finish(browser, site, outcome),
-        }
-    }
+    let mut run = PageRun::new(plan.map(|plan| (plan, retry)));
+    let outcome = walk(browser, site, &base, &mut run, repeat);
+    run.finish(browser, site, outcome)
 }
 
 #[cfg(test)]

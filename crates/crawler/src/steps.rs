@@ -1,17 +1,17 @@
-//! The §3.2 authentication flow as an explicit state machine.
+//! The §3.2 authentication flow as one straight-line page walk.
 //!
 //! Every site is driven through the same page sequence: homepage →
 //! sign-up → submit → optional confirmation → post-signup browsing, and —
-//! when repeat visits are configured — warm-cache revisits. [`SiteFlow`]
-//! encodes that sequence once, as a pull-based machine: the crawl loop asks
-//! for the next [`FlowStep`], performs it, and reports the result back on
-//! the next call. Page order, outcome mapping, and failure-reason strings
-//! live here and only here.
+//! when repeat visits are configured — warm-cache revisits. [`walk`]
+//! encodes that sequence once, top to bottom, returning early at the first
+//! page that decides the outcome. Page order, outcome mapping, and
+//! failure-reason strings live here and only here.
 //!
-//! The machine runs in two modes. *Config* mode (no fault plan) trusts
-//! `site.outcome` like the original happy path; *measured* mode derives
-//! outcomes from the failures the transport actually exhibited, consulting
-//! the [`PageFailure`] the crawl loop passes back in.
+//! The walk runs in two modes, chosen by the [`PageRun`] it loads pages
+//! through. *Config* mode (no fault plan) trusts `site.outcome` like the
+//! original happy path and its page loads cannot fail; *measured* mode
+//! retries each load per the policy and derives outcomes from the failures
+//! the transport actually exhibited.
 
 use crate::capture::{CrawlOutcome, SiteCrawl, SiteResilience};
 use crate::retry::{RetryPolicy, SimClock};
@@ -22,7 +22,7 @@ use pii_web::site::{BlockReason, Site, SiteOutcome};
 
 /// Pages walked on every visit after the first (the account exists; the
 /// caches are warm). PII is known throughout.
-pub(crate) const REVISIT_PAGES: [&str; 3] = ["/", "/account", "/products/1"];
+const REVISIT_PAGES: [&str; 3] = ["/", "/account", "/products/1"];
 
 /// Pages walked after sign-up completes on the first visit.
 const POST_SIGNUP_PAGES: [&str; 3] = ["/signin", "/account", "/products/1"];
@@ -34,262 +34,149 @@ pub(crate) struct PageFailure {
     attempts: u32,
 }
 
-/// What the crawl loop should do next with this site.
-pub(crate) enum FlowStep {
-    /// Load this page (with retries, in measured mode), then call
-    /// [`SiteFlow::next`] again with the result.
-    Load(PageContext),
-    /// The visit finished and another is configured: advance the browser's
-    /// cache clock (`Browser::advance_visit`) and continue.
-    NextVisit,
-    /// The crawl is over.
-    Finish(CrawlOutcome),
+impl PageFailure {
+    /// A sign-up step that kept failing reads as "sign-up blocked", with
+    /// the observed fault as the reason.
+    fn blocked(self, path: &str) -> CrawlOutcome {
+        CrawlOutcome::SignupBlocked(format!(
+            "{} on {path} after {} attempts",
+            self.error, self.attempts
+        ))
+    }
 }
 
-enum Stage {
-    Start,
-    /// The homepage load finished.
-    Home,
-    /// The `/signup` load finished.
-    Signup,
-    /// The form-submission (`/welcome`) load finished.
-    Submit,
-    /// The `/confirm` load finished.
-    Confirm,
-    /// `POST_SIGNUP_PAGES[i]` finished.
-    Post(usize),
-    /// Visit `visit` is about to start (after the cache-clock advance).
-    VisitGap(u32),
-    /// `REVISIT_PAGES[p]` of visit `visit` finished.
-    Revisit(u32, usize),
-    Done,
-}
-
-/// See the module docs.
-pub(crate) struct SiteFlow {
-    /// Measured mode: outcomes derive from observed transport failures.
-    measured: bool,
-    /// Total visits (1 = the paper's one-shot crawl, no revisits).
+/// Walk `site` through the §3.2 page sequence, loading every page through
+/// `run` (which keeps the records), and return the crawl's outcome. `base`
+/// is the site's homepage URL, the fallback for a path that forms no URL.
+pub(crate) fn walk(
+    browser: &mut Browser<'_>,
+    site: &Site,
+    base: &Url,
+    run: &mut PageRun<'_>,
     repeat: u32,
-    stage: Stage,
-    email_confirmation: bool,
-    bot_detection: bool,
-}
-
-impl SiteFlow {
-    pub(crate) fn new(measured: bool, repeat: u32) -> SiteFlow {
-        SiteFlow {
-            measured,
-            repeat: repeat.max(1),
-            stage: Stage::Start,
-            email_confirmation: false,
-            bot_detection: false,
+) -> CrawlOutcome {
+    let measured = run.measured();
+    let page =
+        |path: &str| -> Url { crate::flow::site_url(site, path).unwrap_or_else(|| base.clone()) };
+    if !measured && site.outcome == SiteOutcome::Unreachable {
+        return CrawlOutcome::Unreachable;
+    }
+    // A front door that never answers is, on the wire, what "unreachable"
+    // means.
+    if run
+        .load(browser, site, &PageContext::get(page("/"), "/", false))
+        .is_err()
+    {
+        return CrawlOutcome::Unreachable;
+    }
+    // Content-driven: the homepage rendered and offers no sign-up form.
+    if site.outcome == SiteOutcome::NoAuthFlow {
+        return CrawlOutcome::NoAuthFlow;
+    }
+    // Persistent failure here (bot walls answer 5xx on /signup forever)
+    // reads as "sign-up blocked".
+    let signup = PageContext::get(page("/signup"), "/signup", false);
+    if let Err(failure) = run.load(browser, site, &signup) {
+        return failure.blocked("/signup");
+    }
+    if let (false, SiteOutcome::SignupBlocked(reason)) = (measured, &site.outcome) {
+        return CrawlOutcome::SignupBlocked(
+            match reason {
+                BlockReason::PhoneVerification => "phone verification required",
+                BlockReason::IdentityDocuments => "identity documents required",
+                BlockReason::GeoBlocked => "account creation blocked for global customers",
+            }
+            .to_string(),
+        );
+    }
+    if !browser.signup_can_complete(site) {
+        // Brave Shields vs. nykaa.com's CAPTCHA.
+        return CrawlOutcome::SignupFailed("shields broke CAPTCHA verification".to_string());
+    }
+    // Submit the filled form.
+    let submit = PageContext {
+        document_url: browser.form_submit_url(site),
+        path: "/welcome".into(),
+        pii_known: true,
+        form_post: browser.form_post_body(site),
+    };
+    if let Err(failure) = run.load(browser, site, &submit) {
+        return failure.blocked("/welcome");
+    }
+    // The site's flow shape (confirmation email, bot detection) is content,
+    // not transport; it comes from the site itself.
+    let (email_confirmation, bot_detection) = match &site.outcome {
+        SiteOutcome::Ok {
+            email_confirmation,
+            bot_detection,
+        } => (*email_confirmation, *bot_detection),
+        _ => (false, false),
+    };
+    if email_confirmation {
+        // "We open another browser and got the email confirmation link."
+        let confirm = page("/confirm").with_query_param("token", "c0nf1rm");
+        if let Err(failure) = run.load(browser, site, &PageContext::get(confirm, "/confirm", true))
+        {
+            return failure.blocked("/confirm");
         }
     }
-
-    /// Advance the machine. `failed` is the terminal failure of the load
-    /// the previous `Load` step requested (always `None` in config mode,
-    /// where page loads cannot fail).
-    pub(crate) fn next(
-        &mut self,
-        browser: &Browser<'_>,
-        site: &Site,
-        base: &Url,
-        failed: Option<&PageFailure>,
-    ) -> FlowStep {
-        let page = |path: &str| -> Url {
-            crate::flow::site_url(site, path).unwrap_or_else(|| base.clone())
-        };
-        match self.stage {
-            Stage::Start => {
-                if !self.measured && site.outcome == SiteOutcome::Unreachable {
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::Unreachable);
-                }
-                self.stage = Stage::Home;
-                FlowStep::Load(PageContext::get(page("/"), "/", false))
-            }
-            Stage::Home => {
-                // A front door that never answers is, on the wire, what
-                // "unreachable" means.
-                if self.measured && failed.is_some() {
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::Unreachable);
-                }
-                // Content-driven: the homepage rendered and offers no
-                // sign-up form.
-                if site.outcome == SiteOutcome::NoAuthFlow {
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::NoAuthFlow);
-                }
-                self.stage = Stage::Signup;
-                FlowStep::Load(PageContext::get(page("/signup"), "/signup", false))
-            }
-            Stage::Signup => {
-                // Persistent failure here (bot walls answer 5xx on /signup
-                // forever) reads as "sign-up blocked", with the observed
-                // fault as the reason.
-                if let Some(failure) = failed.filter(|_| self.measured) {
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::SignupBlocked(format!(
-                        "{} on /signup after {} attempts",
-                        failure.error, failure.attempts
-                    )));
-                }
-                if !self.measured {
-                    if let SiteOutcome::SignupBlocked(reason) = &site.outcome {
-                        self.stage = Stage::Done;
-                        return FlowStep::Finish(CrawlOutcome::SignupBlocked(
-                            match reason {
-                                BlockReason::PhoneVerification => "phone verification required",
-                                BlockReason::IdentityDocuments => "identity documents required",
-                                BlockReason::GeoBlocked => {
-                                    "account creation blocked for global customers"
-                                }
-                            }
-                            .to_string(),
-                        ));
-                    }
-                }
-                if !browser.signup_can_complete(site) {
-                    // Brave Shields vs. nykaa.com's CAPTCHA.
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::SignupFailed(
-                        "shields broke CAPTCHA verification".to_string(),
-                    ));
-                }
-                // Submit the filled form.
-                self.stage = Stage::Submit;
-                FlowStep::Load(PageContext {
-                    document_url: browser.form_submit_url(site),
-                    path: "/welcome".into(),
-                    pii_known: true,
-                    form_post: browser.form_post_body(site),
-                })
-            }
-            Stage::Submit => {
-                if let Some(failure) = failed.filter(|_| self.measured) {
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::SignupBlocked(format!(
-                        "{} on /welcome after {} attempts",
-                        failure.error, failure.attempts
-                    )));
-                }
-                // The site's flow shape (confirmation email, bot detection)
-                // is content, not transport; it comes from the site itself.
-                (self.email_confirmation, self.bot_detection) = match &site.outcome {
-                    SiteOutcome::Ok {
-                        email_confirmation,
-                        bot_detection,
-                    } => (*email_confirmation, *bot_detection),
-                    _ => (false, false),
-                };
-                if self.email_confirmation {
-                    // "We open another browser and got the email
-                    // confirmation link."
-                    let confirm = page("/confirm").with_query_param("token", "c0nf1rm");
-                    self.stage = Stage::Confirm;
-                    return FlowStep::Load(PageContext::get(confirm, "/confirm", true));
-                }
-                self.stage = Stage::Post(0);
-                FlowStep::Load(PageContext::get(
-                    page(POST_SIGNUP_PAGES[0]),
-                    POST_SIGNUP_PAGES[0],
-                    true,
-                ))
-            }
-            Stage::Confirm => {
-                if let Some(failure) = failed.filter(|_| self.measured) {
-                    self.stage = Stage::Done;
-                    return FlowStep::Finish(CrawlOutcome::SignupBlocked(format!(
-                        "{} on /confirm after {} attempts",
-                        failure.error, failure.attempts
-                    )));
-                }
-                self.stage = Stage::Post(0);
-                FlowStep::Load(PageContext::get(
-                    page(POST_SIGNUP_PAGES[0]),
-                    POST_SIGNUP_PAGES[0],
-                    true,
-                ))
-            }
-            // Post-signup browsing. The account exists now, so a lost page
-            // only costs its traffic — failures no longer disqualify.
-            Stage::Post(done) => match POST_SIGNUP_PAGES.get(done + 1) {
-                Some(path) => {
-                    self.stage = Stage::Post(done + 1);
-                    FlowStep::Load(PageContext::get(page(path), path, true))
-                }
-                None => self.visit_finished(1),
-            },
-            Stage::VisitGap(visit) => {
-                self.stage = Stage::Revisit(visit, 0);
-                FlowStep::Load(PageContext::get(
-                    page(REVISIT_PAGES[0]),
-                    REVISIT_PAGES[0],
-                    true,
-                ))
-            }
-            Stage::Revisit(visit, done) => match REVISIT_PAGES.get(done + 1) {
-                Some(path) => {
-                    self.stage = Stage::Revisit(visit, done + 1);
-                    FlowStep::Load(PageContext::get(page(path), path, true))
-                }
-                None => self.visit_finished(visit),
-            },
-            // Defensive: a caller that keeps polling a finished flow gets
-            // a quarantine, not an infinite loop.
-            Stage::Done => FlowStep::Finish(CrawlOutcome::Quarantined(
-                "flow advanced past completion".to_string(),
-            )),
+    // Post-signup browsing, then each revisit against warm caches. The
+    // account exists now, so a lost page only costs its traffic — failures
+    // no longer disqualify.
+    for path in POST_SIGNUP_PAGES {
+        let _ = run.load(browser, site, &PageContext::get(page(path), path, true));
+    }
+    for _ in 1..repeat.max(1) {
+        browser.advance_visit();
+        for path in REVISIT_PAGES {
+            let _ = run.load(browser, site, &PageContext::get(page(path), path, true));
         }
     }
-
-    /// Visit `visit` just finished successfully: start the next one or seal
-    /// the crawl as completed.
-    fn visit_finished(&mut self, visit: u32) -> FlowStep {
-        if visit < self.repeat {
-            self.stage = Stage::VisitGap(visit + 1);
-            return FlowStep::NextVisit;
-        }
-        self.stage = Stage::Done;
-        FlowStep::Finish(CrawlOutcome::Completed {
-            email_confirmed: self.email_confirmation,
-            bot_detection_passed: self.bot_detection,
-        })
+    CrawlOutcome::Completed {
+        email_confirmed: email_confirmation,
+        bot_detection_passed: bot_detection,
     }
 }
 
-/// Retry-loop state for one site's measured crawl. The bookkeeping order
-/// inside [`PageRun::load`] is part of the capture's byte-identity contract.
+/// Page-load state for one site's crawl: the records so far and, in
+/// measured mode, the retry loop's bookkeeping. The bookkeeping order inside
+/// [`PageRun::load`] is part of the capture's byte-identity contract.
 pub(crate) struct PageRun<'p> {
-    plan: &'p FaultPlan,
-    retry: &'p RetryPolicy,
+    /// The fault plan and retry policy of a measured crawl; `None` in
+    /// config mode.
+    faults: Option<(&'p FaultPlan, &'p RetryPolicy)>,
     clock: SimClock,
     resilience: SiteResilience,
     records: Vec<FetchRecord>,
 }
 
 impl<'p> PageRun<'p> {
-    pub(crate) fn new(plan: &'p FaultPlan, retry: &'p RetryPolicy) -> PageRun<'p> {
+    pub(crate) fn new(faults: Option<(&'p FaultPlan, &'p RetryPolicy)>) -> PageRun<'p> {
         PageRun {
-            plan,
-            retry,
+            faults,
             clock: SimClock::default(),
             resilience: SiteResilience::default(),
             records: Vec::new(),
         }
     }
 
+    fn measured(&self) -> bool {
+        self.faults.is_some()
+    }
+
     /// Load one page to completion, retrying per the policy. Failed
     /// attempts stay in the capture as aborted records; backoff advances
-    /// the virtual clock only.
+    /// the virtual clock only. In config mode the load cannot fail.
     pub(crate) fn load(
         &mut self,
         browser: &mut Browser<'_>,
         site: &Site,
         ctx: &PageContext,
     ) -> Result<(), PageFailure> {
+        let Some((plan, retry)) = self.faults else {
+            self.records.append(&mut browser.load_page(site, ctx));
+            return Ok(());
+        };
         let mut attempt = 1u32;
         loop {
             browser.set_fault_attempt(attempt);
@@ -310,9 +197,9 @@ impl<'p> PageRun<'p> {
                         ctx.path
                     ));
                     self.records.push(*failure.record);
-                    let delay = self.retry.backoff_ms(self.plan, &site.domain, attempt);
-                    let out_of_attempts = attempt >= self.retry.max_attempts;
-                    let out_of_budget = !self.retry.budget_allows(self.clock.now_ms(), delay);
+                    let delay = retry.backoff_ms(plan, &site.domain, attempt);
+                    let out_of_attempts = attempt >= retry.max_attempts;
+                    let out_of_budget = !retry.budget_allows(self.clock.now_ms(), delay);
                     if out_of_attempts || out_of_budget {
                         return Err(PageFailure {
                             error: failure.error,
@@ -329,7 +216,8 @@ impl<'p> PageRun<'p> {
         }
     }
 
-    /// Seal the crawl with its measured outcome.
+    /// Seal the crawl with its outcome; only a measured crawl carries
+    /// resilience accounting.
     pub(crate) fn finish(
         mut self,
         browser: &mut Browser<'_>,
@@ -343,7 +231,7 @@ impl<'p> PageRun<'p> {
             outcome,
             records: self.records,
             stored_cookies: browser.jar().all().into_iter().cloned().collect(),
-            resilience: Some(self.resilience),
+            resilience: self.faults.is_some().then_some(self.resilience),
         }
     }
 }

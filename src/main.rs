@@ -34,9 +34,9 @@
 //! pii-study export <dir>               write dataset artifacts + HAR + capture archive
 //! pii-study seed <u64> <subcommand>    run any of the above on another seed
 //! pii-study --from <store> <cmd>       replay a capture archive instead of crawling
-//! pii-study --stream tables            constant-memory pipeline: crawls spool straight to
-//!                                      disk, detection replays the archive batch by batch —
-//!                                      same bytes out, peak memory bounded by one batch
+//! pii-study --stream tables            constant-memory pipeline: each site is detected and
+//!                                      folded as it is crawled (or, with --from, read back
+//!                                      batch by batch) and then dropped — same bytes out
 //! pii-study --workers <n> <subcommand> size of the crawl/detect worker pool
 //! pii-study --faults <profile> <cmd>   inject transport faults (none|paper-may-2021|hostile)
 //! pii-study --retries <n> <cmd>        max page-load attempts for the fault-injected crawl
@@ -134,7 +134,7 @@ fn run_study(args: &StudyArgs) -> StudyResults {
         );
     }
     if args.stream {
-        eprintln!("streaming mode: batch replay, no materialized dataset…");
+        eprintln!("streaming mode: sites folded as they arrive, no materialized dataset…");
         study.run_streaming()
     } else {
         study.run()

@@ -6,6 +6,7 @@
 use pii_suite::analysis::Study;
 use pii_suite::crawler::{CrawlDataset, CrawlOutcome, SiteCrawl};
 use pii_suite::hashes::{hex_digest, HashAlgorithm};
+use pii_suite::net::cache::CacheStrategy;
 use pii_suite::net::fault::FaultProfile;
 use pii_suite::prelude::*;
 use pii_suite::store::{format, ArchiveMeta, ArchiveReader, ArchiveWriter, StoreError};
@@ -202,43 +203,102 @@ fn segment_region(bytes: &[u8]) -> std::ops::Range<usize> {
     start..footer_offset as usize
 }
 
-/// SHA-256 of the seed-7 1x archive written by one worker. Every other test
-/// here compares archives with each other or with the live pipeline; this
-/// one notices a change to the bytes a capture produces (compressor output,
-/// vbin layout, framing). Re-pin only on a deliberate format change.
-const SEED_7_ARCHIVE_SHA256: &str =
-    "b35f464d971146675c8a861432f0826be024de211ab72525aa9352b071b52c8b";
+/// One pinned capture: `pii-study --seed 7 --workers 1 <flags> crawl --out X`.
+struct PinnedCapture {
+    flags: &'static str,
+    faults: FaultProfile,
+    cache: Option<CacheStrategy>,
+    repeat: u32,
+    watchdog_ms: Option<u64>,
+    /// Sites the watchdog quarantines.
+    watchdogged: usize,
+    sha256: &'static str,
+}
 
-/// `pii-study --seed 7 --workers 1 crawl --out X`, written in memory.
+/// SHA-256s of seed-7 1x archives written by one worker. Every other test
+/// here compares archives with each other or with the live pipeline; these
+/// notice a change to the bytes a capture produces (compressor output, vbin
+/// layout, framing, and — through the measured cells — the crawl's retry,
+/// revisit and watchdog paths). Re-pin only on a deliberate format or
+/// capture change.
+const PINNED_CAPTURES: [PinnedCapture; 3] = [
+    PinnedCapture {
+        flags: "",
+        faults: FaultProfile::None,
+        cache: None,
+        repeat: 1,
+        watchdog_ms: None,
+        watchdogged: 0,
+        sha256: "b35f464d971146675c8a861432f0826be024de211ab72525aa9352b071b52c8b",
+    },
+    PinnedCapture {
+        flags: "--faults paper-may-2021 --cache cache-first --repeat 2",
+        faults: FaultProfile::PaperMay2021,
+        cache: Some(CacheStrategy::CacheFirst),
+        repeat: 2,
+        watchdog_ms: None,
+        watchdogged: 0,
+        sha256: "6199a8995fec3ec1f303007fffcb6672f45aac5722895126ed6add2bb0c98e35",
+    },
+    PinnedCapture {
+        flags: "--faults hostile --watchdog-ms 4000",
+        faults: FaultProfile::Hostile,
+        cache: None,
+        repeat: 1,
+        watchdog_ms: Some(4000),
+        watchdogged: 42,
+        sha256: "b3045bc1e16ccc38a46506579c96af8498a4de42f28be29112bc7bac949be796",
+    },
+];
+
+/// Each pinned capture, written in memory.
 #[test]
 fn seed_7_archive_bytes_are_pinned() {
     let universe = Universe::generate_with(UniverseSpec {
         seed: 7,
         ..UniverseSpec::default()
     });
-    let meta = ArchiveMeta {
-        spec: universe.spec.clone(),
-        browser: BrowserKind::Firefox88Vanilla,
-        faults: FaultProfile::None,
-    };
-    let mut crawler = Crawler::new(&universe);
-    crawler.workers = 1;
-    let writer = std::sync::Mutex::new(ArchiveWriter::new(Vec::new(), &meta).expect("writer"));
-    crawler.run_streaming_on(meta.browser, None, &|index, crawl| {
-        writer
-            .lock()
-            .expect("writer lock")
-            .append_site(index, crawl)
-            .expect("append");
-    });
-    let writer = writer.into_inner().expect("writer lock");
-    let bytes = writer.finish_with_sink().expect("finish").1;
-    assert_eq!(
-        hex_digest(HashAlgorithm::Sha256, &bytes),
-        SEED_7_ARCHIVE_SHA256,
-        "archive bytes changed ({} bytes)",
-        bytes.len()
-    );
+    for pinned in &PINNED_CAPTURES {
+        let meta = ArchiveMeta {
+            spec: universe.spec.clone(),
+            browser: BrowserKind::Firefox88Vanilla,
+            faults: pinned.faults,
+        };
+        let mut crawler = Crawler::new(&universe);
+        crawler.workers = 1;
+        crawler.faults = universe.fault_plan(pinned.faults);
+        crawler.cache = pinned.cache;
+        crawler.repeat = pinned.repeat;
+        crawler.watchdog_ms = pinned.watchdog_ms;
+        let writer = std::sync::Mutex::new(ArchiveWriter::new(Vec::new(), &meta).expect("writer"));
+        let watchdogged = std::sync::atomic::AtomicUsize::new(0);
+        crawler.run_streaming_on(meta.browser, None, &|index, crawl| {
+            if matches!(&crawl.outcome, CrawlOutcome::Quarantined(r) if r.starts_with("watchdog:"))
+            {
+                watchdogged.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            writer
+                .lock()
+                .expect("writer lock")
+                .append_site(index, crawl)
+                .expect("append");
+        });
+        assert_eq!(
+            watchdogged.into_inner(),
+            pinned.watchdogged,
+            "watchdog trips with flags {:?}",
+            pinned.flags
+        );
+        let writer = writer.into_inner().expect("writer lock");
+        let bytes = writer.finish_with_sink().expect("finish").1;
+        assert_eq!(
+            hex_digest(HashAlgorithm::Sha256, &bytes),
+            pinned.sha256,
+            "archive bytes changed with flags {:?} ({} bytes)",
+            pinned.flags,
+            bytes.len()
+        );
+    }
 }
 
 proptest! {

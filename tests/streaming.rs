@@ -4,6 +4,7 @@
 //! its peak residency is bounded by one batch, not by the universe size.
 
 use pii_suite::analysis::Study;
+use pii_suite::net::cache::CacheStrategy;
 use pii_suite::net::fault::FaultProfile;
 use pii_suite::web::UniverseSpec;
 
@@ -53,19 +54,47 @@ fn streaming_replay_is_byte_identical_for_any_workers_and_faults() {
     }
 }
 
-/// Live streaming spools the crawl to a temporary archive and replays it;
-/// the rendered output must match a plain live run under the same seed.
+/// Live streaming folds each site as its crawl completes, restoring site
+/// order through a reorder buffer; the rendered output must match a plain
+/// live run under the same seed. The buffer only reorders when the pool
+/// delivers out of order, so the cells cover one and four workers, every
+/// fault profile, and a warm-cache revisit crawl.
 #[test]
 fn live_streaming_matches_the_materialized_live_run() {
-    for profile in [FaultProfile::None, FaultProfile::PaperMay2021] {
-        let live = Study::with_faults(profile).run();
-        let streamed = Study::with_faults(profile).run_streaming();
+    let mut cells = Vec::new();
+    for workers in [1, 4] {
+        for profile in [
+            FaultProfile::None,
+            FaultProfile::PaperMay2021,
+            FaultProfile::Hostile,
+        ] {
+            cells.push((workers, profile, None, 1));
+        }
+    }
+    cells.push((4, FaultProfile::None, Some(CacheStrategy::CacheFirst), 2));
+    for (workers, profile, cache, repeat) in cells {
+        let study = || {
+            let mut study = Study::with_faults(profile);
+            study.workers = workers;
+            study.cache = cache;
+            study.repeat = repeat;
+            study
+        };
+        let live = study().run();
+        let streamed = study().run_streaming();
+        let cell =
+            format!("profile {profile}, {workers} workers, cache {cache:?}, repeat {repeat}");
         assert_eq!(
             live.render_all(),
             streamed.render_all(),
-            "spooled live streaming diverged under profile {profile}"
+            "live streaming diverged under {cell}"
         );
-        assert_eq!(live.report.skipped_records, streamed.report.skipped_records);
+        assert_eq!(
+            live.report.skipped_records, streamed.report.skipped_records,
+            "{cell}"
+        );
+        assert!(streamed.dataset.crawls.is_empty(), "{cell}");
+        assert!(streamed.stream.is_none(), "{cell}");
     }
 }
 
