@@ -28,7 +28,9 @@ use pii_net::Url;
 use pii_web::persona::{Persona, PiiKind};
 use pii_web::site::{LeakEdge, LeakMethod, Site};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashSet;
+use std::fmt::Write as _;
 
 /// One fetch as the capture pipeline sees it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -102,6 +104,14 @@ impl PageContext {
             form_post: None,
         }
     }
+}
+
+/// The document a page load's subresources are fetched for: its URL, and
+/// that URL formatted once for every subresource's `Referer` and every leak
+/// call's `dl=` parameter.
+struct PageUrl<'p> {
+    url: &'p Url,
+    text: String,
 }
 
 /// A simulated browser session on one site.
@@ -301,7 +311,7 @@ impl<'a> Browser<'a> {
         span.add_arg("site", &site.domain);
         span.add_arg("path", &ctx.path);
         let mut out = Vec::new();
-        let doc_url = ctx.document_url.clone();
+        let doc_url = &ctx.document_url;
 
         // 1. Document fetch (always first-party). POST form submissions
         // carry the field data in the body.
@@ -316,7 +326,7 @@ impl<'a> Browser<'a> {
                 .with_body(body.clone())
                 .with_header("Content-Type", "application/x-www-form-urlencoded");
         }
-        if let Some(header) = self.jar.cookie_header(&doc_url, &site.domain, false) {
+        if let Some(header) = self.jar.cookie_header(doc_url, &site.domain, false) {
             doc_req.headers.insert("Cookie", header);
         }
         doc_req.headers.insert("Host", doc_url.host.clone());
@@ -357,6 +367,14 @@ impl<'a> Browser<'a> {
         // form was submitted.
         let user = ctx.pii_known.then_some(self.persona);
         let html = pii_web::html::render_page(site, &ctx.path, user);
+        // Parse the document and resolve what it references; the elements
+        // borrow from the markup, which then moves into the response body.
+        let crate::dom::Discovery {
+            resources,
+            inline_scripts,
+            resource_order,
+            ..
+        } = crate::dom::discover(doc_url, &crate::dom::parse(&html));
         // Documents are never cached: navigations must always re-render
         // (the signed-in state changes what the origin serves).
         let mut doc_resp = Response::ok()
@@ -370,8 +388,8 @@ impl<'a> Browser<'a> {
         doc_resp
             .headers
             .insert("Set-Cookie", session.to_set_cookie());
-        self.jar.set(session, &doc_url, &site.domain);
-        doc_resp.body = Some(html.clone().into_bytes());
+        self.jar.set(session, doc_url, &site.domain);
+        doc_resp.body = Some(html.into_bytes());
         out.push(FetchRecord {
             request: doc_req,
             response: doc_resp,
@@ -380,11 +398,14 @@ impl<'a> Browser<'a> {
             from_cache: None,
         });
 
-        // 2. Parse the document and process it in document order: inline
-        // scripts execute (cookie writes), external references fetch, and
-        // tracker library scripts fire their identify beacons.
-        let elements = crate::dom::parse(&html);
-        let discovery = crate::dom::discover(&doc_url, &elements);
+        // 2. Process the document in document order: inline scripts
+        // execute (cookie writes), external references fetch, and tracker
+        // library scripts fire their identify beacons. Every subresource
+        // carries the same document URL, formatted once here.
+        let page = PageUrl {
+            url: doc_url,
+            text: doc_url.to_string(),
+        };
         // Map tracker-script URLs back to their leak edges.
         let mut edge_by_script: std::collections::HashMap<String, &LeakEdge> = site
             .edges
@@ -392,39 +413,47 @@ impl<'a> Browser<'a> {
             .filter(|e| e.method != LeakMethod::Referer)
             .map(|e| (pii_web::html::edge_script_url(e), e))
             .collect();
+        let mut script_key = String::new();
         // Merge inline scripts and resources by document order.
-        let mut inline_iter = discovery.inline_scripts.iter().peekable();
-        for (pos, resource) in discovery.resource_order.iter().zip(&discovery.resources) {
+        let mut inline_iter = inline_scripts.iter().peekable();
+        for (pos, resource) in resource_order.iter().zip(resources) {
             while inline_iter
                 .peek()
                 .is_some_and(|(script_pos, _)| script_pos < pos)
             {
                 let (_, script) = inline_iter.next().unwrap();
-                self.execute_inline_script(site, &doc_url, script);
+                self.execute_inline_script(site, doc_url, script);
             }
             let record = self.fetch(
                 site,
-                &doc_url,
-                Request::new(Method::Get, resource.url.clone(), resource.kind),
+                &page,
+                Request::new(Method::Get, resource.url, resource.kind),
                 None,
                 None,
             );
-            let served = record.served();
-            let script_url = record.request.url.clone();
+            // A tracker library that loaded — from the network *or* the
+            // cache — issues its identify call once the user's PII exists.
+            let edge = if edge_by_script.is_empty() {
+                None
+            } else {
+                script_key.clear();
+                // Formatting into a `String` cannot fail.
+                let _ = write!(script_key, "{}", record.request.url);
+                edge_by_script.remove(script_key.as_str())
+            };
+            let leak_from = edge
+                .filter(|_| ctx.pii_known && record.served())
+                .map(|edge| (edge, record.request.url.clone()));
             out.push(record);
             // Async SWR revalidations emitted by the fetch follow it in the
             // capture, exactly where the network saw them.
             out.append(&mut self.side_records);
-            // A tracker library that loaded — from the network *or* the
-            // cache — issues its identify call once the user's PII exists.
-            if let Some(edge) = edge_by_script.remove(&script_url.to_string()) {
-                if ctx.pii_known && served {
-                    out.push(self.leak_call(site, &doc_url, edge, &script_url, &ctx.path));
-                }
+            if let Some((edge, script_url)) = leak_from {
+                out.push(self.leak_call(site, &page, edge, &script_url, &ctx.path));
             }
         }
         for (_, script) in inline_iter {
-            self.execute_inline_script(site, &doc_url, script);
+            self.execute_inline_script(site, doc_url, script);
         }
         pii_telemetry::counter("browser.pages", 1);
         pii_telemetry::counter("browser.records", out.len() as u64);
@@ -446,10 +475,10 @@ impl<'a> Browser<'a> {
     fn leak_call(
         &mut self,
         site: &Site,
-        doc_url: &Url,
+        page: &PageUrl<'_>,
         edge: &LeakEdge,
         script_url: &Url,
-        page: &str,
+        path: &str,
     ) -> FetchRecord {
         // The primary identifier is the email when the edge carries it;
         // otherwise the edge's first PII kind (e.g. the lone username-only
@@ -477,7 +506,7 @@ impl<'a> Browser<'a> {
                         );
                     }
                 }
-                url = url.with_query_param("dl", &doc_url.to_string());
+                url = url.with_query_param("dl", &page.text);
             }
             LeakMethod::Payload => {
                 method = Method::Post;
@@ -492,7 +521,7 @@ impl<'a> Browser<'a> {
                         ));
                     }
                 }
-                form.push_str(&format!("&page={}", encode_form(page)));
+                form.push_str(&format!("&page={}", encode_form(path)));
                 body = Some(form.into_bytes());
             }
             LeakMethod::Cookie => {
@@ -510,14 +539,14 @@ impl<'a> Browser<'a> {
                 .with_body(b)
                 .with_header("Content-Type", "application/x-www-form-urlencoded");
         }
-        self.fetch(site, doc_url, req, Some(script_url), Some(edge))
+        self.fetch(site, page, req, Some(script_url), Some(edge))
     }
 
     /// Apply browser policy, attach headers, and synthesise the response.
     fn fetch(
         &mut self,
         site: &Site,
-        doc_url: &Url,
+        page: &PageUrl<'_>,
         mut req: Request,
         initiator: Option<&Url>,
         edge: Option<&LeakEdge>,
@@ -540,15 +569,15 @@ impl<'a> Browser<'a> {
                 };
             }
         }
-        req.initiator = Some(initiator.unwrap_or(doc_url).clone());
+        req.initiator = Some(initiator.unwrap_or(page.url).clone());
         req.headers.insert("Host", host.clone());
         // Referer: the 2021 capture sends the full URL (badly coded sites
         // pin `Referrer-Policy: unsafe-url`); the counterfactual profile
         // truncates cross-origin referers to the origin.
         let referer = if self.profile.enforce_strict_referrer && is_third_party {
-            format!("{}/", doc_url.origin())
+            format!("{}/", page.url.origin())
         } else {
-            doc_url.to_string()
+            page.text.clone()
         };
         req.headers.insert("Referer", referer);
         req.headers
@@ -559,14 +588,14 @@ impl<'a> Browser<'a> {
         // go through the profile's policy.
         let tracker_rd = self
             .psl
-            .registrable_domain(&host)
-            .unwrap_or_else(|| host.clone());
-        let cname_tracker = resolution
-            .cname_chain
-            .iter()
-            .filter_map(|c| self.psl.registrable_domain(c))
-            .find(|rd| self.known_trackers.contains(rd));
-        let is_known_tracker = self.known_trackers.contains(&tracker_rd) || cname_tracker.is_some();
+            .registrable_domain_cow(&host)
+            .unwrap_or(Cow::Borrowed(&host));
+        let is_known_tracker = self.known_trackers.contains(tracker_rd.as_ref())
+            || resolution
+                .cname_chain
+                .iter()
+                .filter_map(|c| self.psl.registrable_domain_cow(c))
+                .any(|rd| self.known_trackers.contains(rd.as_ref()));
         let cookies_allowed =
             !is_third_party || self.profile.third_party_cookies_allowed(is_known_tracker);
         if cookies_allowed {
@@ -581,15 +610,15 @@ impl<'a> Browser<'a> {
         // HTTP cache consultation (only when a strategy is configured; the
         // paper's one-shot crawl runs cache-less and never enters this
         // block). Blocked requests return above and never reach the cache.
-        let url_key = req.url.to_string();
-        if let Some(strategy) = self.cache_strategy {
-            match pii_net::cache::decide(strategy, self.cache.get(&url_key), self.cache_clock_ms) {
+        let url_key = self.cache_strategy.map(|_| req.url.to_string());
+        if let (Some(strategy), Some(url_key)) = (self.cache_strategy, &url_key) {
+            match pii_net::cache::decide(strategy, self.cache.get(url_key), self.cache_clock_ms) {
                 CacheDecision::Miss => {}
                 CacheDecision::ServeCached => {
                     pii_telemetry::counter("browser.cache.hits", 1);
                     let response = self
                         .cache
-                        .get(&url_key)
+                        .get(url_key)
                         .map(|e| e.response.clone())
                         .unwrap_or_else(Response::ok);
                     return FetchRecord {
@@ -604,12 +633,12 @@ impl<'a> Browser<'a> {
                     pii_telemetry::counter("browser.cache.stale", 1);
                     let response = self
                         .cache
-                        .get(&url_key)
+                        .get(url_key)
                         .map(|e| e.response.clone())
                         .unwrap_or_else(Response::ok);
                     // The async revalidation goes on the wire alongside the
                     // stale serve; the caller splices it into the capture.
-                    let side = self.revalidate(req.clone(), &url_key);
+                    let side = self.revalidate(req.clone(), url_key);
                     self.side_records.push(side);
                     return FetchRecord {
                         request: req,
@@ -620,7 +649,7 @@ impl<'a> Browser<'a> {
                     };
                 }
                 CacheDecision::Revalidate => {
-                    return self.revalidate(req, &url_key);
+                    return self.revalidate(req, url_key);
                 }
             }
         }
@@ -652,12 +681,13 @@ impl<'a> Browser<'a> {
             ResourceKind::Script | ResourceKind::Stylesheet | ResourceKind::Image
         ) && edge.is_none();
         if static_asset {
-            let fp = pii_net::cache::asset_fingerprint(&url_key);
-            let max_age = if fp.is_multiple_of(4) { 30 } else { 3600 };
-            response.headers.insert(
-                "Cache-Control",
-                format!("max-age={max_age}, stale-while-revalidate=600"),
-            );
+            let fp = pii_net::cache::asset_fingerprint(&req.url);
+            let cache_control = if fp.is_multiple_of(4) {
+                "max-age=30, stale-while-revalidate=600"
+            } else {
+                "max-age=3600, stale-while-revalidate=600"
+            };
+            response.headers.insert("Cache-Control", cache_control);
             response.headers.insert("ETag", format!("\"{fp:016x}\""));
             response
                 .headers
@@ -680,12 +710,12 @@ impl<'a> Browser<'a> {
         }
         // Store cacheable responses for later visits (cache enabled only,
         // so the default cache-less configuration keeps identical state).
-        if self.cache_strategy.is_some() {
+        if let Some(url_key) = &url_key {
             let policy = CachePolicy::parse(&response.headers);
             if policy.cacheable() {
                 pii_telemetry::counter("browser.cache.stores", 1);
                 self.cache.store(
-                    &url_key,
+                    url_key,
                     CacheEntry {
                         response: response.clone(),
                         policy,

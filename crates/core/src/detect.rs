@@ -18,10 +18,12 @@
 use crate::tokens::TokenSet;
 use pii_crawler::{CrawlDataset, SiteCrawl};
 use pii_dns::{classify_party, CloakingDetector, Party, PublicSuffixList, ZoneStore};
+use pii_net::Url;
 use pii_web::obfuscate::Obfuscation;
 use pii_web::persona::PiiKind;
 use pii_web::site::LeakMethod;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One detected leak: a PII token found in one channel of one request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -55,7 +57,7 @@ pub struct LeakEvent {
 }
 
 /// The full detection output for one dataset.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DetectionReport {
     pub events: Vec<LeakEvent>,
     /// Requests inspected (delivered, third-party or cloaked).
@@ -145,11 +147,14 @@ impl<'a> LeakDetector<'a> {
         }
     }
 
-    /// Run detection over a whole dataset.
+    /// Run detection over a whole dataset, one site after another. Each
+    /// site goes through [`detect_site_guarded`](Self::detect_site_guarded),
+    /// so a detection panic degrades that site to skipped records instead
+    /// of aborting the pass.
     pub fn detect(&self, dataset: &CrawlDataset) -> DetectionReport {
         let mut report = DetectionReport::default();
         for crawl in dataset.completed() {
-            self.detect_site(crawl, &mut report);
+            report.merge(self.detect_site_guarded(crawl));
         }
         report
     }
@@ -230,6 +235,10 @@ impl<'a> LeakDetector<'a> {
     }
 
     /// Run detection over one site's capture.
+    ///
+    /// Per record the Referer is parsed once, and host classification,
+    /// receiver domains and channel values are borrowed from the record;
+    /// strings are copied only into an emitted [`LeakEvent`].
     pub fn detect_site(&self, crawl: &SiteCrawl, report: &mut DetectionReport) {
         #[cfg(test)]
         if self.panic_domains.contains(&crawl.domain) {
@@ -255,19 +264,23 @@ impl<'a> LeakDetector<'a> {
             // A Referer header that is present but unparseable means the
             // record is mangled: page attribution is impossible, so skip it
             // visibly rather than misfiling hits under "/".
-            if request.headers.get("Referer").is_some() && request.referer().is_none() {
-                report.skipped_records += 1;
-                pii_telemetry::counter("detect.skipped_records", 1);
-                continue;
-            }
-            let host = &request.url.host;
+            let referer = match request.headers.get("Referer").map(Url::parse) {
+                None => None,
+                Some(Ok(referer)) => Some(referer),
+                Some(Err(_)) => {
+                    report.skipped_records += 1;
+                    pii_telemetry::counter("detect.skipped_records", 1);
+                    continue;
+                }
+            };
+            let host = request.url.host.as_str();
             let party = classify_party(self.psl, self.zones, &self.cloaking, &crawl.domain, host);
             let (receiver_domain, cloaked) = match party {
                 Party::First => continue,
                 Party::Third => (
                     self.psl
-                        .registrable_domain(host)
-                        .unwrap_or_else(|| host.clone()),
+                        .registrable_domain_cow(host)
+                        .unwrap_or(Cow::Borrowed(host)),
                     false,
                 ),
                 Party::CnameCloaked => {
@@ -276,19 +289,224 @@ impl<'a> LeakDetector<'a> {
                         .cloaking
                         .detect(self.psl, host, &resolution)
                         .expect("classify_party said cloaked");
-                    (hit.provider_domain, true)
+                    (Cow::Owned(hit.provider_domain), true)
                 }
             };
             report.third_party_requests += 1;
             pii_telemetry::counter("detect.third_party", 1);
+            let page_path = referer.as_ref().map_or("/", |r| r.path.as_str());
+            let mut emit = |method: LeakMethod, param: &str, token: &str| {
+                pii_telemetry::counter("detect.bytes_scanned", token.len() as u64);
+                if let Some(info) = self.tokens.lookup_normalized(token) {
+                    pii_telemetry::counter(leak_counter(method), 1);
+                    report.events.push(LeakEvent {
+                        sender: crawl.domain.clone(),
+                        receiver_domain: receiver_domain.to_string(),
+                        request_host: host.to_string(),
+                        url: request.url.to_string(),
+                        page_path: page_path.to_string(),
+                        method,
+                        param: param.to_string(),
+                        pii: info.pii,
+                        chain: info.chain.clone(),
+                        bucket: info.bucket().to_string(),
+                        cloaked,
+                        request_index: index,
+                    });
+                }
+            };
+
+            // Channel 1: request URI — decoded query values and path
+            // segments. `query_pairs` decodes once; the shared helper adds
+            // the one-extra-round rule for double-encoded values.
+            for (key, value) in request.url.query_pairs() {
+                scan_with_extra_round(&mut emit, LeakMethod::Uri, &key, &value);
+            }
+            // Path segments are matched percent-decoded — `/track/foo%40x.com`
+            // carries the same leak as its query-value form.
+            for segment in request.url.path.split('/') {
+                if segment.is_empty() {
+                    continue;
+                }
+                scan_with_extra_round(&mut emit, LeakMethod::Uri, "", &percent_decoded(segment));
+            }
+
+            // Channel 2: Referer header — the referring document's query.
+            if let Some(referer) = &referer {
+                for (key, value) in referer.query_pairs() {
+                    scan_with_extra_round(&mut emit, LeakMethod::Referer, &key, &value);
+                }
+            }
+
+            // Channel 3: Cookie header values, which are frequently
+            // percent-encoded on the wire: decode once, then the shared
+            // extra-round rule. The raw wire form is scanned too when it
+            // differs — base64 cookie values can contain `%`-free tokens
+            // that decoding would mangle.
+            for (name, value) in request.cookie_pairs() {
+                let decoded = percent_decoded(value);
+                scan_with_extra_round(&mut emit, LeakMethod::Cookie, name, &decoded);
+                if *decoded != *value {
+                    emit(LeakMethod::Cookie, name, value);
+                }
+            }
+
+            // Channel 4: payload body — form-encoded pairs, else raw tokens.
+            // Pairs follow the `query_pairs` convention: a bare fragment is
+            // `(fragment, "")`, and parameter *names* are form-decoded so
+            // `user%5Femail` and `user_email` aggregate as one Table 1
+            // parameter. A bare fragment is additionally scanned as a value,
+            // since beacon bodies are sometimes just the token itself.
+            // Values go through the same extra-round rule as every other
+            // channel.
+            if let Some(body) = request.body_text() {
+                for pair in body.split('&') {
+                    match pair.split_once('=') {
+                        Some((key, value)) => scan_with_extra_round(
+                            &mut emit,
+                            LeakMethod::Payload,
+                            &form_decoded(key),
+                            &form_decoded(value),
+                        ),
+                        None => scan_with_extra_round(
+                            &mut emit,
+                            LeakMethod::Payload,
+                            "",
+                            &form_decoded(pair),
+                        ),
+                    }
+                }
+            }
+        }
+        if pii_telemetry::enabled() {
+            span.add_arg("events", &(report.events.len() - events_before).to_string());
+        }
+    }
+}
+
+/// `s` percent-decoded (lossy UTF-8), borrowed when it holds no `%`.
+fn percent_decoded(s: &str) -> Cow<'_, str> {
+    if s.contains('%') {
+        Cow::Owned(String::from_utf8_lossy(&pii_encodings::percent::decode_lossy(s)).into_owned())
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// `s` form-decoded (`+` is a space; lossy UTF-8), borrowed when it holds
+/// neither `%` nor `+`.
+fn form_decoded(s: &str) -> Cow<'_, str> {
+    if s.contains(['%', '+']) {
+        Cow::Owned(
+            String::from_utf8_lossy(&pii_encodings::percent::decode_form_lossy(s)).into_owned(),
+        )
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// The one-extra-round decode rule, shared by every channel (§4.1).
+///
+/// Each channel decodes its value once as part of framing — URL query and
+/// body values via their form rules, path segments and cookie values via
+/// `decode_lossy`. Trackers occasionally double-encode (the value is
+/// encoded once by the tag and again by the URL serializer), so when the
+/// once-decoded value still contains a `%` escape, exactly one extra
+/// `decode_lossy` round is scanned as well — never more, so an attacker
+/// cannot make the detector loop.
+///
+/// Before this helper existed only the URI query/path channels applied the
+/// extra round; cookie and payload values decoded once, so a double-encoded
+/// email in a cookie was invisible while the same bytes in a query string
+/// were detected (`channels_agree_on_double_encoded_email` pins the fix).
+fn scan_with_extra_round(
+    emit: &mut dyn FnMut(LeakMethod, &str, &str),
+    method: LeakMethod,
+    param: &str,
+    once: &str,
+) {
+    emit(method, param, once);
+    if once.contains('%') {
+        emit(method, param, &percent_decoded(once));
+    }
+}
+
+/// Per-method leak counter names (static so the hot path never allocates).
+fn leak_counter(method: LeakMethod) -> &'static str {
+    match method {
+        LeakMethod::Uri => "detect.leaks.uri",
+        LeakMethod::Referer => "detect.leaks.referer",
+        LeakMethod::Cookie => "detect.leaks.cookie",
+        LeakMethod::Payload => "detect.leaks.payload",
+    }
+}
+
+/// Degraded fragment for a site whose detect worker panicked: every record
+/// of the site is counted as skipped, nothing else is claimed about it.
+fn skipped_site(crawl: &SiteCrawl) -> DetectionReport {
+    pii_telemetry::counter("detect.sites_quarantined", 1);
+    DetectionReport {
+        skipped_records: crawl.records.len(),
+        ..DetectionReport::default()
+    }
+}
+
+/// The detector before the allocation cuts — up to three Referer parses per
+/// record, owned receiver domains, every channel value decoded into a fresh
+/// `String` — kept as the oracle for the differential tests below.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn detect_site(d: &LeakDetector<'_>, crawl: &SiteCrawl, report: &mut DetectionReport) {
+        if d.panic_domains.contains(&crawl.domain) {
+            panic!("injected detect panic on {}", crawl.domain);
+        }
+        for (index, record) in crawl.records.iter().enumerate() {
+            if !record.delivered() {
+                // Transport-aborted attempts carry no payload worth
+                // scanning; browser-blocked requests are accounted for by
+                // the §7.1 tables instead.
+                if record.error.is_some() {
+                    report.skipped_records += 1;
+                }
+                continue;
+            }
+            report.total_requests += 1;
+            let request = &record.request;
+            // A Referer header that is present but unparseable means the
+            // record is mangled: page attribution is impossible, so skip it
+            // visibly rather than misfiling hits under "/".
+            if request.headers.get("Referer").is_some() && request.referer().is_none() {
+                report.skipped_records += 1;
+                continue;
+            }
+            let host = &request.url.host;
+            let party = classify_party(d.psl, d.zones, &d.cloaking, &crawl.domain, host);
+            let (receiver_domain, cloaked) = match party {
+                Party::First => continue,
+                Party::Third => (
+                    d.psl
+                        .registrable_domain(host)
+                        .unwrap_or_else(|| host.clone()),
+                    false,
+                ),
+                Party::CnameCloaked => {
+                    let resolution = d.zones.resolve(host);
+                    let hit = d
+                        .cloaking
+                        .detect(d.psl, host, &resolution)
+                        .expect("classify_party said cloaked");
+                    (hit.provider_domain, true)
+                }
+            };
+            report.third_party_requests += 1;
             let page_path = request
                 .referer()
                 .map(|r| r.path.clone())
                 .unwrap_or_else(|| "/".to_string());
             let mut emit = |method: LeakMethod, param: &str, token: &str| {
-                pii_telemetry::counter("detect.bytes_scanned", token.len() as u64);
-                if let Some(info) = self.tokens.lookup_normalized(token) {
-                    pii_telemetry::counter(leak_counter(method), 1);
+                if let Some(info) = d.tokens.lookup_normalized(token) {
                     report.events.push(LeakEvent {
                         sender: crawl.domain.clone(),
                         receiver_domain: receiver_domain.clone(),
@@ -336,11 +554,11 @@ impl<'a> LeakDetector<'a> {
             // differs — base64 cookie values can contain `%`-free tokens
             // that decoding would mangle.
             for (name, value) in request.cookie_pairs() {
-                let decoded = pii_encodings::percent::decode_lossy(&value);
+                let decoded = pii_encodings::percent::decode_lossy(value);
                 let decoded = String::from_utf8_lossy(&decoded);
-                scan_with_extra_round(&mut emit, LeakMethod::Cookie, &name, &decoded);
+                scan_with_extra_round(&mut emit, LeakMethod::Cookie, name, &decoded);
                 if *decoded != *value {
-                    emit(LeakMethod::Cookie, &name, &value);
+                    emit(LeakMethod::Cookie, name, value);
                 }
             }
 
@@ -378,56 +596,6 @@ impl<'a> LeakDetector<'a> {
                 }
             }
         }
-        if pii_telemetry::enabled() {
-            span.add_arg("events", &(report.events.len() - events_before).to_string());
-        }
-    }
-}
-
-/// The one-extra-round decode rule, shared by every channel (§4.1).
-///
-/// Each channel decodes its value once as part of framing — URL query and
-/// body values via their form rules, path segments and cookie values via
-/// `decode_lossy`. Trackers occasionally double-encode (the value is
-/// encoded once by the tag and again by the URL serializer), so when the
-/// once-decoded value still contains a `%` escape, exactly one extra
-/// `decode_lossy` round is scanned as well — never more, so an attacker
-/// cannot make the detector loop.
-///
-/// Before this helper existed only the URI query/path channels applied the
-/// extra round; cookie and payload values decoded once, so a double-encoded
-/// email in a cookie was invisible while the same bytes in a query string
-/// were detected (`channels_agree_on_double_encoded_email` pins the fix).
-fn scan_with_extra_round(
-    emit: &mut dyn FnMut(LeakMethod, &str, &str),
-    method: LeakMethod,
-    param: &str,
-    once: &str,
-) {
-    emit(method, param, once);
-    if once.contains('%') {
-        let again = pii_encodings::percent::decode_lossy(once);
-        emit(method, param, &String::from_utf8_lossy(&again));
-    }
-}
-
-/// Per-method leak counter names (static so the hot path never allocates).
-fn leak_counter(method: LeakMethod) -> &'static str {
-    match method {
-        LeakMethod::Uri => "detect.leaks.uri",
-        LeakMethod::Referer => "detect.leaks.referer",
-        LeakMethod::Cookie => "detect.leaks.cookie",
-        LeakMethod::Payload => "detect.leaks.payload",
-    }
-}
-
-/// Degraded fragment for a site whose detect worker panicked: every record
-/// of the site is counted as skipped, nothing else is claimed about it.
-fn skipped_site(crawl: &SiteCrawl) -> DetectionReport {
-    pii_telemetry::counter("detect.sites_quarantined", 1);
-    DetectionReport {
-        skipped_records: crawl.records.len(),
-        ..DetectionReport::default()
     }
 }
 
@@ -783,6 +951,169 @@ mod tests {
                 .cloned()
                 .collect();
             assert_eq!(degraded.events, expected);
+        }
+    }
+
+    #[test]
+    fn sequential_detection_degrades_a_panicking_site_to_skipped_records() {
+        let w = world();
+        let victim = w
+            .dataset
+            .completed()
+            .find(|c| !c.records.is_empty())
+            .map(|c| c.domain.clone())
+            .unwrap();
+        let victim_crawl = w.dataset.site(&victim).unwrap();
+        let mut detector = LeakDetector::new(&w.tokens, &w.psl, &w.universe.zones);
+        let baseline = detector.detect(&w.dataset);
+        let mut victim_only = DetectionReport::default();
+        detector.detect_site(victim_crawl, &mut victim_only);
+
+        detector.panic_domains.insert(victim.clone());
+        let degraded = detector.detect(&w.dataset);
+        assert_eq!(
+            degraded.skipped_records,
+            baseline.skipped_records - victim_only.skipped_records + victim_crawl.records.len()
+        );
+        assert_eq!(
+            degraded.total_requests,
+            baseline.total_requests - victim_only.total_requests
+        );
+        let expected: Vec<LeakEvent> = baseline
+            .events
+            .iter()
+            .filter(|e| e.sender != victim)
+            .cloned()
+            .collect();
+        assert_eq!(degraded.events, expected);
+    }
+
+    /// Every completed site of `dataset`, detected by the current detector
+    /// and by the reference, must give equal fragments.
+    fn assert_matches_reference(detector: &LeakDetector<'_>, dataset: &CrawlDataset, label: &str) {
+        let mut sites = 0;
+        for crawl in dataset.completed() {
+            let mut current = DetectionReport::default();
+            detector.detect_site(crawl, &mut current);
+            let mut oracle = DetectionReport::default();
+            reference::detect_site(detector, crawl, &mut oracle);
+            assert_eq!(current, oracle, "{label}: {}", crawl.domain);
+            sites += 1;
+        }
+        assert!(sites > 0, "{label}: no completed sites");
+    }
+
+    #[test]
+    fn detect_site_matches_the_reference_on_seeded_crawls() {
+        let psl = PublicSuffixList::embedded();
+        for seed in [7, 11, 23] {
+            let universe = Universe::generate_with(pii_web::UniverseSpec {
+                seed,
+                ..pii_web::UniverseSpec::default()
+            });
+            let tokens = TokenSetBuilder::default().build(&universe.persona);
+            let detector = LeakDetector::new(&tokens, &psl, &universe.zones);
+            let mut crawler = Crawler::new(&universe);
+            let plain = crawler.run(BrowserKind::Firefox88Vanilla);
+            assert_matches_reference(&detector, &plain, &format!("seed {seed}"));
+            // Transport faults, cache hits and revalidations put skipped and
+            // undelivered records into the capture.
+            crawler.faults = universe.fault_plan(pii_net::fault::FaultProfile::PaperMay2021);
+            crawler.cache = Some(pii_net::cache::CacheStrategy::CacheFirst);
+            crawler.repeat = 2;
+            let faulted = crawler.run(BrowserKind::Firefox88Vanilla);
+            assert!(
+                faulted
+                    .completed()
+                    .any(|c| c.records.iter().any(|r| r.error.is_some())),
+                "seed {seed}: the faulted crawl must hold aborted records"
+            );
+            assert_matches_reference(&detector, &faulted, &format!("seed {seed} faulted"));
+        }
+    }
+
+    #[test]
+    fn detect_site_matches_the_reference_on_edge_records() {
+        let w = world();
+        let detector = LeakDetector::new(&w.tokens, &w.psl, &w.universe.zones);
+        let sender = w.universe.sender_sites().next().unwrap().domain.clone();
+        let referers = [
+            None,
+            Some("not a url at all".to_string()),
+            Some("http://".to_string()),
+            Some("https://host:99999/".to_string()),
+            Some(format!(
+                "https://{sender}/welcome?email=foo%40mydom.com&name=Alice+Doe"
+            )),
+            Some(format!(
+                "https://{sender}/welcome?em=foo%2540mydom.com&flag&=x"
+            )),
+            Some(format!("https://{sender}/p%20q/?x=%zz&y=%4")),
+        ];
+        let urls = [
+            "https://facebook.com/tr?ev=1&em=foo%40mydom.com&u=a+b".to_string(),
+            "https://facebook.com/track/foo%2540mydom.com/px/%ZZ".to_string(),
+            "https://FaceBook.com/plain/segment".to_string(),
+            format!("https://{sender}/first/party?em=foo%40mydom.com"),
+            format!("https://metrics.{sender}/b/ss?AQB=1"),
+        ];
+        let cookies = [
+            None,
+            Some("uid=foo%40mydom.com; b64=Zm9vQG15ZG9tLmNvbQ==; bare; =x"),
+            Some("e=foo%2540mydom.com"),
+        ];
+        let bodies: [Option<&[u8]>; 4] = [
+            None,
+            Some(b"user%5Femail=foo%40mydom.com&foo%40mydom.com&a+b=c+d"),
+            Some(b"em=foo%2540mydom.com&&="),
+            Some(b"\xff\xfeem=foo@mydom.com"),
+        ];
+        let mut records = Vec::new();
+        for referer in &referers {
+            for url in &urls {
+                for cookie in &cookies {
+                    for body in &bodies {
+                        let mut request = pii_net::Request::new(
+                            pii_net::Method::Post,
+                            pii_net::Url::parse(url).unwrap(),
+                            pii_net::http::ResourceKind::Xhr,
+                        );
+                        if let Some(referer) = referer {
+                            request = request.with_header("Referer", referer.clone());
+                        }
+                        if let Some(cookie) = cookie {
+                            request = request.with_header("Cookie", *cookie);
+                        }
+                        if let Some(body) = body {
+                            request = request.with_body(body.to_vec());
+                        }
+                        records.push(single_record_crawl(&sender, request).records.remove(0));
+                    }
+                }
+            }
+        }
+        let mut crawl = single_record_crawl(
+            &sender,
+            pii_net::Request::new(
+                pii_net::Method::Get,
+                pii_net::Url::parse("https://facebook.com/").unwrap(),
+                pii_net::http::ResourceKind::Image,
+            ),
+        );
+        crawl.records = records;
+        let mut current = DetectionReport::default();
+        detector.detect_site(&crawl, &mut current);
+        let mut oracle = DetectionReport::default();
+        reference::detect_site(&detector, &crawl, &mut oracle);
+        assert_eq!(current, oracle);
+        // The matrix reaches every branch: mangled Referers are skipped,
+        // and leaks surface in every channel.
+        assert!(current.skipped_records > 0);
+        for method in LeakMethod::ALL {
+            assert!(
+                current.events.iter().any(|e| e.method == method),
+                "{method:?}"
+            );
         }
     }
 

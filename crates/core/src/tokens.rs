@@ -50,15 +50,12 @@ impl TokenSet {
             return Some(info);
         }
         // Try lowercased (covers upper/mixed-case hex); base64 is
-        // case-sensitive so only do this as a fallback.
-        let lower = candidate.to_ascii_lowercase();
-        if lower != candidate {
-            if let Some(info) = self.map.get(&lower) {
-                // Only hex-like chains are case-insensitive.
-                if candidate.chars().all(|c| c.is_ascii_hexdigit()) {
-                    return Some(info);
-                }
-            }
+        // case-sensitive, so only hex-like candidates with an uppercase
+        // digit get the fallback, and only they pay for the lowercased copy.
+        if candidate.bytes().any(|b| b.is_ascii_uppercase())
+            && candidate.bytes().all(|b| b.is_ascii_hexdigit())
+        {
+            return self.map.get(&candidate.to_ascii_lowercase());
         }
         None
     }
@@ -286,6 +283,28 @@ impl TokenSetBuilder {
     }
 }
 
+/// The lookup that lowercased a copy of every missed candidate, kept as the
+/// oracle for `lookup_normalized_matches_the_reference`.
+#[cfg(test)]
+mod reference {
+    use super::{TokenInfo, TokenSet};
+
+    pub fn lookup_normalized<'s>(set: &'s TokenSet, candidate: &str) -> Option<&'s TokenInfo> {
+        if let Some(info) = set.map.get(candidate) {
+            return Some(info);
+        }
+        let lower = candidate.to_ascii_lowercase();
+        if lower != candidate {
+            if let Some(info) = set.map.get(&lower) {
+                if candidate.chars().all(|c| c.is_ascii_hexdigit()) {
+                    return Some(info);
+                }
+            }
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,6 +366,25 @@ mod tests {
         // Base64 must NOT match case-insensitively.
         let b64_wrong_case = "zM9VQG15ZG9TLMNVBQ==";
         assert!(set.lookup_normalized(b64_wrong_case).is_none());
+    }
+
+    #[test]
+    fn lookup_normalized_matches_the_reference() {
+        let set = TokenSetBuilder::default().build(&persona());
+        let mut candidates: Vec<String> = Vec::new();
+        for (token, _) in set.iter().take(400) {
+            candidates.push(token.clone());
+            candidates.push(token.to_ascii_uppercase());
+            candidates.push(format!("{}X", token.to_ascii_uppercase()));
+        }
+        candidates.extend(["", "ABC", "abc", "Zm9v", "DEADBEEF", "é"].map(String::from));
+        for candidate in &candidates {
+            assert_eq!(
+                set.lookup_normalized(candidate),
+                reference::lookup_normalized(&set, candidate),
+                "{candidate:?}"
+            );
+        }
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub fn crawls_from_wire(exchanges: &[WireExchange]) -> Result<Vec<SiteCrawl>, Wi
                 .flat_map(|r| {
                     r.request
                         .cookie_pairs()
-                        .into_iter()
                         .map(|(n, v)| pii_net::cookie::Cookie::new(n, v))
                 })
                 .collect(),

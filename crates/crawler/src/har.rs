@@ -116,20 +116,15 @@ fn site_entries(crawl: &SiteCrawl) -> Vec<HarEntry> {
                     url: req.url.to_string(),
                     http_version: "HTTP/1.1".into(),
                     headers: req.headers.iter().map(|(n, v)| nv(n, v)).collect(),
-                    query_string: req
-                        .url
-                        .query_pairs()
-                        .iter()
-                        .map(|(k, v)| nv(k, v))
-                        .collect(),
-                    cookies: req.cookie_pairs().iter().map(|(n, v)| nv(n, v)).collect(),
+                    query_string: req.url.query_pairs().map(|(k, v)| nv(&k, &v)).collect(),
+                    cookies: req.cookie_pairs().map(|(n, v)| nv(n, v)).collect(),
                     post_data: req.body_text().map(|text| HarPostData {
                         mime_type: req
                             .headers
                             .get("Content-Type")
                             .unwrap_or("application/octet-stream")
                             .to_string(),
-                        text,
+                        text: text.into_owned(),
                     }),
                 },
                 response: HarResponse {

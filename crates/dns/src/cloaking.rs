@@ -81,16 +81,16 @@ impl CloakingDetector {
         query_host: &str,
         resolution: &Resolution,
     ) -> Option<CloakedTracker> {
-        let query_rd = psl.registrable_domain(query_host)?;
+        let query_rd = psl.registrable_domain_cow(query_host)?;
         for target in &resolution.cname_chain {
-            let Some(target_rd) = psl.registrable_domain(target) else {
+            let Some(target_rd) = psl.registrable_domain_cow(target) else {
                 continue;
             };
-            if target_rd != query_rd && self.providers.contains(&target_rd) {
+            if target_rd != query_rd && self.providers.contains(&*target_rd) {
                 return Some(CloakedTracker {
                     query_host: query_host.to_string(),
                     cname_target: target.clone(),
-                    provider_domain: target_rd,
+                    provider_domain: target_rd.into_owned(),
                 });
             }
         }

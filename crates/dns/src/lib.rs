@@ -60,8 +60,8 @@ pub fn classify_party(
     site_host: &str,
     request_host: &str,
 ) -> Party {
-    let site_rd = psl.registrable_domain(site_host);
-    let req_rd = psl.registrable_domain(request_host);
+    let site_rd = psl.registrable_domain_cow(site_host);
+    let req_rd = psl.registrable_domain_cow(request_host);
     if site_rd.is_some() && site_rd == req_rd {
         // Surface first-party: check for cloaking.
         let resolution = zones.resolve(request_host);

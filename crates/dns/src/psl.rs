@@ -159,7 +159,16 @@ impl PublicSuffixList {
     /// The registrable domain (eTLD+1) of `host`, or `None` when the host
     /// *is* a public suffix.
     pub fn registrable_domain(&self, host: &str) -> Option<String> {
-        self.registrable(&normalise(host)).map(str::to_string)
+        self.registrable_domain_cow(host).map(Cow::into_owned)
+    }
+
+    /// [`registrable_domain`](Self::registrable_domain) borrowed from
+    /// `host`: it allocates only when `host` holds an uppercase byte.
+    pub fn registrable_domain_cow<'h>(&self, host: &'h str) -> Option<Cow<'h, str>> {
+        match normalise(host) {
+            Cow::Borrowed(host) => self.registrable(host).map(Cow::Borrowed),
+            Cow::Owned(host) => self.registrable(&host).map(|rd| Cow::Owned(rd.to_string())),
+        }
     }
 
     /// Whether two hosts belong to the same site (same registrable domain).
@@ -298,6 +307,11 @@ mod tests {
             assert_eq!(
                 p.registrable_domain(h),
                 reference::registrable_domain(p, h),
+                "{h:?}"
+            );
+            assert_eq!(
+                p.registrable_domain_cow(h).as_deref(),
+                reference::registrable_domain(p, h).as_deref(),
                 "{h:?}"
             );
         }

@@ -9,6 +9,7 @@
 //! browser's virtual cache clock — never on wall time.
 
 use crate::http::{HeaderMap, Response};
+use crate::url::Url;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
@@ -214,16 +215,39 @@ pub fn decide(strategy: CacheStrategy, entry: Option<&CacheEntry>, now_ms: u64) 
     }
 }
 
-/// Deterministic per-URL fingerprint (FNV-1a 64) used to vary synthesized
-/// cache attributes — which assets get a short vs long `max-age`, and the
-/// `ETag` value — without any randomness.
-pub fn asset_fingerprint(url: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in url.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
+/// Deterministic per-URL fingerprint (FNV-1a 64 of the URL's serialized
+/// form) used to vary synthesized cache attributes — which assets get a
+/// short vs long `max-age`, and the `ETag` value — without any randomness.
+/// The URL is hashed as it is formatted, so no string is built.
+pub fn asset_fingerprint(url: &Url) -> u64 {
+    struct Fnv1a(u64);
+    impl fmt::Write for Fnv1a {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            for byte in s.bytes() {
+                self.0 ^= u64::from(byte);
+                self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+            }
+            Ok(())
+        }
     }
-    hash
+    let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+    // Writing into the hasher cannot fail.
+    let _ = fmt::write(&mut hash, format_args!("{url}"));
+    hash.0
+}
+
+/// The fingerprint over an already-formatted URL string, kept as the oracle
+/// for `fingerprint_hashes_the_serialized_url`.
+#[cfg(test)]
+mod reference {
+    pub fn asset_fingerprint(url: &str) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in url.as_bytes() {
+            hash ^= u64::from(*byte);
+            hash = hash.wrapping_mul(0x1000_0000_01b3);
+        }
+        hash
+    }
 }
 
 #[cfg(test)]
@@ -321,11 +345,31 @@ mod tests {
         );
     }
 
+    fn url(s: &str) -> Url {
+        Url::parse(s).unwrap()
+    }
+
     #[test]
     fn fingerprint_is_stable_and_spreads() {
-        let a = asset_fingerprint("https://cdn.example/app.js");
-        assert_eq!(a, asset_fingerprint("https://cdn.example/app.js"));
-        assert_ne!(a, asset_fingerprint("https://cdn.example/app2.js"));
+        let a = asset_fingerprint(&url("https://cdn.example/app.js"));
+        assert_eq!(a, asset_fingerprint(&url("https://cdn.example/app.js")));
+        assert_ne!(a, asset_fingerprint(&url("https://cdn.example/app2.js")));
+    }
+
+    #[test]
+    fn fingerprint_hashes_the_serialized_url() {
+        for s in [
+            "https://cdn.example/app.js",
+            "http://a.b:8080/p/q?x=1&y=%40#frag",
+            "https://shop.com/",
+            "https://t.net/lib.js?v=2.9.1",
+        ] {
+            let u = url(s);
+            assert_eq!(
+                asset_fingerprint(&u),
+                reference::asset_fingerprint(&u.to_string())
+            );
+        }
     }
 
     proptest! {

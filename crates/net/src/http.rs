@@ -1,7 +1,9 @@
 //! HTTP/1.1 message model: methods, header map, request, response.
 
 use crate::url::Url;
-use serde::{Deserialize, Serialize};
+use serde::de::Error as _;
+use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Request methods used in the simulated web.
@@ -36,9 +38,14 @@ impl fmt::Display for Method {
 
 /// Case-insensitive multimap of HTTP headers, preserving insertion order and
 /// original casing (like real wire capture does).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Names and values are `Cow<'static, str>`: the header names a browser
+/// emits and its constant values (`no-store`, `text/html`, user agents) are
+/// stored borrowed, so only per-request values allocate. The serialized
+/// shape is `{"entries": [[name, value], …]}` whichever way an entry is held.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HeaderMap {
-    entries: Vec<(String, String)>,
+    entries: Vec<(Cow<'static, str>, Cow<'static, str>)>,
 }
 
 impl HeaderMap {
@@ -47,12 +54,16 @@ impl HeaderMap {
     }
 
     /// Append a header (duplicates allowed, as on the wire).
-    pub fn insert(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub fn insert(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) {
         self.entries.push((name.into(), value.into()));
     }
 
     /// Replace all values of `name` with a single value.
-    pub fn set(&mut self, name: &str, value: impl Into<String>) {
+    pub fn set(&mut self, name: &str, value: impl Into<Cow<'static, str>>) {
         self.remove(name);
         self.insert(name.to_string(), value);
     }
@@ -62,7 +73,7 @@ impl HeaderMap {
         self.entries
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v.as_ref())
     }
 
     /// All values for `name`.
@@ -70,7 +81,7 @@ impl HeaderMap {
         self.entries
             .iter()
             .filter(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v.as_ref())
             .collect()
     }
 
@@ -86,7 +97,7 @@ impl HeaderMap {
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.entries.iter().map(|(n, v)| (n.as_ref(), v.as_ref()))
     }
 
     pub fn len(&self) -> usize {
@@ -95,6 +106,72 @@ impl HeaderMap {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// Header names and constant values the simulated browser emits. A decoder
+/// that meets one of these spellings stores the static string instead of a
+/// fresh allocation.
+const STATIC_HEADER_STRS: &[&str] = &[
+    "Host",
+    "Referer",
+    "User-Agent",
+    "Cookie",
+    "Set-Cookie",
+    "Content-Type",
+    "Cache-Control",
+    "ETag",
+    "Last-Modified",
+    "If-None-Match",
+    "If-Modified-Since",
+    "no-store",
+    "text/html",
+    "application/x-www-form-urlencoded",
+];
+
+/// `s` as a header string: borrowed from [`STATIC_HEADER_STRS`] when it is
+/// one of the browser's constant spellings (exact case), owned otherwise.
+pub fn intern(s: &str) -> Cow<'static, str> {
+    match STATIC_HEADER_STRS.iter().find(|known| **known == s) {
+        Some(known) => Cow::Borrowed(known),
+        None => Cow::Owned(s.to_string()),
+    }
+}
+
+impl Serialize for HeaderMap {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let entries = self
+            .entries
+            .iter()
+            .map(|(n, v)| Value::Arr(vec![Value::Str(n.to_string()), Value::Str(v.to_string())]))
+            .collect();
+        serializer.serialize_value(Value::Obj(vec![(
+            "entries".to_string(),
+            Value::Arr(entries),
+        )]))
+    }
+}
+
+impl<'de> Deserialize<'de> for HeaderMap {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let mut fields = match deserializer.take_value()? {
+            Value::Obj(fields) => fields,
+            other => {
+                return Err(D::Error::custom(format!(
+                    "expected object for HeaderMap, found {}",
+                    other.kind()
+                )))
+            }
+        };
+        let entries: Vec<(String, String)> =
+            serde::value::from_value(serde::value::take_field(&mut fields, "entries"))
+                .map_err(|e| D::Error::custom(format!("HeaderMap.entries: {e}")))?;
+        Ok(HeaderMap {
+            entries: entries
+                .into_iter()
+                .map(|(n, v)| (Cow::Owned(n), Cow::Owned(v)))
+                .collect(),
+        })
     }
 }
 
@@ -165,16 +242,19 @@ impl Request {
         self
     }
 
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Self {
-        self.headers.insert(name.to_string(), value);
+    pub fn with_header(
+        mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) -> Self {
+        self.headers.insert(name, value);
         self
     }
 
-    /// Body as UTF-8 text (lossy) for scanners.
-    pub fn body_text(&self) -> Option<String> {
-        self.body
-            .as_ref()
-            .map(|b| String::from_utf8_lossy(b).into_owned())
+    /// Body as UTF-8 text (lossy) for scanners; borrowed when the body is
+    /// valid UTF-8.
+    pub fn body_text(&self) -> Option<Cow<'_, str>> {
+        self.body.as_deref().map(String::from_utf8_lossy)
     }
 
     /// Value of the `Referer` header, parsed.
@@ -183,16 +263,12 @@ impl Request {
     }
 
     /// Value of the `Cookie` header split into (name, value) pairs.
-    pub fn cookie_pairs(&self) -> Vec<(String, String)> {
-        let Some(raw) = self.headers.get("Cookie") else {
-            return Vec::new();
-        };
-        raw.split("; ")
-            .filter_map(|pair| {
-                let (n, v) = pair.split_once('=')?;
-                Some((n.to_string(), v.to_string()))
-            })
-            .collect()
+    pub fn cookie_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.headers
+            .get("Cookie")
+            .unwrap_or("")
+            .split("; ")
+            .filter_map(|pair| pair.split_once('='))
     }
 }
 
@@ -219,8 +295,12 @@ impl Response {
         Response::new(200)
     }
 
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Self {
-        self.headers.insert(name.to_string(), value);
+    pub fn with_header(
+        mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) -> Self {
+        self.headers.insert(name, value);
         self
     }
 
@@ -242,6 +322,40 @@ mod tests {
         assert_eq!(h.get("CONTENT-TYPE"), Some("text/html"));
         assert!(h.contains("Content-type"));
         assert!(!h.contains("X-Missing"));
+    }
+
+    #[test]
+    fn known_header_strings_intern_to_static_ones() {
+        for known in STATIC_HEADER_STRS {
+            assert!(matches!(intern(known), Cow::Borrowed(s) if s == *known));
+        }
+        assert!(matches!(intern("X-Custom"), Cow::Owned(s) if s == "X-Custom"));
+        // Interning is exact: another spelling stays owned.
+        assert!(matches!(intern("host"), Cow::Owned(s) if s == "host"));
+    }
+
+    #[test]
+    fn header_map_serde_shape_is_the_entry_list() {
+        let mut h = HeaderMap::new();
+        h.insert("Host", String::from("a.com"));
+        h.insert(String::from("X-N"), "v");
+        let pair = |n: &str, v: &str| Value::Arr(vec![Value::Str(n.into()), Value::Str(v.into())]);
+        let tree = serde::value::to_value(&h).unwrap();
+        assert_eq!(
+            tree,
+            Value::Obj(vec![(
+                "entries".into(),
+                Value::Arr(vec![pair("Host", "a.com"), pair("X-N", "v")]),
+            )])
+        );
+        let back: HeaderMap = serde::value::from_value(tree).unwrap();
+        assert_eq!(back, h);
+        assert!(serde::value::from_value::<HeaderMap>(Value::Arr(Vec::new())).is_err());
+        let short = Value::Obj(vec![(
+            "entries".into(),
+            Value::Arr(vec![Value::Arr(vec![Value::Str("a".into())])]),
+        )]);
+        assert!(serde::value::from_value::<HeaderMap>(short).is_err());
     }
 
     #[test]
@@ -268,11 +382,8 @@ mod tests {
         let req = Request::new(Method::Get, url, ResourceKind::Image)
             .with_header("Cookie", "id=foo%40mydom.com; session=xyz");
         assert_eq!(
-            req.cookie_pairs(),
-            vec![
-                ("id".into(), "foo%40mydom.com".into()),
-                ("session".into(), "xyz".into()),
-            ]
+            req.cookie_pairs().collect::<Vec<_>>(),
+            vec![("id", "foo%40mydom.com"), ("session", "xyz")]
         );
     }
 

@@ -1,6 +1,7 @@
 //! URL parsing and manipulation (RFC 3986 subset for http/https).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed absolute URL.
@@ -118,29 +119,25 @@ impl Url {
 
     /// Decoded query pairs in document order. Keys without `=` get an empty
     /// value. Uses form decoding (`+` means space) like browsers do for
-    /// form-initiated GET navigations.
-    pub fn query_pairs(&self) -> Vec<(String, String)> {
-        let Some(q) = &self.query else {
-            return Vec::new();
-        };
-        q.split('&')
+    /// form-initiated GET navigations. A key or value with nothing to decode
+    /// is borrowed from the URL.
+    pub fn query_pairs(&self) -> impl Iterator<Item = (Cow<'_, str>, Cow<'_, str>)> {
+        self.query
+            .as_deref()
+            .unwrap_or("")
+            .split('&')
             .filter(|part| !part.is_empty())
             .map(|part| {
                 let (k, v) = part.split_once('=').unwrap_or((part, ""));
-                (
-                    String::from_utf8_lossy(&pii_encodings_percent_decode(k)).into_owned(),
-                    String::from_utf8_lossy(&pii_encodings_percent_decode(v)).into_owned(),
-                )
+                (form_decode(k), form_decode(v))
             })
-            .collect()
     }
 
     /// First decoded value for `key`, if present.
     pub fn query_param(&self, key: &str) -> Option<String> {
         self.query_pairs()
-            .into_iter()
             .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+            .map(|(_, v)| v.into_owned())
     }
 
     /// Append a query pair (encoding both sides).
@@ -220,18 +217,26 @@ fn normalize_dots(path: &str) -> String {
 // Local copies of percent codec to keep pii-net dependency-light; these are
 // the exact RFC 3986 rules also implemented (with tests) in pii-encodings.
 fn percent_encode(data: &[u8]) -> String {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     let mut out = String::with_capacity(data.len());
     for &b in data {
         if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~') {
             out.push(b as char);
         } else {
-            out.push_str(&format!("%{b:02X}"));
+            out.push('%');
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0x0f)]));
         }
     }
     out
 }
 
-fn pii_encodings_percent_decode(s: &str) -> Vec<u8> {
+/// Form-decode `s` (`+` means space, then percent escapes), borrowed when
+/// it holds neither `+` nor `%`.
+fn form_decode(s: &str) -> Cow<'_, str> {
+    if !s.bytes().any(|b| b == b'+' || b == b'%') {
+        return Cow::Borrowed(s);
+    }
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -254,7 +259,7 @@ fn pii_encodings_percent_decode(s: &str) -> Vec<u8> {
         out.push(bytes[i]);
         i += 1;
     }
-    out
+    Cow::Owned(String::from_utf8_lossy(&out).into_owned())
 }
 
 impl fmt::Display for Url {
@@ -274,9 +279,93 @@ impl fmt::Display for Url {
     }
 }
 
+/// The encoder and decoder the allocation-free forms replaced, kept as
+/// oracles for the differential tests below.
+#[cfg(test)]
+mod reference {
+    /// `format!` per escaped byte.
+    pub fn percent_encode(data: &[u8]) -> String {
+        let mut out = String::with_capacity(data.len());
+        for &b in data {
+            if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~') {
+                out.push(b as char);
+            } else {
+                out.push_str(&format!("%{b:02X}"));
+            }
+        }
+        out
+    }
+
+    /// One `(String, String)` pair per query part, always decoded.
+    pub fn query_pairs(query: Option<&str>) -> Vec<(String, String)> {
+        let Some(q) = query else {
+            return Vec::new();
+        };
+        q.split('&')
+            .filter(|part| !part.is_empty())
+            .map(|part| {
+                let (k, v) = part.split_once('=').unwrap_or((part, ""));
+                (decode(k), decode(v))
+            })
+            .collect()
+    }
+
+    fn decode(s: &str) -> String {
+        let bytes = s.as_bytes();
+        let mut out = Vec::with_capacity(bytes.len());
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == b'+' {
+                out.push(b' ');
+                i += 1;
+                continue;
+            }
+            if bytes[i] == b'%' {
+                if let (Some(hi), Some(lo)) = (
+                    bytes.get(i + 1).and_then(|&c| (c as char).to_digit(16)),
+                    bytes.get(i + 2).and_then(|&c| (c as char).to_digit(16)),
+                ) {
+                    out.push(((hi << 4) | lo) as u8);
+                    i += 3;
+                    continue;
+                }
+            }
+            out.push(bytes[i]);
+            i += 1;
+        }
+        String::from_utf8_lossy(&out).into_owned()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn percent_encode_matches_the_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            prop_assert_eq!(percent_encode(&data), reference::percent_encode(&data));
+        }
+
+        #[test]
+        fn query_pairs_match_the_reference(query in "[a-z0-9=&+%A-F.é]{0,40}") {
+            let url = Url::parse(&format!("http://t.net/p?{query}")).unwrap();
+            let pairs: Vec<(String, String)> = url
+                .query_pairs()
+                .map(|(k, v)| (k.into_owned(), v.into_owned()))
+                .collect();
+            prop_assert_eq!(pairs, reference::query_pairs(url.query.as_deref()));
+        }
+    }
+
+    #[test]
+    fn percent_encode_covers_every_byte() {
+        let all: Vec<u8> = (0..=255u8).collect();
+        assert_eq!(percent_encode(&all), reference::percent_encode(&all));
+    }
 
     #[test]
     fn parses_full_url() {
@@ -303,7 +392,7 @@ mod tests {
     fn query_pairs_decode() {
         let u = Url::parse("http://t.net/p?email=foo%40mydom.com&name=Alice+Doe&flag").unwrap();
         assert_eq!(
-            u.query_pairs(),
+            u.query_pairs().collect::<Vec<_>>(),
             vec![
                 ("email".into(), "foo@mydom.com".into()),
                 ("name".into(), "Alice Doe".into()),

@@ -469,8 +469,8 @@ fn r_headers(r: &mut Reader<'_>) -> Result<HeaderMap, VbinError> {
         if r.r_arr()? != 2 {
             return Err(ERR);
         }
-        let name = r.r_str()?;
-        let value = r.r_str()?;
+        let name = pii_net::http::intern(r.r_str_slice()?);
+        let value = pii_net::http::intern(r.r_str_slice()?);
         headers.insert(name, value);
     }
     Ok(headers)
@@ -916,6 +916,42 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&decoded).unwrap(),
             serde_json::to_string(crawl).unwrap(),
+        );
+    }
+
+    /// Header maps hold static and owned strings side by side; the
+    /// hand-written serde impl must give both the derived
+    /// `{"entries": [[name, value], …]}` shape, so the generic route (the
+    /// `store.decode.generic_fallback` path) writes the fast encoder's bytes
+    /// and reads them back equal.
+    #[test]
+    fn borrowed_and_owned_headers_share_one_wire_shape() {
+        let mut crawl = exhaustive_crawl();
+        let mut headers = HeaderMap::new();
+        headers.insert("Host", String::from("shop0001.com"));
+        headers.insert(String::from("X-Trace"), "static-value");
+        headers.insert("Cache-Control", "no-store");
+        headers.insert(String::from("cookie"), format!("sid={}", 7));
+        crawl.records[0].request.headers = headers.clone();
+        crawl.records[0].response.headers = headers.clone();
+
+        let generic = generic_bytes(&crawl);
+        let mut fast = Vec::new();
+        encode_site_crawl(&crawl, &mut fast);
+        assert_eq!(fast, generic);
+
+        let tree = crate::vbin::decode_value(&generic).unwrap();
+        let back: SiteCrawl = serde::value::from_value(tree).unwrap();
+        assert_eq!(back.records[0].request.headers, headers);
+        assert_eq!(back.records[0].response.headers, headers);
+        assert_eq!(generic_bytes(&back), generic);
+        let fast_back = decode_site_crawl(&fast).unwrap();
+        assert_eq!(fast_back.records[0].request.headers, headers);
+        assert_eq!(generic_bytes(&fast_back), generic);
+
+        assert_eq!(
+            serde_json::to_string(&headers).unwrap(),
+            r#"{"entries":[["Host","shop0001.com"],["X-Trace","static-value"],["Cache-Control","no-store"],["cookie","sid=7"]]}"#
         );
     }
 
