@@ -1,6 +1,6 @@
-.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke lint-invariants bench-trajectory bench-kernels perfbench-selftest
+.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke chaos-smoke lint-invariants bench-trajectory bench-kernels perfbench-selftest
 
-ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke chaos-smoke bench-kernels perfbench-selftest lint-invariants clippy fmt-check
+ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke chaos-smoke bench-kernels perfbench-selftest lint-invariants clippy fmt-check
 
 build:
 	cargo build --release --workspace
@@ -55,6 +55,21 @@ stream-smoke:
 	cargo run --release -q -- --seed 7 --workers 2 --faults hostile tables > target/stream-live-hostile.txt
 	cargo run --release -q -- --seed 7 --workers 2 --faults hostile --stream tables > target/stream-live-hostile-streamed.txt
 	cmp target/stream-live-hostile.txt target/stream-live-hostile-streamed.txt
+
+# `full` is the pass that `stream-smoke`'s `tables` skips: the six-browser
+# re-crawl and Table 4, both detected by the sequential
+# `LeakDetector::detect`. Its report must be byte-identical at one worker,
+# at four workers, and replayed from the one-worker archive — plain, and
+# under the paper's fault mix with a warm-cache revisit.
+full-smoke:
+	for flags in "" "--faults paper-may-2021 --cache cache-first --repeat 2"; do \
+		cargo run --release -q -- --seed 7 --workers 1 $$flags full > target/full-w1.txt || exit 1; \
+		cargo run --release -q -- --seed 7 --workers 4 $$flags full > target/full-w4.txt || exit 1; \
+		cargo run --release -q -- --seed 7 --workers 1 $$flags crawl --out target/full-smoke.store > /dev/null || exit 1; \
+		cargo run --release -q -- --from target/full-smoke.store full > target/full-replay.txt || exit 1; \
+		cmp target/full-w1.txt target/full-w4.txt || exit 1; \
+		cmp target/full-w1.txt target/full-replay.txt || exit 1; \
+	done
 
 # Crash-consistency smoke: kill the archive writer at a segment boundary,
 # confirm `store verify` flags the torn file, resume the crawl, and require

@@ -142,13 +142,18 @@ impl PublishedDataset {
         out
     }
 
-    /// Parse `pii_leakage_urls.csv` back.
+    /// Parse `pii_leakage_urls.csv` back. A row with fewer than the seven
+    /// columns keeps its missing fields empty and is counted in
+    /// `analysis.dataset.short_rows`.
     pub fn from_leak_urls_csv(csv: &str) -> Vec<LeakUrlRow> {
         csv.lines()
             .skip(1)
             .filter(|l| !l.is_empty())
             .map(|line| {
                 let f = csv_parse_line(line);
+                if f.len() < 7 {
+                    pii_telemetry::counter("analysis.dataset.short_rows", 1);
+                }
                 LeakUrlRow {
                     sender: f.first().cloned().unwrap_or_default(),
                     receiver: f.get(1).cloned().unwrap_or_default(),
@@ -212,6 +217,27 @@ mod tests {
         let back = PublishedDataset::from_leak_urls_csv(&csv);
         assert_eq!(back.len(), ds.leak_urls.len());
         assert_eq!(back, ds.leak_urls);
+    }
+
+    #[test]
+    fn short_csv_rows_are_counted() {
+        let csv = "header\n\
+                   a.com,fb,uri,md5,email,em,https://fb.com/tr\n\
+                   b.com,fb,uri\n\
+                   c.com\n";
+        // The counter is process-global; no other test in this crate parses
+        // a short row, so its change here is this test's own.
+        pii_telemetry::enable();
+        let count = || pii_telemetry::snapshot().counter("analysis.dataset.short_rows");
+        let before = count();
+        let rows = PublishedDataset::from_leak_urls_csv(csv);
+        let after = count();
+        pii_telemetry::disable();
+        assert_eq!(after, before + 2);
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[1].method, "uri");
+        assert_eq!(rows[1].url, "");
+        assert_eq!(rows[2].receiver, "");
     }
 
     #[test]

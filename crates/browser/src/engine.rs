@@ -138,6 +138,49 @@ pub struct Browser<'a> {
     /// Records produced as side effects of a primary fetch (async SWR
     /// revalidations); drained by `load_page_checked` in emission order.
     side_records: Vec<FetchRecord>,
+    /// What `fetch` knows of each host the current site's pages request.
+    host_facts: HostFactsMemo,
+}
+
+/// Party and tracker facts about one request host of one site.
+struct HostFacts {
+    third_party: bool,
+    /// The host's registrable domain (the host itself when it has none).
+    tracker_domain: String,
+    /// Whether that domain, or a registrable domain on the host's CNAME
+    /// chain, is in the tracker catalogue.
+    known_tracker: bool,
+}
+
+/// [`HostFacts`] per host of one site, each computed once.
+#[derive(Default)]
+struct HostFactsMemo {
+    /// The site the facts belong to.
+    site: String,
+    /// A site requests a handful of hosts (median 4, at most 20 in a
+    /// seed-7 capture), so a linear scan suffices.
+    hosts: Vec<(String, HostFacts)>,
+}
+
+impl HostFactsMemo {
+    /// The facts for `host` on `site`, from `compute` on first use. They
+    /// depend on the site, not on the browser state `reset` wipes, so a
+    /// change of site — with or without a reset — is what clears them.
+    fn get(&mut self, site: &str, host: &str, compute: impl FnOnce() -> HostFacts) -> &HostFacts {
+        if self.site != site {
+            self.site.clear();
+            self.site.push_str(site);
+            self.hosts.clear();
+        }
+        let at = match self.hosts.iter().position(|(h, _)| h == host) {
+            Some(at) => at,
+            None => {
+                self.hosts.push((host.to_string(), compute()));
+                self.hosts.len() - 1
+            }
+        };
+        &self.hosts[at].1
+    }
 }
 
 impl<'a> Browser<'a> {
@@ -178,6 +221,7 @@ impl<'a> Browser<'a> {
             cache_strategy: None,
             cache_clock_ms: 0,
             side_records: Vec::new(),
+            host_facts: HostFactsMemo::default(),
         }
     }
 
@@ -554,7 +598,25 @@ impl<'a> Browser<'a> {
         let host = req.url.host.clone();
         pii_telemetry::counter("browser.requests", 1);
         let resolution = self.resolver.resolve(&host);
-        let is_third_party = !self.psl.same_site(&host, &site.domain);
+        let facts = self.host_facts.get(&site.domain, &host, || {
+            let tracker_domain = self
+                .psl
+                .registrable_domain_cow(&host)
+                .unwrap_or(Cow::Borrowed(&host))
+                .into_owned();
+            let known_tracker = self.known_trackers.contains(&tracker_domain)
+                || resolution
+                    .cname_chain
+                    .iter()
+                    .filter_map(|c| self.psl.registrable_domain_cow(c))
+                    .any(|rd| self.known_trackers.contains(rd.as_ref()));
+            HostFacts {
+                third_party: !self.psl.same_site(&host, &site.domain),
+                tracker_domain,
+                known_tracker,
+            }
+        });
+        let is_third_party = facts.third_party;
         // Brave Shields: drop tracker requests before they exist on the wire.
         if let Some(shields) = &self.profile.shields {
             if shields.blocks(self.psl, &host, &resolution.cname_chain) {
@@ -586,18 +648,10 @@ impl<'a> Browser<'a> {
         // Cookie attachment. First-party-looking hosts (incl. CNAME-cloaked
         // subdomains!) always get the site's cookies; genuine third parties
         // go through the profile's policy.
-        let tracker_rd = self
-            .psl
-            .registrable_domain_cow(&host)
-            .unwrap_or(Cow::Borrowed(&host));
-        let is_known_tracker = self.known_trackers.contains(tracker_rd.as_ref())
-            || resolution
-                .cname_chain
-                .iter()
-                .filter_map(|c| self.psl.registrable_domain_cow(c))
-                .any(|rd| self.known_trackers.contains(rd.as_ref()));
-        let cookies_allowed =
-            !is_third_party || self.profile.third_party_cookies_allowed(is_known_tracker);
+        let cookies_allowed = !is_third_party
+            || self
+                .profile
+                .third_party_cookies_allowed(facts.known_tracker);
         if cookies_allowed {
             if let Some(header) = self
                 .jar
@@ -696,7 +750,7 @@ impl<'a> Browser<'a> {
             response.headers.insert("Cache-Control", "no-store");
         }
         if is_third_party && edge.is_some() {
-            let uid = format!("tp-{}", tracker_rd.replace('.', "-"));
+            let uid = format!("tp-{}", facts.tracker_domain.replace('.', "-"));
             let set = format!("uid={uid}; Path=/; SameSite=None; Secure");
             response.headers.insert("Set-Cookie", set.clone());
             if cookies_allowed {
@@ -1159,5 +1213,50 @@ mod tests {
             .headers
             .get("Cookie")
             .is_some_and(|c| c.contains("session=")));
+    }
+
+    /// `fetch` memoizes host facts per site, and `is_third_party` depends on
+    /// the site: a browser that moves on without a reset must re-derive it.
+    /// The second site is the first one's receiver, so a host that was a
+    /// third party becomes the first party. Safari partitions third-party
+    /// state, so nothing else carries over and the records must equal two
+    /// fresh browsers'.
+    #[test]
+    fn host_facts_follow_the_site_without_a_reset() {
+        let (u, psl) = world();
+        let first = find_sender(&u, "facebook.com", LeakMethod::Uri);
+        let receiver = Site {
+            domain: "facebook.com".to_string(),
+            ..first.clone()
+        };
+        let visit = |b: &mut Browser<'_>, site: &Site| {
+            let mut records = b.load_page(site, &ctx(site, "/", false));
+            records.extend(b.load_page(site, &ctx(site, "/account", true)));
+            records
+        };
+        let mut shared = Browser::new(BrowserKind::Safari14, &psl, &u.zones, &u.persona);
+        let together = [visit(&mut shared, first), visit(&mut shared, &receiver)];
+        let mut queries = 0;
+        let apart = [first, &receiver].map(|site| {
+            let mut fresh = Browser::new(BrowserKind::Safari14, &psl, &u.zones, &u.persona);
+            let records = visit(&mut fresh, site);
+            queries += fresh.dns_stats().queries;
+            records
+        });
+        assert_eq!(format!("{together:?}"), format!("{apart:?}"));
+        // Every fetch still resolves its host, memo or not.
+        assert_eq!(shared.dns_stats().queries, queries);
+        // The host's party really flipped between the two sites.
+        let tracker_uid = |records: &[FetchRecord]| {
+            records.iter().any(|r| {
+                r.request.url.host == "facebook.com"
+                    && r.response
+                        .headers
+                        .get("Set-Cookie")
+                        .is_some_and(|c| c.starts_with("uid=tp-"))
+            })
+        };
+        assert!(tracker_uid(&together[0]));
+        assert!(!tracker_uid(&together[1]));
     }
 }

@@ -24,6 +24,7 @@ use pii_web::persona::PiiKind;
 use pii_web::site::LeakMethod;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// One detected leak: a PII token found in one channel of one request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -236,9 +237,14 @@ impl<'a> LeakDetector<'a> {
 
     /// Run detection over one site's capture.
     ///
-    /// Per record the Referer is parsed once, and host classification,
-    /// receiver domains and channel values are borrowed from the record;
-    /// strings are copied only into an emitted [`LeakEvent`].
+    /// Host classification is a function of (site, host), and the Referer
+    /// of a page is shared by every record the page emits, so the call keeps
+    /// two memos that die with it: each distinct request host is classified
+    /// once, and a one-entry cache parses each run of equal Referers once.
+    /// Nothing outlives the call, so every caller — sequential, sharded or
+    /// streaming — sees the same pure function of one crawl. Channel values
+    /// are borrowed from the record; strings are copied only into an
+    /// emitted [`LeakEvent`].
     pub fn detect_site(&self, crawl: &SiteCrawl, report: &mut DetectionReport) {
         #[cfg(test)]
         if self.panic_domains.contains(&crawl.domain) {
@@ -246,7 +252,15 @@ impl<'a> LeakDetector<'a> {
         }
         let mut span = pii_telemetry::span("detect.site");
         span.add_arg("site", &crawl.domain);
-        let events_before = report.events.len();
+        let before = (
+            report.total_requests,
+            report.third_party_requests,
+            report.skipped_records,
+            report.events.len(),
+        );
+        let mut bytes_scanned = 0;
+        let mut receivers: HashMap<&str, Option<Receiver<'_>>> = HashMap::new();
+        let mut last_referer: Option<(&str, Option<Url>)> = None;
         for (index, record) in crawl.records.iter().enumerate() {
             if !record.delivered() {
                 // Transport-aborted attempts carry no payload worth
@@ -254,51 +268,41 @@ impl<'a> LeakDetector<'a> {
                 // the §7.1 tables instead.
                 if record.error.is_some() {
                     report.skipped_records += 1;
-                    pii_telemetry::counter("detect.skipped_records", 1);
                 }
                 continue;
             }
             report.total_requests += 1;
-            pii_telemetry::counter("detect.requests", 1);
             let request = &record.request;
             // A Referer header that is present but unparseable means the
             // record is mangled: page attribution is impossible, so skip it
             // visibly rather than misfiling hits under "/".
-            let referer = match request.headers.get("Referer").map(Url::parse) {
+            let referer = match request.headers.get("Referer") {
                 None => None,
-                Some(Ok(referer)) => Some(referer),
-                Some(Err(_)) => {
-                    report.skipped_records += 1;
-                    pii_telemetry::counter("detect.skipped_records", 1);
-                    continue;
+                Some(raw) => {
+                    if last_referer.as_ref().is_none_or(|(last, _)| *last != raw) {
+                        last_referer = Some((raw, Url::parse(raw).ok()));
+                    }
+                    let parsed = last_referer.as_ref().and_then(|(_, url)| url.as_ref());
+                    if parsed.is_none() {
+                        report.skipped_records += 1;
+                        continue;
+                    }
+                    parsed
                 }
             };
             let host = request.url.host.as_str();
-            let party = classify_party(self.psl, self.zones, &self.cloaking, &crawl.domain, host);
-            let (receiver_domain, cloaked) = match party {
-                Party::First => continue,
-                Party::Third => (
-                    self.psl
-                        .registrable_domain_cow(host)
-                        .unwrap_or(Cow::Borrowed(host)),
-                    false,
-                ),
-                Party::CnameCloaked => {
-                    let resolution = self.zones.resolve(host);
-                    let hit = self
-                        .cloaking
-                        .detect(self.psl, host, &resolution)
-                        .expect("classify_party said cloaked");
-                    (Cow::Owned(hit.provider_domain), true)
-                }
+            let Some(receiver) = receivers
+                .entry(host)
+                .or_insert_with(|| self.receiver(&crawl.domain, host))
+            else {
+                continue;
             };
+            let (receiver_domain, cloaked) = (&*receiver.domain, receiver.cloaked);
             report.third_party_requests += 1;
-            pii_telemetry::counter("detect.third_party", 1);
-            let page_path = referer.as_ref().map_or("/", |r| r.path.as_str());
+            let page_path = referer.map_or("/", |r| r.path.as_str());
             let mut emit = |method: LeakMethod, param: &str, token: &str| {
-                pii_telemetry::counter("detect.bytes_scanned", token.len() as u64);
+                bytes_scanned += token.len();
                 if let Some(info) = self.tokens.lookup_normalized(token) {
-                    pii_telemetry::counter(leak_counter(method), 1);
                     report.events.push(LeakEvent {
                         sender: crawl.domain.clone(),
                         receiver_domain: receiver_domain.to_string(),
@@ -332,7 +336,7 @@ impl<'a> LeakDetector<'a> {
             }
 
             // Channel 2: Referer header — the referring document's query.
-            if let Some(referer) = &referer {
+            if let Some(referer) = referer {
                 for (key, value) in referer.query_pairs() {
                     scan_with_extra_round(&mut emit, LeakMethod::Referer, &key, &value);
                 }
@@ -378,10 +382,60 @@ impl<'a> LeakDetector<'a> {
                 }
             }
         }
+        // The site's counters are added once, from the fragment's own
+        // tallies: a counter call under `--metrics` takes a lock.
         if pii_telemetry::enabled() {
-            span.add_arg("events", &(report.events.len() - events_before).to_string());
+            let added = [
+                ("detect.requests", report.total_requests - before.0),
+                ("detect.third_party", report.third_party_requests - before.1),
+                ("detect.skipped_records", report.skipped_records - before.2),
+                ("detect.bytes_scanned", bytes_scanned),
+            ];
+            for (name, delta) in added {
+                if delta > 0 {
+                    pii_telemetry::counter(name, delta as u64);
+                }
+            }
+            for event in report.events.iter().skip(before.3) {
+                pii_telemetry::counter(leak_counter(event.method), 1);
+            }
+            span.add_arg("events", &(report.events.len() - before.3).to_string());
         }
     }
+
+    /// Where a request from `site` to `host` sends its data: `None` for a
+    /// first party, else the receiver's registrable domain — the unmasked
+    /// provider for a CNAME-cloaked host.
+    fn receiver<'h>(&self, site: &str, host: &'h str) -> Option<Receiver<'h>> {
+        match classify_party(self.psl, self.zones, &self.cloaking, site, host) {
+            Party::First => None,
+            Party::Third => Some(Receiver {
+                domain: self
+                    .psl
+                    .registrable_domain_cow(host)
+                    .unwrap_or(Cow::Borrowed(host)),
+                cloaked: false,
+            }),
+            Party::CnameCloaked => {
+                let resolution = self.zones.resolve(host);
+                let hit = self
+                    .cloaking
+                    .detect(self.psl, host, &resolution)
+                    .expect("classify_party said cloaked");
+                Some(Receiver {
+                    domain: Cow::Owned(hit.provider_domain),
+                    cloaked: true,
+                })
+            }
+        }
+    }
+}
+
+/// The receiver of a third-party (or cloaked) request host.
+struct Receiver<'h> {
+    domain: Cow<'h, str>,
+    /// Whether the host hid the receiver behind CNAME cloaking.
+    cloaked: bool,
 }
 
 /// `s` percent-decoded (lossy UTF-8), borrowed when it holds no `%`.
@@ -1114,6 +1168,198 @@ mod tests {
                 current.events.iter().any(|e| e.method == method),
                 "{method:?}"
             );
+        }
+    }
+
+    /// The Referer cache holds one entry: a Referer that changes mid-page,
+    /// or an unparseable one between two equal parseable ones, must neither
+    /// reuse a stale page path nor let a mangled record through.
+    #[test]
+    fn referer_cache_follows_every_change_of_referer() {
+        let w = world();
+        let detector = LeakDetector::new(&w.tokens, &w.psl, &w.universe.zones);
+        let sender = w.universe.sender_sites().next().unwrap().domain.clone();
+        let (a, b) = (format!("https://{sender}/a"), format!("https://{sender}/b"));
+        let referers = [&a, &a, "not a url", &a, &b, "http://", &b, &a];
+        let mut crawl = single_record_crawl(
+            &sender,
+            pii_net::Request::new(
+                pii_net::Method::Get,
+                pii_net::Url::parse("https://facebook.com/").unwrap(),
+                pii_net::http::ResourceKind::Image,
+            ),
+        );
+        let template = crawl.records.remove(0);
+        for referer in referers {
+            let mut record = template.clone();
+            record.request = pii_net::Request::new(
+                pii_net::Method::Get,
+                pii_net::Url::parse("https://facebook.com/tr?em=foo%40mydom.com").unwrap(),
+                pii_net::http::ResourceKind::Image,
+            )
+            .with_header("Referer", referer.to_string());
+            crawl.records.push(record);
+        }
+        let mut report = DetectionReport::default();
+        detector.detect_site(&crawl, &mut report);
+        assert_eq!(report.skipped_records, 2);
+        let mut pages: Vec<(usize, &str)> = report
+            .events
+            .iter()
+            .map(|e| (e.request_index, e.page_path.as_str()))
+            .collect();
+        pages.dedup();
+        assert_eq!(
+            pages,
+            [
+                (0, "/a"),
+                (1, "/a"),
+                (3, "/a"),
+                (4, "/b"),
+                (6, "/b"),
+                (7, "/a")
+            ]
+        );
+        let mut oracle = DetectionReport::default();
+        reference::detect_site(&detector, &crawl, &mut oracle);
+        assert_eq!(report, oracle);
+    }
+
+    /// The seed world, its detector inputs, and the hosts the arbitrary
+    /// records are sent to, built once for every proptest case.
+    struct Arena {
+        world: World,
+        sender: String,
+        hosts: Vec<String>,
+    }
+
+    fn arena() -> &'static Arena {
+        static ARENA: std::sync::OnceLock<Arena> = std::sync::OnceLock::new();
+        ARENA.get_or_init(|| {
+            let world = world();
+            let detector = LeakDetector::new(&world.tokens, &world.psl, &world.universe.zones);
+            let sender = detector
+                .detect(&world.dataset)
+                .events
+                .iter()
+                .find(|e| e.cloaked)
+                .expect("the seed world has a cloaked receiver")
+                .sender
+                .clone();
+            // The sender's own hosts (first party and cloaked), its third
+            // parties, each again in mixed case, and hosts with no
+            // registrable domain.
+            let mut hosts: Vec<String> = world
+                .dataset
+                .site(&sender)
+                .unwrap()
+                .records
+                .iter()
+                .map(|r| r.request.url.host.clone())
+                .collect();
+            hosts.sort();
+            hosts.dedup();
+            let mixed: Vec<String> = hosts
+                .iter()
+                .map(|h| {
+                    h.char_indices()
+                        .map(|(i, c)| {
+                            if i % 2 == 0 {
+                                c.to_ascii_uppercase()
+                            } else {
+                                c
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            hosts.extend(mixed);
+            hosts.extend(["com", "co.uk", "", "a..b."].map(String::from));
+            Arena {
+                world,
+                sender,
+                hosts,
+            }
+        })
+    }
+
+    proptest::proptest! {
+        /// Arbitrary records — Referers that hold, change mid-page or do not
+        /// parse, arbitrary cookies, paths, queries and bodies, repeated
+        /// first-party, cloaked and third-party hosts in mixed case — never
+        /// panic the memoized detector, and its whole report equals the
+        /// reference's.
+        #[test]
+        fn detect_site_matches_the_reference_on_arbitrary_records(
+            controls in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..40),
+            texts in proptest::collection::vec(
+                "(foo%40mydom.com|foo@mydom.com|foo%2540mydom.com|Zm9vQG15ZG9tLmNvbQ==|%|%4|%zz|%C3%A9|é|[ -~]){0,8}",
+                1..12,
+            ),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let arena = arena();
+            let w = &arena.world;
+            let detector = LeakDetector::new(&w.tokens, &w.psl, &w.universe.zones);
+            let mut texts = texts;
+            texts.push(String::from_utf8_lossy(&noise).into_owned());
+            let text = |control: u64, shift: u32| texts[(control >> shift) as usize % texts.len()].as_str();
+            let mut crawl = single_record_crawl(
+                &arena.sender,
+                pii_net::Request::new(
+                    pii_net::Method::Get,
+                    pii_net::Url::parse("https://facebook.com/").unwrap(),
+                    pii_net::http::ResourceKind::Image,
+                ),
+            );
+            let template = crawl.records.remove(0);
+            let mut page = format!("https://{}/", arena.sender);
+            for c in controls {
+                let url = pii_net::Url {
+                    scheme: "https".to_string(),
+                    host: arena.hosts[c as usize % arena.hosts.len()].clone(),
+                    port: None,
+                    path: format!("/{}", text(c, 40)),
+                    query: (c & (1 << 36) != 0).then(|| text(c, 44).to_string()),
+                    fragment: None,
+                };
+                let mut request = pii_net::Request::new(
+                    pii_net::Method::Post,
+                    url,
+                    pii_net::http::ResourceKind::Xhr,
+                );
+                match (c >> 8) % 5 {
+                    0 => {}
+                    1 => request = request.with_header("Referer", page.clone()),
+                    2 => {
+                        page = format!("https://{}/{}?em={}", arena.sender, text(c, 48), text(c, 52));
+                        request = request.with_header("Referer", page.clone());
+                    }
+                    3 => request = request.with_header("Referer", text(c, 48).to_string()),
+                    _ => request = request.with_header("Referer", "not a url"),
+                }
+                match (c >> 16) % 3 {
+                    0 => {}
+                    1 => request = request.with_header("Cookie", text(c, 56).to_string()),
+                    _ => request = request.with_header("Cookie", format!("uid={}", text(c, 56))),
+                }
+                match (c >> 24) % 3 {
+                    0 => {}
+                    1 => request = request.with_body(text(c, 60).as_bytes().to_vec()),
+                    _ => request = request.with_body(noise.clone()),
+                }
+                let mut record = template.clone();
+                record.request = request;
+                if (c >> 32) % 8 == 0 {
+                    record.error = Some(pii_net::fault::FetchError::Reset);
+                }
+                crawl.records.push(record);
+            }
+            let mut current = DetectionReport::default();
+            detector.detect_site(&crawl, &mut current);
+            let mut oracle = DetectionReport::default();
+            reference::detect_site(&detector, &crawl, &mut oracle);
+            proptest::prop_assert_eq!(current, oracle);
         }
     }
 

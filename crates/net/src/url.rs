@@ -361,6 +361,24 @@ mod tests {
         }
     }
 
+    proptest! {
+        /// `Url::parse` returns a result for any input, never a panic, and
+        /// what it accepts has a lowercase, non-empty host and a rooted path.
+        #[test]
+        fn parse_is_total_on_arbitrary_input(
+            data in proptest::collection::vec(any::<u8>(), 0..64),
+            pieces in "(https://|http://|://|:|:99999|:443|@|#|\\?|/|é|[ -~]){0,12}",
+        ) {
+            for input in [String::from_utf8_lossy(&data).into_owned(), pieces] {
+                if let Ok(url) = Url::parse(&input) {
+                    prop_assert!(!url.host.is_empty());
+                    prop_assert!(!url.host.bytes().any(|b| b.is_ascii_uppercase()));
+                    prop_assert!(url.path.starts_with('/'));
+                }
+            }
+        }
+    }
+
     #[test]
     fn percent_encode_covers_every_byte() {
         let all: Vec<u8> = (0..=255u8).collect();

@@ -189,10 +189,14 @@ fn decode_chunked(data: &[u8]) -> Result<Vec<u8>, WireError> {
         if size == 0 {
             return Ok(out);
         }
-        if data.len() < pos + size + 2 {
+        // The size is read from the wire: bound it by what is left before
+        // adding to offsets, so a huge size is a truncation, not an
+        // overflow.
+        let available = data.len().saturating_sub(pos);
+        if size.checked_add(2).is_none_or(|need| need > available) {
             return Err(WireError::TruncatedBody {
                 expected: size,
-                got: data.len().saturating_sub(pos),
+                got: available,
             });
         }
         out.extend_from_slice(&data[pos..pos + size]);
@@ -257,6 +261,89 @@ pub fn parse_response(data: &[u8]) -> Result<Response, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Near-valid messages for the totality proptests: a start line, framing
+    /// headers with extreme values, then chunk sizes and data.
+    const STARTS: &[&str] = &[
+        "GET /p?a=1 HTTP/1.1",
+        "POST https://t.net/x HTTP/1.1",
+        "GET http://: HTTP/1.1",
+        "HTTP/1.1 200 OK",
+        "HTTP/1.1 abc",
+        "",
+    ];
+    const HEADERS: &[&str] = &[
+        "Host: t.net",
+        "Host: ",
+        "Transfer-Encoding: chunked",
+        "Content-Length: 0",
+        "Content-Length: 5",
+        "Content-Length: 18446744073709551615",
+        "BadHeader",
+        "",
+    ];
+    const BODY: &[&str] = &[
+        "0",
+        "5",
+        "3;ext=1",
+        "ffffffffffffffff",
+        "fffffffffffffffe",
+        "18446744073709551615",
+        "abc",
+        "\r\n",
+    ];
+
+    fn message(start: usize, headers: &[usize], body: &[usize], noise: &[u8]) -> Vec<u8> {
+        let mut data = STARTS[start].as_bytes().to_vec();
+        for &h in headers {
+            data.extend_from_slice(b"\r\n");
+            data.extend_from_slice(HEADERS[h].as_bytes());
+        }
+        data.extend_from_slice(b"\r\n\r\n");
+        for &b in body {
+            data.extend_from_slice(BODY[b].as_bytes());
+        }
+        let at = noise
+            .first()
+            .map_or(0, |&b| usize::from(b) % (data.len() + 1));
+        data.splice(at..at, noise.iter().copied());
+        data
+    }
+
+    proptest! {
+        /// Parsing arbitrary bytes returns a result, never a panic; a body
+        /// is never longer than the message it came from.
+        #[test]
+        fn parsers_are_total_on_arbitrary_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..256),
+        ) {
+            if let Ok(req) = parse_request(&data, "https") {
+                prop_assert!(req.body.map_or(0, |b| b.len()) <= data.len());
+            }
+            if let Ok(resp) = parse_response(&data) {
+                prop_assert!(resp.body.map_or(0, |b| b.len()) <= data.len());
+            }
+        }
+
+        /// The same over near-valid messages, where chunked and
+        /// Content-Length framing with extreme sizes is actually reached.
+        #[test]
+        fn parsers_are_total_on_near_valid_messages(
+            start in 0..STARTS.len(),
+            headers in proptest::collection::vec(0..HEADERS.len(), 0..4),
+            body in proptest::collection::vec(0..BODY.len(), 0..10),
+            noise in proptest::collection::vec(any::<u8>(), 0..4),
+        ) {
+            let data = message(start, &headers, &body, &noise);
+            if let Ok(req) = parse_request(&data, "https") {
+                prop_assert!(req.body.map_or(0, |b| b.len()) <= data.len());
+            }
+            if let Ok(resp) = parse_response(&data) {
+                prop_assert!(resp.body.map_or(0, |b| b.len()) <= data.len());
+            }
+        }
+    }
 
     fn sample_request() -> Request {
         Request::new(
@@ -380,6 +467,13 @@ mod tests {
         let bad_size =
             b"POST /x HTTP/1.1\r\nHost: a.net\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n";
         assert!(parse_request(bad_size, "https").is_err());
+        // Sizes near `usize::MAX` are truncations, not offset overflows.
+        for size in ["ffffffffffffffff", "fffffffffffffffe", "fffffffffffffffd"] {
+            let wire = format!(
+                "POST /x HTTP/1.1\r\nHost: a.net\r\nTransfer-Encoding: chunked\r\n\r\n{size}\r\nabc\r\n"
+            );
+            assert!(parse_request(wire.as_bytes(), "https").is_err(), "{size}");
+        }
     }
 
     #[test]
