@@ -60,7 +60,11 @@ stream-smoke:
 # re-crawl and Table 4, both detected by the sequential
 # `LeakDetector::detect`. Its report must be byte-identical at one worker,
 # at four workers, and replayed from the one-worker archive — plain, and
-# under the paper's fault mix with a warm-cache revisit.
+# under the paper's fault mix with a warm-cache revisit. Last, an archive
+# captured under hostile faults with a warm-cache revisit (aborted and
+# cache-served records) must replay `full` and `--stream tables` exactly
+# as the live runs with the same flags render them.
+HOSTILE_FLAGS = --seed 7 --faults hostile --cache cache-first --repeat 2
 full-smoke:
 	for flags in "" "--faults paper-may-2021 --cache cache-first --repeat 2"; do \
 		cargo run --release -q -- --seed 7 --workers 1 $$flags full > target/full-w1.txt || exit 1; \
@@ -70,6 +74,13 @@ full-smoke:
 		cmp target/full-w1.txt target/full-w4.txt || exit 1; \
 		cmp target/full-w1.txt target/full-replay.txt || exit 1; \
 	done
+	cargo run --release -q -- $(HOSTILE_FLAGS) crawl --out target/full-hostile.store > /dev/null
+	cargo run --release -q -- $(HOSTILE_FLAGS) full > target/full-hostile-live.txt
+	cargo run --release -q -- --from target/full-hostile.store full > target/full-hostile-replay.txt
+	cmp target/full-hostile-live.txt target/full-hostile-replay.txt
+	cargo run --release -q -- $(HOSTILE_FLAGS) --stream tables > target/full-hostile-live-stream.txt
+	cargo run --release -q -- --from target/full-hostile.store --stream tables > target/full-hostile-replay-stream.txt
+	cmp target/full-hostile-live-stream.txt target/full-hostile-replay-stream.txt
 
 # Crash-consistency smoke: kill the archive writer at a segment boundary,
 # confirm `store verify` flags the torn file, resume the crawl, and require

@@ -6,12 +6,17 @@
 //!   that would not beat the input. The output is readable by any
 //!   standards-compliant inflater.
 //! * [`decompress`] is a full inflater: stored, fixed-Huffman, and
-//!   dynamic-Huffman blocks.
+//!   dynamic-Huffman blocks, decoded through two-level lookup tables out of
+//!   a 64-bit bit buffer. [`decompress_with_capacity`] also takes the
+//!   expected output size, to reserve the output buffer once.
 //!
 //! The compressor's output bytes are part of the capture archive's format,
 //! so they are pinned: `tests/store.rs` hashes a whole archive, and the
 //! unit tests below check [`compress`] byte-for-byte against the simpler
-//! implementation it replaced, kept as a test-only oracle.
+//! implementation it replaced, kept as a test-only oracle. The inflater
+//! has an oracle of the same kind: [`decompress`] must fail on exactly the
+//! streams the simpler inflater fails on, and return the same bytes on
+//! every other.
 
 use crate::DecodeError;
 
@@ -149,195 +154,6 @@ impl BitWriter {
         let tail = self.nbits.div_ceil(8) as usize;
         self.out.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
         self.out
-    }
-}
-
-struct BitReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    acc: u32,
-    nbits: u32,
-}
-
-impl<'a> BitReader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        BitReader {
-            data,
-            pos: 0,
-            acc: 0,
-            nbits: 0,
-        }
-    }
-
-    fn read_bits(&mut self, n: u32) -> Result<u32, DecodeError> {
-        while self.nbits < n {
-            let byte = *self
-                .data
-                .get(self.pos)
-                .ok_or(DecodeError::Corrupt("unexpected end of stream"))?;
-            self.acc |= (byte as u32) << self.nbits;
-            self.nbits += 8;
-            self.pos += 1;
-        }
-        let value = self.acc & ((1u32 << n) - 1);
-        self.acc >>= n;
-        self.nbits -= n;
-        Ok(value)
-    }
-
-    /// Look at the next `n` bits without consuming them, zero-padded past
-    /// the end of input (the fast Huffman path checks availability when it
-    /// consumes).
-    fn peek_bits(&mut self, n: u32) -> u32 {
-        while self.nbits < n {
-            let Some(&byte) = self.data.get(self.pos) else {
-                break;
-            };
-            self.acc |= (byte as u32) << self.nbits;
-            self.nbits += 8;
-            self.pos += 1;
-        }
-        self.acc & ((1u32 << n) - 1)
-    }
-
-    /// Consume `n` already-peeked bits.
-    fn consume(&mut self, n: u32) -> Result<(), DecodeError> {
-        if self.nbits < n {
-            return Err(DecodeError::Corrupt("unexpected end of stream"));
-        }
-        self.acc >>= n;
-        self.nbits -= n;
-        Ok(())
-    }
-
-    /// Skip to the next byte boundary (stored blocks). Only the partial
-    /// byte goes: whole bytes already buffered by a Huffman peek are kept.
-    fn align(&mut self) {
-        let partial = self.nbits % 8;
-        self.acc >>= partial;
-        self.nbits -= partial;
-    }
-
-    fn read_u16_le(&mut self) -> Result<u16, DecodeError> {
-        let lo = self.read_bits(8)?;
-        let hi = self.read_bits(8)?;
-        Ok((hi as u16) << 8 | lo as u16)
-    }
-}
-
-// --- canonical Huffman decoding (puff-style) --------------------------------
-
-/// Codes up to this many bits decode through one table lookup; longer (or
-/// invalid) codes fall back to the canonical bit-at-a-time walk.
-const FAST_BITS: u32 = 9;
-
-/// A canonical Huffman code built from symbol code lengths.
-struct HuffmanCode {
-    /// count[len] = number of symbols with that code length.
-    count: [u16; 16],
-    /// Symbols sorted by (length, symbol).
-    symbols: Vec<u16>,
-    /// Direct-lookup table over the next `FAST_BITS` stream bits:
-    /// `(code_len << 12) | symbol`, or 0 for "take the slow path".
-    table: Vec<u16>,
-}
-
-impl HuffmanCode {
-    #[allow(clippy::needless_range_loop)] // bit-length indices mirror RFC 1951 §3.2.2
-    fn from_lengths(lengths: &[u8]) -> Result<Self, DecodeError> {
-        let mut count = [0u16; 16];
-        for &l in lengths {
-            if l > 15 {
-                return Err(DecodeError::Corrupt("code length > 15"));
-            }
-            count[l as usize] += 1;
-        }
-        // Over-subscribed codes are corrupt; incomplete codes are tolerated
-        // (RFC permits a single-symbol distance code).
-        let mut left = 1i32;
-        for len in 1..16 {
-            left <<= 1;
-            left -= count[len] as i32;
-            if left < 0 {
-                return Err(DecodeError::Corrupt("over-subscribed Huffman code"));
-            }
-        }
-        let mut offsets = [0u16; 16];
-        for len in 1..15 {
-            offsets[len + 1] = offsets[len] + count[len];
-        }
-        let mut symbols = vec![0u16; lengths.len()];
-        for (sym, &l) in lengths.iter().enumerate() {
-            if l != 0 {
-                symbols[offsets[l as usize] as usize] = sym as u16;
-                offsets[l as usize] += 1;
-            }
-        }
-        // Fast-lookup table: assign canonical codes, then seed every table
-        // slot whose low bits equal the code's stream form (codes enter the
-        // stream MSB-first, so the index is the bit-reversed code).
-        let mut table = vec![0u16; 1 << FAST_BITS];
-        let mut next = [0u32; 16];
-        let mut code = 0u32;
-        for len in 1..16 {
-            // count[0] tallies unused symbols; it does not advance the code.
-            let prior = if len == 1 { 0 } else { count[len - 1] as u32 };
-            code = (code + prior) << 1;
-            next[len] = code;
-        }
-        for (sym, &l) in lengths.iter().enumerate() {
-            if l == 0 {
-                continue;
-            }
-            let c = next[l as usize];
-            next[l as usize] += 1;
-            let l = l as u32;
-            if l > FAST_BITS {
-                continue;
-            }
-            let mut rev = 0u32;
-            for i in 0..l {
-                rev |= ((c >> i) & 1) << (l - 1 - i);
-            }
-            let entry = ((l as u16) << 12) | sym as u16;
-            let mut idx = rev;
-            while idx < (1 << FAST_BITS) {
-                table[idx as usize] = entry;
-                idx += 1 << l;
-            }
-        }
-        Ok(HuffmanCode {
-            count,
-            symbols,
-            table,
-        })
-    }
-
-    fn decode(&self, reader: &mut BitReader) -> Result<u16, DecodeError> {
-        let entry = self.table[reader.peek_bits(FAST_BITS) as usize];
-        if entry != 0 {
-            reader.consume((entry >> 12) as u32)?;
-            return Ok(entry & 0x0fff);
-        }
-        self.decode_slow(reader)
-    }
-
-    fn decode_slow(&self, reader: &mut BitReader) -> Result<u16, DecodeError> {
-        let mut code = 0i32;
-        let mut first = 0i32;
-        let mut index = 0i32;
-        for len in 1..16 {
-            code |= reader.read_bits(1)? as i32;
-            let cnt = self.count[len] as i32;
-            if code - cnt < first {
-                return Ok(self.symbols[(index + (code - first)) as usize]);
-            }
-            index += cnt;
-            first += cnt;
-            first <<= 1;
-            code <<= 1;
-        }
-        Err(DecodeError::Corrupt("invalid Huffman code"))
     }
 }
 
@@ -832,131 +648,483 @@ pub fn compress_stored(data: &[u8]) -> Vec<u8> {
 
 // --- decompression ----------------------------------------------------------
 
+/// The most output [`decompress_with_capacity`] reserves per input byte.
+/// DEFLATE can expand 1032-fold (a 258-byte match coded in two bits), but
+/// the store's site segments inflate about 11-fold on average and under
+/// 25-fold at worst, so 64 reserves enough for every honest segment while a
+/// forged hint over a payload that is not DEFLATE reserves 64 times its size,
+/// not 1032.
+const HINT_EXPANSION: usize = 64;
+
+/// Stream bits, LSB first, out of a 64-bit buffer.
+///
+/// The low `nbits` bits of `buf` are counted input; above them `buf` holds
+/// either copies of the next input bits (a refill loads eight bytes but
+/// counts only the whole bytes that fit) or zeros past the end of input. A
+/// peek may therefore read bits past the end as zero padding, as the
+/// reference inflater's `peek_bits` does, but consuming one fails the
+/// decode.
+struct Bits<'a> {
+    data: &'a [u8],
+    /// Next input byte not yet counted in `nbits`.
+    pos: usize,
+    buf: u64,
+    nbits: u32,
+}
+
+impl<'a> Bits<'a> {
+    fn new(data: &'a [u8]) -> Self {
+        Bits {
+            data,
+            pos: 0,
+            buf: 0,
+            nbits: 0,
+        }
+    }
+
+    /// Top the buffer up to at least 56 counted bits, or to every input bit
+    /// left. One refill covers a whole length/distance pair: at most 15 + 5
+    /// and 15 + 13 bits.
+    #[inline(always)]
+    fn refill(&mut self) {
+        if let Some(word) = self
+            .data
+            .get(self.pos..)
+            .and_then(|rest| rest.first_chunk::<8>())
+        {
+            self.buf |= u64::from_le_bytes(*word) << self.nbits;
+            self.pos += ((63 - self.nbits) >> 3) as usize;
+            self.nbits |= 56;
+        } else {
+            self.refill_tail();
+        }
+    }
+
+    /// The last seven input bytes go in one at a time.
+    #[inline(never)]
+    fn refill_tail(&mut self) {
+        while self.nbits <= 56 {
+            let Some(&byte) = self.data.get(self.pos) else {
+                break;
+            };
+            self.buf |= u64::from(byte) << self.nbits;
+            self.nbits += 8;
+            self.pos += 1;
+        }
+    }
+
+    /// The next `n` (< 32) bits, zero-padded past the end of input.
+    #[inline(always)]
+    fn peek(&self, n: u32) -> u32 {
+        (self.buf & ((1u64 << n) - 1)) as u32
+    }
+
+    #[inline(always)]
+    fn consume(&mut self, n: u32) -> Result<(), DecodeError> {
+        if n > self.nbits {
+            return Err(DecodeError::Corrupt("unexpected end of stream"));
+        }
+        self.buf >>= n;
+        self.nbits -= n;
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn take(&mut self, n: u32) -> Result<u32, DecodeError> {
+        let value = self.peek(n);
+        self.consume(n)?;
+        Ok(value)
+    }
+
+    /// Skip to the next byte boundary and hand back the whole bytes still
+    /// buffered: the input offset of the first byte not yet consumed. The
+    /// buffer restarts empty at that offset.
+    fn align_to_byte(&mut self) -> usize {
+        let at = self.pos - (self.nbits / 8) as usize;
+        self.pos = at;
+        self.buf = 0;
+        self.nbits = 0;
+        at
+    }
+}
+
+// Decode-table entries, one `u32` each:
+//
+//   bits  0..4   code length: the bits this symbol consumes
+//   bits  4..8   extra bits after the code (length/distance base), or a
+//                subtable's index width
+//   bits  8..16  kind
+//   bits 16..32  literal byte, length or distance base, code-length
+//                symbol, or subtable offset
+const KIND_LITERAL: u32 = 0;
+const KIND_BASE: u32 = 1 << 8;
+const KIND_END: u32 = 2 << 8;
+const KIND_SUBTABLE: u32 = 3 << 8;
+/// No symbol: an unassigned code of an incomplete code, or a symbol the
+/// format reserves (literal/length 286/287, distance 30/31).
+const KIND_INVALID: u32 = 4 << 8;
+const KIND_MASK: u32 = 0xff << 8;
+
+const fn table_entry(kind: u32, value: u32, extra: u8) -> u32 {
+    value << 16 | kind | (extra as u32) << 4
+}
+
+/// Primary-table index widths. Longer codes continue in a subtable.
+const LIT_BITS: u32 = 10;
+const DIST_BITS: u32 = 8;
+/// Code-length codes are at most 7 bits long: one level holds them all.
+const CLEN_BITS: u32 = 7;
+
+/// Table entry, less its code length, of every literal/length symbol.
+static LIT_SYMBOLS: [u32; 288] = {
+    let mut entries = [KIND_INVALID; 288];
+    let mut sym = 0;
+    while sym < 286 {
+        entries[sym] = match sym {
+            0..=255 => table_entry(KIND_LITERAL, sym as u32, 0),
+            256 => KIND_END,
+            _ => table_entry(
+                KIND_BASE,
+                LENGTH_BASE[sym - 257] as u32,
+                LENGTH_EXTRA[sym - 257],
+            ),
+        };
+        sym += 1;
+    }
+    entries
+};
+
+/// Table entry, less its code length, of every distance symbol.
+static DIST_SYMBOLS: [u32; 32] = {
+    let mut entries = [KIND_INVALID; 32];
+    let mut sym = 0;
+    while sym < 30 {
+        entries[sym] = table_entry(KIND_BASE, DIST_BASE[sym] as u32, DIST_EXTRA[sym]);
+        sym += 1;
+    }
+    entries
+};
+
+/// Table entry, less its code length, of every code-length symbol.
+static CLEN_SYMBOLS: [u32; 19] = {
+    let mut entries = [0; 19];
+    let mut sym = 0;
+    while sym < 19 {
+        entries[sym] = table_entry(KIND_LITERAL, sym as u32, 0);
+        sym += 1;
+    }
+    entries
+};
+
+/// Fill `table` with the two-level decode table of the canonical Huffman
+/// code whose code lengths (each ≤ 15) are `lengths`; `symbols[s]` is
+/// symbol `s`'s entry less its code length.
+///
+/// The primary table has `2^primary` entries indexed by the next `primary`
+/// stream bits. A code no longer than that fills every slot its bits
+/// prefix. A longer code's slot points at a subtable indexed by the bits
+/// after the primary ones, sized for the longest code sharing that prefix.
+/// Slots no code reaches stay [`KIND_INVALID`]. Over-subscribed codes are
+/// rejected; incomplete ones are kept (RFC 1951 allows a single-symbol
+/// distance code), and their unassigned codes fail when decoded.
+fn build_table(
+    table: &mut Vec<u32>,
+    lengths: &[u8],
+    symbols: &[u32],
+    primary: u32,
+) -> Result<(), DecodeError> {
+    let mut count = [0u16; 16];
+    for &l in lengths {
+        count[usize::from(l)] += 1;
+    }
+    let mut left = 1i32;
+    for &n in &count[1..] {
+        left = (left << 1) - i32::from(n);
+        if left < 0 {
+            return Err(DecodeError::Corrupt("over-subscribed Huffman code"));
+        }
+    }
+    // Symbols in canonical order: by code length, then by symbol.
+    let mut offsets = [0u16; 16];
+    for len in 1..15 {
+        offsets[len + 1] = offsets[len] + count[len];
+    }
+    let mut sorted = [0u16; 288];
+    for (sym, &l) in lengths.iter().enumerate() {
+        if l != 0 {
+            sorted[usize::from(offsets[usize::from(l)])] = sym as u16;
+            offsets[usize::from(l)] += 1;
+        }
+    }
+    let used = usize::from(offsets[15]);
+    let max_len = (1..16).rev().find(|&l| count[l] != 0).unwrap_or(0) as u32;
+
+    table.clear();
+    table.resize(1 << primary, KIND_INVALID);
+    let mut remaining = count;
+    let mut code = 0u32;
+    let mut prev_len = 0u32;
+    let (mut sub_prefix, mut sub_start, mut sub_bits) = (usize::MAX, 0usize, 0u32);
+    for &sym in &sorted[..used] {
+        let len = u32::from(lengths[usize::from(sym)]);
+        // Canonical codes count up within a length and shift left between
+        // lengths; the stream carries them MSB first, hence the reversal.
+        if prev_len != 0 {
+            code = (code + 1) << (len - prev_len);
+        }
+        prev_len = len;
+        let reversed = (code.reverse_bits() >> (32 - len)) as usize;
+        let entry = symbols[usize::from(sym)] | len;
+        if len <= primary {
+            for slot in table[..1 << primary]
+                .iter_mut()
+                .skip(reversed)
+                .step_by(1 << len)
+            {
+                *slot = entry;
+            }
+        } else {
+            let prefix = reversed & ((1 << primary) - 1);
+            if prefix != sub_prefix {
+                // Smallest subtable the codes left to place can fill: grow
+                // it until they cover its code space, or to the longest code.
+                let mut bits = len - primary;
+                let mut space = 1i32 << bits;
+                while bits + primary < max_len {
+                    space -= i32::from(remaining[(bits + primary) as usize]);
+                    if space <= 0 {
+                        break;
+                    }
+                    bits += 1;
+                    space <<= 1;
+                }
+                sub_prefix = prefix;
+                sub_start = table.len();
+                sub_bits = bits;
+                table.resize(sub_start + (1 << bits), KIND_INVALID);
+                table[prefix] = table_entry(KIND_SUBTABLE, sub_start as u32, bits as u8);
+            }
+            for slot in table[sub_start..sub_start + (1 << sub_bits)]
+                .iter_mut()
+                .skip(reversed >> primary)
+                .step_by(1 << (len - primary))
+            {
+                *slot = entry;
+            }
+        }
+        remaining[len as usize] -= 1;
+    }
+    Ok(())
+}
+
+/// The entry for the code at the front of `buf`.
+#[inline(always)]
+fn lookup<const PRIMARY: u32>(table: &[u32], buf: u64) -> u32 {
+    let entry = table[(buf & ((1 << PRIMARY) - 1)) as usize];
+    if entry & KIND_MASK != KIND_SUBTABLE {
+        return entry;
+    }
+    let width = (entry >> 4) & 15;
+    let index = (entry >> 16) as usize + ((buf >> PRIMARY) & ((1 << width) - 1)) as usize;
+    table[index]
+}
+
+/// Decode tables of one Huffman block.
+#[derive(Default)]
+struct BlockTables {
+    lit: Vec<u32>,
+    dist: Vec<u32>,
+}
+
+/// The fixed-Huffman block's tables, built once per process.
+fn fixed_tables() -> &'static BlockTables {
+    static FIXED: std::sync::OnceLock<BlockTables> = std::sync::OnceLock::new();
+    FIXED.get_or_init(|| {
+        let mut tables = BlockTables::default();
+        build_table(&mut tables.lit, &FIXED_LIT_LENGTHS, &LIT_SYMBOLS, LIT_BITS)
+            .and_then(|()| {
+                build_table(
+                    &mut tables.dist,
+                    &FIXED_DIST_LENGTHS,
+                    &DIST_SYMBOLS,
+                    DIST_BITS,
+                )
+            })
+            .expect("the fixed Huffman codes are valid");
+        tables
+    })
+}
+
 /// Inflate a raw DEFLATE stream (all three block types).
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
-    let mut r = BitReader::new(data);
-    let mut out = Vec::new();
+    decompress_with_capacity(data, 0)
+}
+
+/// [`decompress`], with the output buffer reserved up front for `hint`
+/// bytes — the caller's expected output size. The reservation is capped at
+/// [`HINT_EXPANSION`] (64) times the input, so an untrusted hint cannot
+/// reserve much more than the input's own size; past the reservation the
+/// output grows as usual. The hint never changes the result.
+pub fn decompress_with_capacity(data: &[u8], hint: usize) -> Result<Vec<u8>, DecodeError> {
+    let mut out = Vec::with_capacity(hint.min(data.len().saturating_mul(HINT_EXPANSION)));
+    let mut bits = Bits::new(data);
+    let mut dynamic = BlockTables::default();
     loop {
-        let bfinal = r.read_bits(1)?;
-        let btype = r.read_bits(2)?;
-        match btype {
-            0 => {
-                r.align();
-                let len = r.read_u16_le()?;
-                let nlen = r.read_u16_le()?;
-                if len != !nlen {
-                    return Err(DecodeError::Corrupt("stored block LEN/NLEN mismatch"));
-                }
-                for _ in 0..len {
-                    out.push(r.read_bits(8)? as u8);
-                }
-            }
-            1 => {
-                let lit = HuffmanCode::from_lengths(&FIXED_LIT_LENGTHS)?;
-                let dist = HuffmanCode::from_lengths(&FIXED_DIST_LENGTHS)?;
-                inflate_block(&mut r, &lit, &dist, &mut out)?;
-            }
+        bits.refill();
+        let header = bits.take(3)?;
+        match header >> 1 {
+            0 => inflate_stored(&mut bits, &mut out)?,
+            1 => inflate_block(&mut bits, fixed_tables(), &mut out)?,
             2 => {
-                let (lit, dist) = read_dynamic_tables(&mut r)?;
-                inflate_block(&mut r, &lit, &dist, &mut out)?;
+                read_dynamic_tables(&mut bits, &mut dynamic)?;
+                inflate_block(&mut bits, &dynamic, &mut out)?;
             }
             _ => return Err(DecodeError::Corrupt("reserved block type")),
         }
-        if bfinal == 1 {
-            break;
+        if header & 1 == 1 {
+            return Ok(out);
         }
     }
-    Ok(out)
 }
 
-fn read_dynamic_tables(r: &mut BitReader) -> Result<(HuffmanCode, HuffmanCode), DecodeError> {
-    let hlit = r.read_bits(5)? as usize + 257;
-    let hdist = r.read_bits(5)? as usize + 1;
-    let hclen = r.read_bits(4)? as usize + 4;
+/// A stored block: LEN, NLEN, then LEN bytes copied straight from the input.
+fn inflate_stored(bits: &mut Bits, out: &mut Vec<u8>) -> Result<(), DecodeError> {
+    let at = bits.align_to_byte();
+    let header = bits
+        .data
+        .get(at..at + 4)
+        .ok_or(DecodeError::Corrupt("unexpected end of stream"))?;
+    let len = u16::from_le_bytes([header[0], header[1]]);
+    let nlen = u16::from_le_bytes([header[2], header[3]]);
+    if len != !nlen {
+        return Err(DecodeError::Corrupt("stored block LEN/NLEN mismatch"));
+    }
+    let end = at + 4 + usize::from(len);
+    let body = bits
+        .data
+        .get(at + 4..end)
+        .ok_or(DecodeError::Corrupt("unexpected end of stream"))?;
+    out.extend_from_slice(body);
+    bits.pos = end;
+    Ok(())
+}
+
+/// Read a dynamic block's code-length code and code lengths, and build its
+/// literal/length and distance tables into `tables`.
+fn read_dynamic_tables(bits: &mut Bits, tables: &mut BlockTables) -> Result<(), DecodeError> {
+    let hlit = bits.take(5)? as usize + 257;
+    let hdist = bits.take(5)? as usize + 1;
+    let hclen = bits.take(4)? as usize + 4;
     let mut clen_lengths = [0u8; 19];
     for &idx in CLEN_ORDER.iter().take(hclen) {
-        clen_lengths[idx] = r.read_bits(3)? as u8;
+        bits.refill();
+        clen_lengths[idx] = bits.take(3)? as u8;
     }
-    let clen_code = HuffmanCode::from_lengths(&clen_lengths)?;
-    let mut lengths = Vec::with_capacity(hlit + hdist);
-    while lengths.len() < hlit + hdist {
-        let sym = clen_code.decode(r)?;
-        match sym {
-            0..=15 => lengths.push(sym as u8),
-            16 => {
-                let &last = lengths
-                    .last()
-                    .ok_or(DecodeError::Corrupt("repeat with no previous length"))?;
-                let n = 3 + r.read_bits(2)?;
-                lengths.extend(std::iter::repeat_n(last, n as usize));
-            }
-            17 => {
-                let n = 3 + r.read_bits(3)?;
-                lengths.extend(std::iter::repeat_n(0u8, n as usize));
-            }
-            18 => {
-                let n = 11 + r.read_bits(7)?;
-                lengths.extend(std::iter::repeat_n(0u8, n as usize));
-            }
-            _ => return Err(DecodeError::Corrupt("bad code-length symbol")),
+    let mut clen_table = Vec::with_capacity(1 << CLEN_BITS);
+    build_table(&mut clen_table, &clen_lengths, &CLEN_SYMBOLS, CLEN_BITS)?;
+    let total = hlit + hdist;
+    let mut lengths = [0u8; 288 + 32];
+    let mut n = 0;
+    while n < total {
+        bits.refill();
+        let entry = clen_table[bits.peek(CLEN_BITS) as usize];
+        if entry & KIND_MASK == KIND_INVALID {
+            return Err(DecodeError::Corrupt("invalid Huffman code"));
         }
+        bits.consume(entry & 15)?;
+        let (value, repeat) = match entry >> 16 {
+            sym @ 0..=15 => (sym as u8, 1),
+            16 => {
+                let last = *n
+                    .checked_sub(1)
+                    .and_then(|i| lengths.get(i))
+                    .ok_or(DecodeError::Corrupt("repeat with no previous length"))?;
+                (last, 3 + bits.take(2)? as usize)
+            }
+            17 => (0, 3 + bits.take(3)? as usize),
+            _ => (0, 11 + bits.take(7)? as usize),
+        };
+        if n + repeat > total {
+            return Err(DecodeError::Corrupt("code length overrun"));
+        }
+        lengths[n..n + repeat].fill(value);
+        n += repeat;
     }
-    if lengths.len() != hlit + hdist {
-        return Err(DecodeError::Corrupt("code length overrun"));
-    }
-    let lit = HuffmanCode::from_lengths(&lengths[..hlit])?;
-    let dist = HuffmanCode::from_lengths(&lengths[hlit..])?;
-    Ok((lit, dist))
+    build_table(&mut tables.lit, &lengths[..hlit], &LIT_SYMBOLS, LIT_BITS)?;
+    build_table(
+        &mut tables.dist,
+        &lengths[hlit..total],
+        &DIST_SYMBOLS,
+        DIST_BITS,
+    )
 }
 
+/// Decode one Huffman block's symbols into `out`, up to its end-of-block.
 fn inflate_block(
-    r: &mut BitReader,
-    lit: &HuffmanCode,
-    dist: &HuffmanCode,
+    bits: &mut Bits,
+    tables: &BlockTables,
     out: &mut Vec<u8>,
 ) -> Result<(), DecodeError> {
+    let (lit, dist) = (tables.lit.as_slice(), tables.dist.as_slice());
     loop {
-        let sym = lit.decode(r)?;
-        match sym {
-            0..=255 => out.push(sym as u8),
-            256 => return Ok(()),
-            257..=285 => {
-                let lidx = sym as usize - 257;
-                let len =
-                    LENGTH_BASE[lidx] as usize + r.read_bits(LENGTH_EXTRA[lidx] as u32)? as usize;
-                let dsym = dist.decode(r)? as usize;
-                if dsym >= 30 {
+        bits.refill();
+        let entry = lookup::<LIT_BITS>(lit, bits.buf);
+        bits.consume(entry & 15)?;
+        match entry & KIND_MASK {
+            KIND_LITERAL => out.push((entry >> 16) as u8),
+            KIND_BASE => {
+                let len = (entry >> 16) as usize + bits.take((entry >> 4) & 15)? as usize;
+                let entry = lookup::<DIST_BITS>(dist, bits.buf);
+                bits.consume(entry & 15)?;
+                if entry & KIND_MASK != KIND_BASE {
                     return Err(DecodeError::Corrupt("bad distance symbol"));
                 }
-                let d = DIST_BASE[dsym] as usize + r.read_bits(DIST_EXTRA[dsym] as u32)? as usize;
+                let d = (entry >> 16) as usize + bits.take((entry >> 4) & 15)? as usize;
                 if d > out.len() {
                     return Err(DecodeError::Corrupt("distance beyond output"));
                 }
-                // Chunked copy: each pass can take everything between the
-                // match start and the current end, so overlapping matches
-                // (d < len) double the copied span per pass.
-                let start = out.len() - d;
-                let mut remaining = len;
-                while remaining > 0 {
-                    let take = remaining.min(out.len() - start);
-                    out.extend_from_within(start..start + take);
-                    remaining -= take;
-                }
+                copy_match(out, d, len);
             }
-            _ => return Err(DecodeError::Corrupt("bad literal/length symbol")),
+            KIND_END => return Ok(()),
+            _ => return Err(DecodeError::Corrupt("invalid Huffman code")),
         }
     }
 }
 
-/// The compressor this module's one replaced: byte-at-a-time matching over
-/// `usize` chains, linear code scans, a boxed-tree Huffman builder, and both
-/// Huffman blocks written in full to compare their lengths. Kept verbatim as
-/// the oracle the tests below hold [`compress`] to, byte for byte.
+/// Append `len` bytes copied from `d` bytes back (1 ≤ `d` ≤ `out.len()`).
+#[inline(always)]
+fn copy_match(out: &mut Vec<u8>, d: usize, len: usize) {
+    let start = out.len() - d;
+    if d >= len {
+        out.extend_from_within(start..start + len);
+        return;
+    }
+    // An overlapping match repeats its last `d` bytes: each pass copies
+    // everything from the match start on, doubling the span.
+    let mut remaining = len;
+    while remaining > 0 {
+        let take = remaining.min(out.len() - start);
+        out.extend_from_within(start..start + take);
+        remaining -= take;
+    }
+}
+
+/// The codec this module's one replaced, kept verbatim as the oracle the
+/// tests below hold it to.
+///
+/// * The compressor: byte-at-a-time matching over `usize` chains, linear
+///   code scans, a boxed-tree Huffman builder, and both Huffman blocks
+///   written in full to compare their lengths. [`compress`] must match it
+///   byte for byte.
+/// * The inflater: a 32-bit bit reader refilled a byte at a time, a 9-bit
+///   lookup table, and a bit-at-a-time canonical walk for longer codes.
+///   [`decompress`] must fail exactly where it fails and return the same
+///   bytes everywhere else.
 #[cfg(test)]
 mod reference {
     use super::{
-        hash3, CLEN_ORDER, DIST_BASE, DIST_EXTRA, FIXED_LIT_LENGTHS, HASH_BITS, LENGTH_BASE,
-        LENGTH_EXTRA, MAX_MATCH, MIN_MATCH, WINDOW,
+        hash3, DecodeError, CLEN_ORDER, DIST_BASE, DIST_EXTRA, FIXED_DIST_LENGTHS,
+        FIXED_LIT_LENGTHS, HASH_BITS, LENGTH_BASE, LENGTH_EXTRA, MAX_MATCH, MIN_MATCH, WINDOW,
     };
 
     /// Map a match length (3..=258) to (code index, extra bits value).
@@ -1402,6 +1570,314 @@ mod reference {
         }
         w.finish()
     }
+
+    // --- inflater -------------------------------------------------------------
+
+    struct BitReader<'a> {
+        data: &'a [u8],
+        pos: usize,
+        acc: u32,
+        nbits: u32,
+    }
+
+    impl<'a> BitReader<'a> {
+        fn new(data: &'a [u8]) -> Self {
+            BitReader {
+                data,
+                pos: 0,
+                acc: 0,
+                nbits: 0,
+            }
+        }
+
+        fn read_bits(&mut self, n: u32) -> Result<u32, DecodeError> {
+            while self.nbits < n {
+                let byte = *self
+                    .data
+                    .get(self.pos)
+                    .ok_or(DecodeError::Corrupt("unexpected end of stream"))?;
+                self.acc |= (byte as u32) << self.nbits;
+                self.nbits += 8;
+                self.pos += 1;
+            }
+            let value = self.acc & ((1u32 << n) - 1);
+            self.acc >>= n;
+            self.nbits -= n;
+            Ok(value)
+        }
+
+        /// Look at the next `n` bits without consuming them, zero-padded past
+        /// the end of input (the fast Huffman path checks availability when it
+        /// consumes).
+        fn peek_bits(&mut self, n: u32) -> u32 {
+            while self.nbits < n {
+                let Some(&byte) = self.data.get(self.pos) else {
+                    break;
+                };
+                self.acc |= (byte as u32) << self.nbits;
+                self.nbits += 8;
+                self.pos += 1;
+            }
+            self.acc & ((1u32 << n) - 1)
+        }
+
+        /// Consume `n` already-peeked bits.
+        fn consume(&mut self, n: u32) -> Result<(), DecodeError> {
+            if self.nbits < n {
+                return Err(DecodeError::Corrupt("unexpected end of stream"));
+            }
+            self.acc >>= n;
+            self.nbits -= n;
+            Ok(())
+        }
+
+        /// Skip to the next byte boundary (stored blocks). Only the partial
+        /// byte goes: whole bytes already buffered by a Huffman peek are kept.
+        fn align(&mut self) {
+            let partial = self.nbits % 8;
+            self.acc >>= partial;
+            self.nbits -= partial;
+        }
+
+        fn read_u16_le(&mut self) -> Result<u16, DecodeError> {
+            let lo = self.read_bits(8)?;
+            let hi = self.read_bits(8)?;
+            Ok((hi as u16) << 8 | lo as u16)
+        }
+    }
+
+    // --- canonical Huffman decoding (puff-style) --------------------------------
+
+    /// Codes up to this many bits decode through one table lookup; longer (or
+    /// invalid) codes fall back to the canonical bit-at-a-time walk.
+    const FAST_BITS: u32 = 9;
+
+    /// A canonical Huffman code built from symbol code lengths.
+    struct HuffmanCode {
+        /// count[len] = number of symbols with that code length.
+        count: [u16; 16],
+        /// Symbols sorted by (length, symbol).
+        symbols: Vec<u16>,
+        /// Direct-lookup table over the next `FAST_BITS` stream bits:
+        /// `(code_len << 12) | symbol`, or 0 for "take the slow path".
+        table: Vec<u16>,
+    }
+
+    impl HuffmanCode {
+        #[allow(clippy::needless_range_loop)] // bit-length indices mirror RFC 1951 §3.2.2
+        fn from_lengths(lengths: &[u8]) -> Result<Self, DecodeError> {
+            let mut count = [0u16; 16];
+            for &l in lengths {
+                if l > 15 {
+                    return Err(DecodeError::Corrupt("code length > 15"));
+                }
+                count[l as usize] += 1;
+            }
+            // Over-subscribed codes are corrupt; incomplete codes are tolerated
+            // (RFC permits a single-symbol distance code).
+            let mut left = 1i32;
+            for len in 1..16 {
+                left <<= 1;
+                left -= count[len] as i32;
+                if left < 0 {
+                    return Err(DecodeError::Corrupt("over-subscribed Huffman code"));
+                }
+            }
+            let mut offsets = [0u16; 16];
+            for len in 1..15 {
+                offsets[len + 1] = offsets[len] + count[len];
+            }
+            let mut symbols = vec![0u16; lengths.len()];
+            for (sym, &l) in lengths.iter().enumerate() {
+                if l != 0 {
+                    symbols[offsets[l as usize] as usize] = sym as u16;
+                    offsets[l as usize] += 1;
+                }
+            }
+            // Fast-lookup table: assign canonical codes, then seed every table
+            // slot whose low bits equal the code's stream form (codes enter the
+            // stream MSB-first, so the index is the bit-reversed code).
+            let mut table = vec![0u16; 1 << FAST_BITS];
+            let mut next = [0u32; 16];
+            let mut code = 0u32;
+            for len in 1..16 {
+                // count[0] tallies unused symbols; it does not advance the code.
+                let prior = if len == 1 { 0 } else { count[len - 1] as u32 };
+                code = (code + prior) << 1;
+                next[len] = code;
+            }
+            for (sym, &l) in lengths.iter().enumerate() {
+                if l == 0 {
+                    continue;
+                }
+                let c = next[l as usize];
+                next[l as usize] += 1;
+                let l = l as u32;
+                if l > FAST_BITS {
+                    continue;
+                }
+                let mut rev = 0u32;
+                for i in 0..l {
+                    rev |= ((c >> i) & 1) << (l - 1 - i);
+                }
+                let entry = ((l as u16) << 12) | sym as u16;
+                let mut idx = rev;
+                while idx < (1 << FAST_BITS) {
+                    table[idx as usize] = entry;
+                    idx += 1 << l;
+                }
+            }
+            Ok(HuffmanCode {
+                count,
+                symbols,
+                table,
+            })
+        }
+
+        fn decode(&self, reader: &mut BitReader) -> Result<u16, DecodeError> {
+            let entry = self.table[reader.peek_bits(FAST_BITS) as usize];
+            if entry != 0 {
+                reader.consume((entry >> 12) as u32)?;
+                return Ok(entry & 0x0fff);
+            }
+            self.decode_slow(reader)
+        }
+
+        fn decode_slow(&self, reader: &mut BitReader) -> Result<u16, DecodeError> {
+            let mut code = 0i32;
+            let mut first = 0i32;
+            let mut index = 0i32;
+            for len in 1..16 {
+                code |= reader.read_bits(1)? as i32;
+                let cnt = self.count[len] as i32;
+                if code - cnt < first {
+                    return Ok(self.symbols[(index + (code - first)) as usize]);
+                }
+                index += cnt;
+                first += cnt;
+                first <<= 1;
+                code <<= 1;
+            }
+            Err(DecodeError::Corrupt("invalid Huffman code"))
+        }
+    }
+
+    /// Inflate a raw DEFLATE stream (all three block types).
+    pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
+        let mut r = BitReader::new(data);
+        let mut out = Vec::new();
+        loop {
+            let bfinal = r.read_bits(1)?;
+            let btype = r.read_bits(2)?;
+            match btype {
+                0 => {
+                    r.align();
+                    let len = r.read_u16_le()?;
+                    let nlen = r.read_u16_le()?;
+                    if len != !nlen {
+                        return Err(DecodeError::Corrupt("stored block LEN/NLEN mismatch"));
+                    }
+                    for _ in 0..len {
+                        out.push(r.read_bits(8)? as u8);
+                    }
+                }
+                1 => {
+                    let lit = HuffmanCode::from_lengths(&FIXED_LIT_LENGTHS)?;
+                    let dist = HuffmanCode::from_lengths(&FIXED_DIST_LENGTHS)?;
+                    inflate_block(&mut r, &lit, &dist, &mut out)?;
+                }
+                2 => {
+                    let (lit, dist) = read_dynamic_tables(&mut r)?;
+                    inflate_block(&mut r, &lit, &dist, &mut out)?;
+                }
+                _ => return Err(DecodeError::Corrupt("reserved block type")),
+            }
+            if bfinal == 1 {
+                break;
+            }
+        }
+        Ok(out)
+    }
+
+    fn read_dynamic_tables(r: &mut BitReader) -> Result<(HuffmanCode, HuffmanCode), DecodeError> {
+        let hlit = r.read_bits(5)? as usize + 257;
+        let hdist = r.read_bits(5)? as usize + 1;
+        let hclen = r.read_bits(4)? as usize + 4;
+        let mut clen_lengths = [0u8; 19];
+        for &idx in CLEN_ORDER.iter().take(hclen) {
+            clen_lengths[idx] = r.read_bits(3)? as u8;
+        }
+        let clen_code = HuffmanCode::from_lengths(&clen_lengths)?;
+        let mut lengths = Vec::with_capacity(hlit + hdist);
+        while lengths.len() < hlit + hdist {
+            let sym = clen_code.decode(r)?;
+            match sym {
+                0..=15 => lengths.push(sym as u8),
+                16 => {
+                    let &last = lengths
+                        .last()
+                        .ok_or(DecodeError::Corrupt("repeat with no previous length"))?;
+                    let n = 3 + r.read_bits(2)?;
+                    lengths.extend(std::iter::repeat_n(last, n as usize));
+                }
+                17 => {
+                    let n = 3 + r.read_bits(3)?;
+                    lengths.extend(std::iter::repeat_n(0u8, n as usize));
+                }
+                18 => {
+                    let n = 11 + r.read_bits(7)?;
+                    lengths.extend(std::iter::repeat_n(0u8, n as usize));
+                }
+                _ => return Err(DecodeError::Corrupt("bad code-length symbol")),
+            }
+        }
+        if lengths.len() != hlit + hdist {
+            return Err(DecodeError::Corrupt("code length overrun"));
+        }
+        let lit = HuffmanCode::from_lengths(&lengths[..hlit])?;
+        let dist = HuffmanCode::from_lengths(&lengths[hlit..])?;
+        Ok((lit, dist))
+    }
+
+    fn inflate_block(
+        r: &mut BitReader,
+        lit: &HuffmanCode,
+        dist: &HuffmanCode,
+        out: &mut Vec<u8>,
+    ) -> Result<(), DecodeError> {
+        loop {
+            let sym = lit.decode(r)?;
+            match sym {
+                0..=255 => out.push(sym as u8),
+                256 => return Ok(()),
+                257..=285 => {
+                    let lidx = sym as usize - 257;
+                    let len = LENGTH_BASE[lidx] as usize
+                        + r.read_bits(LENGTH_EXTRA[lidx] as u32)? as usize;
+                    let dsym = dist.decode(r)? as usize;
+                    if dsym >= 30 {
+                        return Err(DecodeError::Corrupt("bad distance symbol"));
+                    }
+                    let d =
+                        DIST_BASE[dsym] as usize + r.read_bits(DIST_EXTRA[dsym] as u32)? as usize;
+                    if d > out.len() {
+                        return Err(DecodeError::Corrupt("distance beyond output"));
+                    }
+                    // Chunked copy: each pass can take everything between the
+                    // match start and the current end, so overlapping matches
+                    // (d < len) double the copied span per pass.
+                    let start = out.len() - d;
+                    let mut remaining = len;
+                    while remaining > 0 {
+                        let take = remaining.min(out.len() - start);
+                        out.extend_from_within(start..start + take);
+                        remaining -= take;
+                    }
+                }
+                _ => return Err(DecodeError::Corrupt("bad literal/length symbol")),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1701,24 +2177,36 @@ mod tests {
     }
 
     /// Every site segment of a seed-7 1x crawl, as the archive writer
-    /// encodes it.
+    /// encodes it before compressing.
+    fn seed_7_segments() -> &'static [Vec<u8>] {
+        static SEGMENTS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+        SEGMENTS.get_or_init(|| {
+            use pii_web::{Universe, UniverseSpec};
+            let universe = Universe::generate_with(UniverseSpec {
+                seed: 7,
+                ..UniverseSpec::default()
+            });
+            let mut crawler = pii_crawler::Crawler::new(&universe);
+            crawler.workers = 1;
+            let dataset = crawler.run(pii_browser::profiles::BrowserKind::Firefox88Vanilla);
+            assert_eq!(dataset.crawls.len(), universe.sites.len());
+            dataset
+                .crawls
+                .iter()
+                .map(|crawl| {
+                    let mut raw = Vec::new();
+                    pii_store::fast::encode_site_crawl(crawl, &mut raw);
+                    raw
+                })
+                .collect()
+        })
+    }
+
     #[test]
     fn compress_matches_reference_on_every_seed_7_segment() {
-        use pii_web::{Universe, UniverseSpec};
-        let universe = Universe::generate_with(UniverseSpec {
-            seed: 7,
-            ..UniverseSpec::default()
-        });
-        let mut crawler = pii_crawler::Crawler::new(&universe);
-        crawler.workers = 1;
-        let dataset = crawler.run(pii_browser::profiles::BrowserKind::Firefox88Vanilla);
-        let mut raw = Vec::new();
-        for crawl in &dataset.crawls {
-            raw.clear();
-            pii_store::fast::encode_site_crawl(crawl, &mut raw);
-            assert_matches_reference(&raw);
+        for raw in seed_7_segments() {
+            assert_matches_reference(raw);
         }
-        assert_eq!(dataset.crawls.len(), universe.sites.len());
     }
 
     proptest! {
@@ -1809,6 +2297,272 @@ mod tests {
             let mut want = input.clone();
             want.extend_from_slice(b"tail");
             assert_eq!(decompress(&stream).unwrap(), want, "{n} literals");
+        }
+    }
+
+    // --- the inflater against the reference ---------------------------------
+
+    /// Both inflaters fail on `stream`, or both return the same bytes.
+    fn inflates_like_reference(stream: &[u8]) -> bool {
+        match (decompress(stream), reference::decompress(stream)) {
+            (Ok(got), Ok(want)) => got == want,
+            (Err(_), Err(_)) => true,
+            _ => false,
+        }
+    }
+
+    /// `stream` and damaged copies of it: every bit flip in the first and
+    /// last eight bytes, `flips` more spread over the rest, and cuts at
+    /// every eighth byte.
+    fn assert_damage_inflates_like_reference(stream: &[u8], flips: usize) {
+        assert!(inflates_like_reference(stream), "diverged on {stream:02x?}");
+        let bits = stream.len() * 8;
+        let edges = (0..bits.min(64)).chain(bits.saturating_sub(64)..bits);
+        let spread = (0..flips).map(|k| (k * 7919 + 13) % bits.max(1));
+        for bit in edges.chain(spread).filter(|_| bits > 0) {
+            let mut damaged = stream.to_vec();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                inflates_like_reference(&damaged),
+                "diverged with bit {bit} flipped in {stream:02x?}"
+            );
+        }
+        for cut in (0..stream.len()).step_by(8) {
+            assert!(
+                inflates_like_reference(&stream[..cut]),
+                "diverged when cut to {cut} of {} bytes",
+                stream.len()
+            );
+        }
+    }
+
+    /// What the tokens decode to.
+    fn expand(tokens: &[LzToken]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &token in tokens {
+            match token {
+                LzToken::Literal(b) => out.push(b),
+                LzToken::Match { len, dist } => {
+                    for _ in 0..len {
+                        out.push(out[out.len() - dist as usize]);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Append `piece` to `w` as one block: 0 stored, 1 fixed Huffman, 2
+    /// dynamic Huffman. Only the `last` block has BFINAL set.
+    fn append_block(w: &mut BitWriter, piece: &[u8], btype: u8, last: bool) {
+        if btype == 0 {
+            w.write_bits(u32::from(last), 1);
+            w.write_bits(0, 2);
+            w.write_bits(0, (8 - w.nbits % 8) % 8);
+            let len = piece.len() as u16;
+            w.write_bits(u32::from(len), 16);
+            w.write_bits(u32::from(!len), 16);
+            for &b in piece {
+                w.write_bits(u32::from(b), 8);
+            }
+            return;
+        }
+        let tokens = lz77_tokens(piece);
+        let stats = BlockStats::count(&tokens);
+        let (block, bits) = if btype == 1 {
+            let bits = stats.fixed_block_bits();
+            (write_fixed_block(&tokens, bits), bits)
+        } else {
+            let header = DynamicHeader::build(&stats);
+            let bits = header.block_bits(&stats);
+            (write_dynamic_block(&header, &tokens, bits), bits)
+        };
+        for (k, &byte) in block.iter().enumerate() {
+            let take = (bits - 8 * k as u64).min(8) as u32;
+            let byte = if k == 0 && !last { byte & !1 } else { byte };
+            w.write_bits(u32::from(byte) & ((1 << take) - 1), take);
+        }
+    }
+
+    #[test]
+    fn stored_blocks_after_huffman_blocks_inflate_like_the_reference() {
+        // Stored blocks long enough that the 8-byte refill has already
+        // buffered into them when the Huffman block before them ends.
+        for n in 1..=40usize {
+            for (first, tail) in [(1u8, 4usize), (2, 4), (1, 40), (2, 300)] {
+                let input = low_entropy(n as u64, 3, 1 + n % 5, n);
+                let stored: Vec<u8> = (0..tail).map(|i| (i * 37) as u8).collect();
+                let mut w = BitWriter::with_capacity(64);
+                append_block(&mut w, &input, first, false);
+                append_block(&mut w, &stored, 0, false);
+                append_block(&mut w, &input, 1, true);
+                let stream = w.finish();
+                let want = [input.as_slice(), &stored, &input].concat();
+                assert_eq!(
+                    decompress(&stream).unwrap(),
+                    want,
+                    "{n} bytes, block {first}"
+                );
+                assert_damage_inflates_like_reference(&stream, 16);
+            }
+        }
+    }
+
+    #[test]
+    fn codes_longer_than_the_primary_tables_inflate_like_the_reference() {
+        // Fibonacci frequencies make the deepest Huffman trees. With the
+        // end-of-block symbol's count of one in front, literal counts 1, 2,
+        // 3, 5, … chain every merge, so the rarest literal gets a 15-bit
+        // code (one more Fibonacci count would pass 15 and be flattened);
+        // the distance counts reach past the 8-bit primary table too.
+        let mut fib = vec![1usize, 2];
+        while fib.len() < 14 {
+            fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+        }
+        // Output for every distance to reach back into, in one symbol.
+        let mut tokens = vec![LzToken::Literal(0); 800];
+        let mut body = Vec::new();
+        for (i, &f) in fib.iter().enumerate() {
+            body.extend(std::iter::repeat_n(LzToken::Literal(b'a' + i as u8), f));
+            let dist = DIST_BASE[i];
+            body.extend(std::iter::repeat_n(LzToken::Match { len: 3, dist }, f));
+        }
+        // A fixed shuffle, so no code's symbols arrive in one run.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in (1..body.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            body.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        tokens.extend(body);
+        let stats = BlockStats::count(&tokens);
+        let header = DynamicHeader::build(&stats);
+        let longest = |lengths: &[u8]| lengths.iter().copied().max().unwrap_or(0);
+        assert_eq!(longest(&header.lit_lengths), 15);
+        assert!(u32::from(longest(&header.dist_lengths)) > DIST_BITS);
+        let stream = write_dynamic_block(&header, &tokens, header.block_bits(&stats));
+        assert_eq!(decompress(&stream).unwrap(), expand(&tokens));
+        assert_damage_inflates_like_reference(&stream, 2000);
+    }
+
+    #[test]
+    fn an_unassigned_distance_code_fails_like_the_reference() {
+        // One distance symbol gets the 1-bit code `0`; `1` is unassigned.
+        let tokens = [
+            LzToken::Literal(b'a'),
+            LzToken::Literal(b'b'),
+            LzToken::Match { len: 6, dist: 2 },
+        ];
+        let stats = BlockStats::count(&tokens);
+        let header = DynamicHeader::build(&stats);
+        assert_eq!(header.dist_lengths.iter().filter(|&&l| l != 0).count(), 1);
+        let bits = header.block_bits(&stats);
+        let stream = write_dynamic_block(&header, &tokens, bits);
+        assert_eq!(decompress(&stream).unwrap(), b"abababab");
+        assert!(inflates_like_reference(&stream));
+        // The distance code follows the header, both literals and the
+        // length code (length 6 has no extra bits).
+        let header_bits = bits - stats.body_bits(&header.lit_lengths, &header.dist_lengths);
+        let lit = |sym: usize| u64::from(header.lit_lengths[sym]);
+        let at =
+            (header_bits + lit(usize::from(b'a')) + lit(usize::from(b'b')) + lit(260)) as usize;
+        let mut bad = stream.clone();
+        bad[at / 8] ^= 1 << (at % 8);
+        assert!(decompress(&bad).is_err());
+        assert!(reference::decompress(&bad).is_err());
+    }
+
+    /// Every site payload of a seed-7 1x archive, and damaged copies of it.
+    #[test]
+    fn decompress_matches_reference_on_every_seed_7_payload() {
+        for raw in seed_7_segments() {
+            let payload = compress(raw);
+            assert_eq!(&decompress(&payload).unwrap(), raw);
+            assert_damage_inflates_like_reference(&payload, 8);
+        }
+    }
+
+    #[test]
+    fn the_capacity_hint_is_bounded_and_never_changes_the_result() {
+        let input = low_entropy(11, 4, 30, 20_000);
+        let stream = compress(&input);
+        for hint in [
+            0,
+            1,
+            input.len() - 1,
+            input.len(),
+            input.len() + 1,
+            usize::MAX,
+        ] {
+            let out = decompress_with_capacity(&stream, hint).unwrap();
+            assert_eq!(out, input, "hint {hint}");
+        }
+        // A hint reserves at most 64 times the input, however large it is.
+        let out = decompress_with_capacity(&[0x03, 0x00], usize::MAX).unwrap();
+        assert!(out.is_empty() && out.capacity() <= 2 * HINT_EXPANSION);
+        let stored = [0x01, 0x04, 0x00, 0xfb, 0xff, b'a', b'b', b'c', b'd'];
+        let out = decompress_with_capacity(&stored, usize::MAX).unwrap();
+        assert_eq!(out, b"abcd");
+        assert!(out.capacity() <= stored.len() * HINT_EXPANSION);
+        assert!(decompress_with_capacity(&[], usize::MAX).is_err());
+    }
+
+    proptest! {
+        #[test]
+        fn decompress_matches_reference_on_arbitrary_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..2048),
+        ) {
+            prop_assert!(inflates_like_reference(&data));
+            // Each block type, final or not, to reach past the header.
+            for header in 0..6u8 {
+                let mut typed = data.clone();
+                typed.insert(0, header);
+                prop_assert!(inflates_like_reference(&typed), "header {header}: {typed:02x?}");
+            }
+        }
+
+        #[test]
+        fn decompress_matches_reference_on_damaged_streams(
+            seed in any::<u64>(),
+            len in 1usize..3000,
+            flips in proptest::collection::vec(any::<u32>(), 1..8),
+            cut in any::<u32>(),
+        ) {
+            let data = low_entropy(seed, 5, 1 + (seed % 97) as usize, len);
+            let stream = compress(&data);
+            let mut flipped = stream.clone();
+            for &flip in &flips {
+                let bit = flip as usize % (stream.len() * 8);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(inflates_like_reference(&flipped), "{flipped:02x?}");
+            }
+            let cut = cut as usize % stream.len();
+            prop_assert!(inflates_like_reference(&stream[..cut]));
+        }
+
+        #[test]
+        fn decompress_matches_reference_on_multi_block_streams(
+            seed in any::<u64>(),
+            pieces in proptest::collection::vec(any::<u32>(), 1..5),
+            flips in proptest::collection::vec(any::<u32>(), 1..16),
+        ) {
+            let mut w = BitWriter::with_capacity(1024);
+            let mut want = Vec::new();
+            for (k, &piece) in pieces.iter().enumerate() {
+                let (btype, len) = ((piece % 3) as u8, (piece >> 2) as usize % 700);
+                let piece = low_entropy(seed ^ k as u64, 4, 1 + len % 50, len);
+                append_block(&mut w, &piece, btype, k + 1 == pieces.len());
+                want.extend_from_slice(&piece);
+            }
+            let stream = w.finish();
+            prop_assert!(decompress(&stream).ok() == Some(want));
+            for &flip in &flips {
+                let mut damaged = stream.clone();
+                let bit = flip as usize % (stream.len() * 8);
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(inflates_like_reference(&damaged), "{damaged:02x?}");
+            }
         }
     }
 }

@@ -767,10 +767,11 @@ pub fn decode_site_crawl(bytes: &[u8]) -> Result<SiteCrawl, VbinError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn exhaustive_crawl() -> SiteCrawl {
+    pub(crate) fn exhaustive_crawl() -> SiteCrawl {
         // One of everything: every outcome shape is covered by
         // `all_outcomes_agree`, this exercises every *field* shape.
         let url = Url {
@@ -1057,19 +1058,34 @@ mod tests {
         assert!(back.is_ok());
     }
 
+    /// Held by each test that decodes through [`crate::format::decode_site`]
+    /// payloads the direct decoder may refuse, so that
+    /// `decode_site_counts_each_generic_fallback` sees only its own changes
+    /// to the process-global fallback counter.
+    fn hold_fallback_counter() -> std::sync::MutexGuard<'static, ()> {
+        static FALLBACK_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        FALLBACK_COUNTER
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn decode_site_counts_each_generic_fallback() {
         let counter = "store.decode.generic_fallback";
-        let clean = pii_encodings::deflate::compress(&generic_bytes(&exhaustive_crawl()));
-        let unfamiliar = pii_encodings::deflate::compress(&new_field_bytes());
-        // The counter is process-global; no other test in this crate decodes
-        // an unfamiliar site payload, so its change here is this test's own.
+        let clean = crate::format::encode_site(&exhaustive_crawl());
+        let unfamiliar = new_field_bytes();
+        let unfamiliar_len = unfamiliar.len() as u32;
+        let unfamiliar = pii_encodings::deflate::compress(&unfamiliar);
+        // The counter is process-global; every other test in this crate
+        // that can take the fallback decodes under the same lock, so its
+        // change here is this test's own.
+        let _counter = hold_fallback_counter();
         pii_telemetry::enable();
         let before = pii_telemetry::snapshot().counter(counter);
-        let decoded = crate::format::decode_site(&clean).unwrap();
+        let decoded = crate::format::decode_site(&clean.payload, clean.raw_len).unwrap();
         assert_eq!(generic_bytes(&decoded), generic_bytes(&exhaustive_crawl()));
         let after_clean = pii_telemetry::snapshot().counter(counter);
-        assert!(crate::format::decode_site(&unfamiliar).is_ok());
+        assert!(crate::format::decode_site(&unfamiliar, unfamiliar_len).is_ok());
         let after_fallback = pii_telemetry::snapshot().counter(counter);
         assert_eq!(after_clean, before, "a clean payload must not count");
         assert_eq!(after_fallback, after_clean + 1);
@@ -1080,6 +1096,81 @@ mod tests {
         let bytes = generic_bytes(&exhaustive_crawl());
         for cut in 0..bytes.len() {
             assert!(decode_site_crawl(&bytes[..cut]).is_err());
+        }
+    }
+
+    /// Neither site decoder panics on `raw`, and whenever the direct decoder
+    /// accepts it the generic value-tree route decodes the same crawl.
+    fn assert_site_decoders_agree(raw: &[u8]) -> Result<(), TestCaseError> {
+        let payload = pii_encodings::deflate::compress(raw);
+        {
+            let _counter = hold_fallback_counter();
+            let _ = crate::format::decode_site(&payload, raw.len() as u32);
+        }
+        if let Ok(fast) = decode_site_crawl(raw) {
+            let tree = crate::vbin::decode_value(raw);
+            prop_assert!(tree.is_ok(), "fast accepted what vbin rejects: {raw:02x?}");
+            let generic: Result<SiteCrawl, _> = serde::value::from_value(tree.unwrap());
+            prop_assert!(
+                generic.is_ok(),
+                "fast accepted what serde rejects: {raw:02x?}"
+            );
+            prop_assert_eq!(
+                serde_json::to_string(&fast).unwrap(),
+                serde_json::to_string(&generic.unwrap()).unwrap()
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn site_decoders_agree_on_every_one_byte_edit() {
+        let mut valid = Vec::new();
+        encode_site_crawl(&exhaustive_crawl(), &mut valid);
+        for at in 0..=valid.len() {
+            let mut edits = vec![valid[..at].to_vec()];
+            for byte in [0x00, 0x7f, 0xff] {
+                let mut inserted = valid.clone();
+                inserted.insert(at, byte);
+                edits.push(inserted);
+            }
+            if at < valid.len() {
+                for mask in [0x01, 0x20, 0x80] {
+                    let mut flipped = valid.clone();
+                    flipped[at] ^= mask;
+                    edits.push(flipped);
+                }
+            }
+            for raw in edits {
+                assert_site_decoders_agree(&raw).unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn site_decoders_are_total_on_arbitrary_bytes(
+            raw in proptest::collection::vec(any::<u8>(), 0..1024),
+        ) {
+            assert_site_decoders_agree(&raw)?;
+        }
+
+        #[test]
+        fn site_decoders_are_total_on_damaged_encodings(
+            edits in proptest::collection::vec(any::<u64>(), 1..6),
+        ) {
+            let mut raw = Vec::new();
+            encode_site_crawl(&exhaustive_crawl(), &mut raw);
+            // Each edit flips bits of a byte, inserts one, or truncates.
+            for edit in edits {
+                let (at, byte) = ((edit >> 16) as usize % (raw.len() + 1), (edit >> 8) as u8);
+                match edit % 3 {
+                    0 if at < raw.len() => raw[at] ^= byte.max(1),
+                    1 => raw.insert(at, byte),
+                    _ => raw.truncate(at),
+                }
+            }
+            assert_site_decoders_agree(&raw)?;
         }
     }
 }

@@ -160,12 +160,24 @@ fn deflate_record(raw: &[u8]) -> EncodedRecord {
     }
 }
 
-/// Inverse of [`encode_record`].
-pub fn decode_record<T: for<'de> Deserialize<'de>>(payload: &[u8]) -> Result<T, FrameError> {
-    let raw = pii_encodings::deflate::decompress(payload)
-        .map_err(|_| FrameError::Corrupt("deflate stream"))?;
+/// Inverse of [`encode_record`]. `raw_len` is the segment header's
+/// uncompressed size, for which the inflater reserves its output up front.
+/// The header passed its CRC but may still be crafted, so the reservation
+/// is capped at what the payload could inflate to: a wrong `raw_len` costs
+/// reallocations, never a different result.
+pub fn decode_record<T: for<'de> Deserialize<'de>>(
+    payload: &[u8],
+    raw_len: u32,
+) -> Result<T, FrameError> {
+    let raw = inflate_payload(payload, raw_len)?;
     let tree = crate::vbin::decode_value(&raw).map_err(|_| FrameError::Corrupt("record body"))?;
     serde::value::from_value(tree).map_err(|_| FrameError::Corrupt("record shape"))
+}
+
+/// The inflate step shared by both record decoders.
+fn inflate_payload(payload: &[u8], raw_len: u32) -> Result<Vec<u8>, FrameError> {
+    pii_encodings::deflate::decompress_with_capacity(payload, raw_len as usize)
+        .map_err(|_| FrameError::Corrupt("deflate stream"))
 }
 
 /// [`encode_record`] for site segments, bypassing the intermediate value
@@ -182,10 +194,10 @@ pub fn encode_site(crawl: &pii_crawler::SiteCrawl) -> EncodedRecord {
 
 /// [`decode_record`] for site segments: the direct decoder first, the
 /// generic value-tree route when the payload's shape is unfamiliar. Each
-/// fallback bumps `store.decode.generic_fallback`.
-pub fn decode_site(payload: &[u8]) -> Result<pii_crawler::SiteCrawl, FrameError> {
-    let raw = pii_encodings::deflate::decompress(payload)
-        .map_err(|_| FrameError::Corrupt("deflate stream"))?;
+/// fallback bumps `store.decode.generic_fallback`. `raw_len` is as for
+/// [`decode_record`].
+pub fn decode_site(payload: &[u8], raw_len: u32) -> Result<pii_crawler::SiteCrawl, FrameError> {
+    let raw = inflate_payload(payload, raw_len)?;
     if let Ok(crawl) = crate::fast::decode_site_crawl(&raw) {
         return Ok(crawl);
     }
@@ -451,8 +463,49 @@ mod tests {
         assert_eq!(header.label, "shop0001.com");
         assert_eq!(header.segment_len(), bytes.len());
         let payload = verify_payload_at(&bytes, 0, &header).unwrap();
-        let back: Vec<String> = decode_record(payload).unwrap();
+        let back: Vec<String> = decode_record(payload, header.raw_len).unwrap();
         assert_eq!(back, vec!["alpha", "beta"]);
+    }
+
+    /// Headers whose `raw_len` lies — huge, zero, or short — still carry a
+    /// valid CRC (a crafted archive can set any value), and must decode to
+    /// what the honest header does: the size is a capacity hint only.
+    #[test]
+    fn a_dishonest_raw_len_never_changes_what_decodes() {
+        let crawl = crate::fast::tests::exhaustive_crawl();
+        let site = encode_site(&crawl);
+        let meta = encode_record(&vec!["alpha".to_string(), "beta".to_string()]);
+        // A segment framed with `raw_len`, and its verified payload.
+        let frame = |kind, raw_len, payload: &[u8]| {
+            let mut bytes = Vec::new();
+            write_segment(&mut bytes, kind, 3, 2, raw_len, "shop0001.com", payload);
+            let header = read_segment_header(&bytes, 0).expect("the CRC covers any raw_len");
+            assert_eq!(header.raw_len, raw_len);
+            verify_payload_at(&bytes, 0, &header).unwrap().to_vec()
+        };
+        let decode_site_with = |raw_len| {
+            let payload = frame(SegmentKind::Site, raw_len, &site.payload);
+            serde_json::to_string(&decode_site(&payload, raw_len).unwrap()).unwrap()
+        };
+        let decode_meta_with = |raw_len| {
+            let payload = frame(SegmentKind::Meta, raw_len, &meta.payload);
+            decode_record::<Vec<String>>(&payload, raw_len).unwrap()
+        };
+        let honest_site = decode_site_with(site.raw_len);
+        assert_eq!(honest_site, serde_json::to_string(&crawl).unwrap());
+        let honest_meta = decode_meta_with(meta.raw_len);
+        for raw_len in [u32::MAX, 0, 1, site.raw_len / 2, site.raw_len - 1] {
+            assert_eq!(
+                decode_site_with(raw_len),
+                honest_site,
+                "site raw_len {raw_len}"
+            );
+            assert_eq!(
+                decode_meta_with(raw_len),
+                honest_meta,
+                "meta raw_len {raw_len}"
+            );
+        }
     }
 
     #[test]

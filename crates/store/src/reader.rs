@@ -222,7 +222,7 @@ impl ArchiveReader {
             .and_then(|h| verify_payload_for(&source, meta_at, &h).map(|p| (h, p)))
             .and_then(|(h, payload)| {
                 if h.kind == SegmentKind::Meta {
-                    format::decode_record::<ArchiveMeta>(&payload)
+                    format::decode_record::<ArchiveMeta>(&payload, h.raw_len)
                 } else {
                     Err(FrameError::Corrupt("first segment is not meta"))
                 }
@@ -398,7 +398,7 @@ impl ArchiveReader {
             return Err(FrameError::Corrupt("expected a site segment"));
         }
         let payload = format::verify_payload_at(&segment, 0, &header)?;
-        format::decode_site(payload)
+        format::decode_site(payload, header.raw_len)
     }
 
     /// Random access to one site's crawl (verified; `None` when the domain

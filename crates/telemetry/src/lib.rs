@@ -184,8 +184,7 @@ impl Collector {
         if !self.is_enabled() {
             return;
         }
-        let mut inner = self.inner.lock();
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        update(&mut self.inner.lock().counters, name, |n| *n += delta);
     }
 
     /// Set a gauge to its latest value.
@@ -193,7 +192,7 @@ impl Collector {
         if !self.is_enabled() {
             return;
         }
-        self.inner.lock().gauges.insert(name.to_string(), value);
+        update(&mut self.inner.lock().gauges, name, |g| *g = value);
     }
 
     /// Record one observation into a histogram.
@@ -201,12 +200,7 @@ impl Collector {
         if !self.is_enabled() {
             return;
         }
-        self.inner
-            .lock()
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        update(&mut self.inner.lock().histograms, name, |h| h.record(value));
     }
 
     /// Open a span; it records itself on drop. Inert when disabled — no
@@ -251,6 +245,16 @@ impl Collector {
             histograms: inner.histograms.clone(),
             spans: inner.spans.clone(),
         }
+    }
+}
+
+/// Apply `f` to the metric named `name`, created at its default the first
+/// time the name is seen. The lookup borrows `name`, so only that first
+/// call allocates a key.
+fn update<V: Default>(metrics: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match metrics.get_mut(name) {
+        Some(metric) => f(metric),
+        None => f(metrics.entry(name.to_string()).or_default()),
     }
 }
 
@@ -425,6 +429,27 @@ mod tests {
         let h = snap.histograms["delay"];
         assert_eq!((h.count, h.sum, h.min, h.max), (3, 18, 2, 10));
         assert!((h.mean() - 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn repeated_names_update_one_entry() {
+        let c = Collector::new();
+        c.enable();
+        for i in 0..1000 {
+            c.counter("req", 1);
+            c.gauge("depth", i);
+            c.observe("size", 2);
+        }
+        c.counter("other", 5);
+        let snap = c.snapshot();
+        assert_eq!(snap.counters.len(), 2);
+        assert_eq!(snap.counter("req"), 1000);
+        assert_eq!(snap.counter("other"), 5);
+        assert_eq!(snap.gauges.len(), 1);
+        assert_eq!(snap.gauges["depth"], 999);
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.histograms["size"].count, 1000);
+        assert_eq!(snap.histograms["size"].sum, 2000);
     }
 
     #[test]
