@@ -1,6 +1,6 @@
-.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke chaos-smoke lint-invariants bench-trajectory bench-kernels perfbench-selftest
+.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke chaos-smoke lint-invariants bench-trajectory perfbench-selftest
 
-ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke chaos-smoke bench-kernels perfbench-selftest lint-invariants clippy fmt-check
+ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke chaos-smoke perfbench-selftest lint-invariants clippy fmt-check
 
 build:
 	cargo build --release --workspace
@@ -104,16 +104,6 @@ chaos-smoke:
 # universe scale, refreshing BENCH_streaming.json at the workspace root.
 bench-trajectory:
 	cargo bench -p pii-bench --bench streaming
-
-# Hot-path kernel smoke: a reduced-corpus run of the slice-at-a-time kernel
-# bench (which asserts kernel == scalar on every measured pass), validated by
-# the vendored-serde_json reader. The checked-in full-size artifact is
-# validated at the 2x CRC floor the trajectory claims; the fresh smoke
-# artifact at a noise-tolerant 1.2x.
-bench-kernels:
-	cargo bench -p pii-bench --bench kernels -- --smoke --out $(CURDIR)/target/BENCH_kernels.json
-	cargo run --release -q --example validate_bench_json target/BENCH_kernels.json --min-crc-speedup 1.2
-	cargo run --release -q --example validate_bench_json BENCH_kernels.json --min-crc-speedup 2.0
 
 # The end-to-end benchmark harness is a workspace of its own (perfbench/),
 # so the workspace build never compiles it: build it and run its

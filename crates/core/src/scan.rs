@@ -79,26 +79,12 @@ fn node_mut(nodes: &mut [Node], i: usize) -> &mut Node {
     &mut nodes[i] // lint:allow(W04) -- i clamped to the arena bounds on the previous line and the arena always holds the root
 }
 
-/// Classic Aho–Corasick automaton over bytes, with a byte-class prefilter
-/// in front of the state machine.
-///
-/// The prefilter is a 256-bit bloom of the bytes that can *begin* any
-/// pattern (the root's child edges — for an exact membership set the bloom
-/// has no false positives). While the automaton sits in the root state,
-/// bytes outside that class provably keep it in the root state and can
-/// emit no match, so [`AhoCorasick::find_all`] skips them in bulk: eight
-/// class lookups are OR-folded per test, one branch per 8 input bytes,
-/// instead of a failure-link walk per byte. The unfiltered loops are kept
-/// as [`AhoCorasick::find_all_scalar`] / [`AhoCorasick::is_match_scalar`],
-/// the differential references the proptest suite pins the prefiltered
-/// path against — including pattern sets that defeat the filter (all 256
-/// leading bytes present).
+/// Classic Aho–Corasick automaton over bytes. [`naive_find_all`] is its
+/// differential oracle.
 #[derive(Debug, Clone)]
 pub struct AhoCorasick {
     nodes: Vec<Node>,
     pattern_lens: Vec<usize>,
-    /// Bit `b` set ⇔ some pattern starts with byte `b`.
-    start_class: [u64; 4],
 }
 
 impl AhoCorasick {
@@ -164,69 +150,10 @@ impl AhoCorasick {
                 queue.push_back(child);
             }
         }
-        // The prefilter class: exactly the root's child bytes.
-        let mut start_class = [0u64; 4];
-        for &(b, _) in &node(&nodes, 0).children {
-            let bit = 1u64.wrapping_shl(u32::from(b & 63));
-            match b >> 6 {
-                0 => start_class[0] |= bit,
-                1 => start_class[1] |= bit,
-                2 => start_class[2] |= bit,
-                _ => start_class[3] |= bit,
-            }
-        }
         Ok(AhoCorasick {
             nodes,
             pattern_lens,
-            start_class,
         })
-    }
-
-    /// Can `b` begin any pattern? (Root-state bytes outside this class are
-    /// dead: they keep the automaton in the root and cannot emit a match.)
-    #[inline]
-    fn in_start_class(&self, b: u8) -> bool {
-        let word = match b >> 6 {
-            0 => self.start_class[0],
-            1 => self.start_class[1],
-            2 => self.start_class[2],
-            _ => self.start_class[3],
-        };
-        (word >> (b & 63)) & 1 != 0
-    }
-
-    /// Number of leading bytes of `rest` that are dead for the root state.
-    /// Processes 8 bytes per iteration: the eight class bits are OR-folded
-    /// branch-free, so the common all-dead chunk costs one branch.
-    #[inline]
-    fn skip_dead(&self, rest: &[u8]) -> usize {
-        let mut skipped = 0usize;
-        let mut chunks = rest.chunks_exact(8);
-        for c in chunks.by_ref() {
-            let live = self.in_start_class(c[0])
-                | self.in_start_class(c[1])
-                | self.in_start_class(c[2])
-                | self.in_start_class(c[3])
-                | self.in_start_class(c[4])
-                | self.in_start_class(c[5])
-                | self.in_start_class(c[6])
-                | self.in_start_class(c[7]);
-            if live {
-                for (j, &b) in c.iter().enumerate() {
-                    if self.in_start_class(b) {
-                        return skipped.saturating_add(j);
-                    }
-                }
-            }
-            skipped = skipped.saturating_add(8);
-        }
-        for &b in chunks.remainder() {
-            if self.in_start_class(b) {
-                return skipped;
-            }
-            skipped = skipped.saturating_add(1);
-        }
-        skipped
     }
 
     /// Follow one byte from `state` through child/failure links.
@@ -243,65 +170,9 @@ impl AhoCorasick {
         }
     }
 
-    /// All matches in `haystack`, prefiltered: dead root-state stretches are
-    /// skipped in bulk via [`start_class`](Self::in_start_class).
-    /// Bit-for-bit identical output to [`AhoCorasick::find_all_scalar`].
+    /// All matches in `haystack`, in the order their last byte is reached;
+    /// matches ending at the same byte follow the end node's output order.
     pub fn find_all(&self, haystack: &[u8]) -> Vec<Match> {
-        let mut out = Vec::new();
-        let mut state = 0usize;
-        let mut pos = 0usize; // absolute offset of rest[0] in haystack
-        let mut rest = haystack;
-        loop {
-            if state == 0 {
-                let dead = self.skip_dead(rest);
-                pos = pos.saturating_add(dead);
-                rest = rest.get(dead..).unwrap_or(&[]);
-            }
-            let Some((&b, tail)) = rest.split_first() else {
-                break;
-            };
-            state = self.step(state, b);
-            for &pi in &node(&self.nodes, state).output {
-                let Some(&len) = self.pattern_lens.get(pi) else {
-                    continue; // unreachable: outputs only hold real indices
-                };
-                out.push(Match {
-                    pattern: pi,
-                    // The match ends at `pos`; patterns are non-empty and no
-                    // longer than the bytes consumed, so this cannot wrap.
-                    start: pos.saturating_add(1).saturating_sub(len),
-                });
-            }
-            pos = pos.saturating_add(1);
-            rest = tail;
-        }
-        out
-    }
-
-    /// Does any pattern occur? Prefiltered like [`AhoCorasick::find_all`].
-    pub fn is_match(&self, haystack: &[u8]) -> bool {
-        let mut state = 0usize;
-        let mut rest = haystack;
-        loop {
-            if state == 0 {
-                let dead = self.skip_dead(rest);
-                rest = rest.get(dead..).unwrap_or(&[]);
-            }
-            let Some((&b, tail)) = rest.split_first() else {
-                return false;
-            };
-            state = self.step(state, b);
-            if !node(&self.nodes, state).output.is_empty() {
-                return true;
-            }
-            rest = tail;
-        }
-    }
-
-    /// Unfiltered byte-at-a-time scan: the differential reference for
-    /// [`AhoCorasick::find_all`] (`tests/properties.rs` pins equality on
-    /// arbitrary binary input) and the scalar side of `benches/kernels.rs`.
-    pub fn find_all_scalar(&self, haystack: &[u8]) -> Vec<Match> {
         let mut out = Vec::new();
         let mut state = 0usize;
         for (i, &b) in haystack.iter().enumerate() {
@@ -319,8 +190,8 @@ impl AhoCorasick {
         out
     }
 
-    /// Unfiltered reference for [`AhoCorasick::is_match`].
-    pub fn is_match_scalar(&self, haystack: &[u8]) -> bool {
+    /// Does any pattern occur?
+    pub fn is_match(&self, haystack: &[u8]) -> bool {
         let mut state = 0usize;
         for &b in haystack {
             state = self.step(state, b);
@@ -448,10 +319,8 @@ mod tests {
         assert!(ac.is_match(&[1, 2, 0xff, 0x00, 0xfe, 3]));
     }
 
-    /// Degenerate haystacks through the prefiltered path: empty, one byte
-    /// (live and dead), and lengths straddling the 8-byte chunk boundary.
     #[test]
-    fn prefilter_handles_empty_and_tiny_haystacks() {
+    fn empty_and_one_byte_haystacks() {
         let ac = AhoCorasick::new(["x"]).unwrap();
         assert_eq!(ac.find_all(b""), vec![]);
         assert!(!ac.is_match(b""));
@@ -463,42 +332,14 @@ mod tests {
             }]
         );
         assert_eq!(ac.find_all(b"y"), vec![]);
-        for len in 1..=17usize {
-            let mut hay = vec![b'.'; len];
-            hay[len - 1] = b'x';
-            assert_eq!(ac.find_all(&hay), ac.find_all_scalar(&hay), "len {len}");
-            assert_eq!(ac.is_match(&hay), ac.is_match_scalar(&hay), "len {len}");
-        }
     }
 
-    /// A pattern set with every possible leading byte defeats the
-    /// prefilter entirely (no byte is ever dead); the output must still be
-    /// identical to the scalar path.
     #[test]
-    fn prefilter_defeated_by_all_256_leading_bytes() {
-        let patterns: Vec<Vec<u8>> = (0u8..=255).map(|b| vec![b, b'q']).collect();
-        let ac = AhoCorasick::new(&patterns).unwrap();
-        let hay: Vec<u8> = (0..512u32)
-            .map(|i| (i.wrapping_mul(37) >> 2) as u8)
-            .collect();
-        assert_eq!(ac.find_all(&hay), ac.find_all_scalar(&hay));
-        assert_eq!(ac.is_match(&hay), ac.is_match_scalar(&hay));
-        // And every byte really is in the class.
-        for b in 0u8..=255 {
-            assert!(ac.in_start_class(b), "byte {b} missing from start class");
-        }
-    }
-
-    /// Matches found *after* a skipped dead stretch keep correct absolute
-    /// offsets (the regression the prefilter could most plausibly cause).
-    #[test]
-    fn prefilter_skip_preserves_match_offsets() {
+    fn match_offsets_are_absolute() {
         let ac = AhoCorasick::new(["needle"]).unwrap();
-        // 29 dead bytes (not a multiple of 8) before the match.
         let hay = b"_____________________________needle____needle";
-        let found = ac.find_all(hay);
         assert_eq!(
-            found,
+            ac.find_all(hay),
             vec![
                 Match {
                     pattern: 0,
@@ -510,7 +351,6 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(found, ac.find_all_scalar(hay));
     }
 
     #[test]
@@ -532,25 +372,27 @@ mod tests {
     proptest! {
         /// Differential: the automaton equals the naive scanner on fully
         /// binary patterns and haystacks — no UTF-8 bias, duplicates and
-        /// cross-pattern overlaps allowed.
+        /// cross-pattern overlaps allowed. Half the cases add a pattern
+        /// for every possible leading byte, so the root has all 256 edges.
         #[test]
         fn find_all_matches_naive_on_binary_bytes(
             patterns in proptest::collection::vec(
                 proptest::collection::vec(any::<u8>(), 1..5),
                 1..8,
             ),
+            every_leading_byte in proptest::option::of(any::<u8>()),
             haystack in proptest::collection::vec(any::<u8>(), 0..128),
         ) {
+            let mut patterns = patterns;
+            if let Some(second) = every_leading_byte {
+                patterns.extend((0u8..=255).map(|b| vec![b, second]));
+            }
             let ac = AhoCorasick::new(&patterns).unwrap();
             let pat_bytes: Vec<&[u8]> = patterns.iter().map(|p| p.as_slice()).collect();
-            // Prefiltered and scalar paths agree exactly (order included)…
-            prop_assert_eq!(ac.find_all(&haystack), ac.find_all_scalar(&haystack));
-            prop_assert_eq!(ac.is_match(&haystack), ac.is_match_scalar(&haystack));
             let mut fast = ac.find_all(&haystack);
             let mut slow = naive_find_all(&pat_bytes, &haystack);
             fast.sort_by_key(|m| (m.pattern, m.start));
             slow.sort_by_key(|m| (m.pattern, m.start));
-            // …and both agree with the naive scanner.
             prop_assert_eq!(&fast, &slow);
             prop_assert_eq!(ac.is_match(&haystack), !fast.is_empty());
         }

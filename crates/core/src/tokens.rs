@@ -179,8 +179,7 @@ impl TokenSetBuilder {
 
     /// The encoding chain steps this builder considers. Hash steps are not
     /// listed here: [`TokenSetBuilder::build`] runs all of
-    /// [`HashAlgorithm::ALL`] through one shared-input digest sweep per
-    /// frontier entry instead of 23 independent passes.
+    /// [`HashAlgorithm::ALL`] over each frontier entry before these.
     fn encoding_steps(&self) -> Vec<Step> {
         let mut steps: Vec<Step> = EncodingKind::TEXTUAL
             .iter()
@@ -210,13 +209,11 @@ impl TokenSetBuilder {
             for _depth in 0..self.max_depth {
                 let mut next = Vec::with_capacity(frontier.len().saturating_mul(step_count));
                 for (chain, bytes) in &frontier {
-                    // The 23 hash lanes share one pass over `bytes`. Lane
-                    // order is `HashAlgorithm::ALL` — the same order the old
-                    // per-step loop used, so collision resolution (first
-                    // equal-length chain wins) is unchanged.
-                    for (alg, hex) in
-                        pii_hashes::lanes::hex_digest_sweep(&HashAlgorithm::ALL, bytes)
-                    {
+                    // Hashes in `HashAlgorithm::ALL` order, then encodings:
+                    // collision resolution (first equal-length chain wins)
+                    // depends on this order.
+                    for alg in HashAlgorithm::ALL {
+                        let hex = pii_hashes::hex_digest(alg, bytes);
                         self.extend(
                             &mut map,
                             &mut next,
@@ -226,7 +223,6 @@ impl TokenSetBuilder {
                             hex.into_bytes(),
                         );
                     }
-                    // The encodings apply one at a time, as before.
                     for &step in &encodings {
                         self.extend(&mut map, &mut next, kind, chain, step, step.apply(bytes));
                     }
@@ -455,6 +451,20 @@ mod tests {
         assert!(TokenSet::from_text("tok\temail\tunknownstep").is_err());
         assert!(TokenSet::from_text("tok\tnotapii\tsha256").is_err());
         assert!(TokenSet::from_text("").unwrap().is_empty());
+    }
+
+    /// The default candidate set of the study persona, pinned by size and
+    /// by the SHA-256 of its sorted text form: a change to any digest,
+    /// encoding, chain order or collision rule shows up here.
+    #[test]
+    fn default_token_set_is_pinned() {
+        let universe = pii_web::Universe::generate();
+        let set = TokenSetBuilder::default().build(&universe.persona);
+        assert_eq!(set.len(), 6_950);
+        assert_eq!(
+            pii_hashes::hex_digest(HashAlgorithm::Sha256, set.to_text().as_bytes()),
+            "06bb75478e8e6adbfb9b9fadc83bdb1e0a1183672fe1d6f38a4d0dc385d59562"
+        );
     }
 
     #[test]

@@ -16,6 +16,8 @@ use pii_hashes::Hasher;
 const MAGIC: [u8; 3] = *b"BZs";
 /// Maximum bytes per block after RLE1 (keeps the naive BWT sort cheap).
 const BLOCK_SIZE: usize = 64 * 1024;
+/// Longest Huffman code [`huffman_lengths`] emits and the decoder reads.
+const MAX_CODE_LEN: u8 = 15;
 
 // --- stage 1: bzip2's initial RLE (runs of 4-259 → 4 bytes + count) --------
 
@@ -163,7 +165,8 @@ fn mtf_decode(data: &[u8]) -> Vec<u8> {
 
 // --- stage 4: canonical Huffman ----------------------------------------------
 
-/// Build depth-limited (≤15) Huffman code lengths from frequencies.
+/// Build depth-limited (≤ [`MAX_CODE_LEN`]) Huffman code lengths from
+/// frequencies.
 fn huffman_lengths(freqs: &[u64; 256]) -> [u8; 256] {
     #[derive(PartialEq, Eq)]
     struct Node {
@@ -240,7 +243,7 @@ fn huffman_lengths(freqs: &[u64; 256]) -> [u8; 256] {
                 }
             }
         }
-        if max_depth <= 15 {
+        if max_depth <= MAX_CODE_LEN {
             return lengths;
         }
         // Flatten the distribution and retry (classic depth-limit fallback).
@@ -396,6 +399,11 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
         let mut lengths = [0u8; 256];
         lengths.copy_from_slice(&data[pos..pos + 256]);
         pos += 256;
+        // `canonical_codes` shifts by length differences: a damaged length
+        // past the limit would overflow the shift.
+        if lengths.iter().any(|&l| l > MAX_CODE_LEN) {
+            return Err(DecodeError::Corrupt("Huffman code length over 15"));
+        }
         let payload_len = u32::from_be_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
         pos += 4;
         if data.len() < pos + payload_len {
@@ -413,14 +421,16 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
             }
         }
         let mut r = BitReader::new(payload);
-        let mut mtf = Vec::with_capacity(block_len);
+        // Every symbol takes at least one bit, so the payload bounds the
+        // block whatever the (unchecked) header claims.
+        let mut mtf = Vec::with_capacity(block_len.min(payload_len.saturating_mul(8)));
         while mtf.len() < block_len {
             let mut code = 0u32;
             let mut len = 0u8;
             loop {
                 code = (code << 1) | r.read(1)?;
                 len += 1;
-                if len > 15 {
+                if len > MAX_CODE_LEN {
                     return Err(DecodeError::Corrupt("bad Huffman code"));
                 }
                 if let Some(&sym) = decode_map.get(&(len, code)) {
@@ -498,6 +508,20 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         assert!(decompress(b"BZh91AY&SY").is_err());
+    }
+
+    /// A code length past the 15-bit limit is a decode error, not a shift
+    /// overflow in `canonical_codes`.
+    #[test]
+    fn overlong_code_length_is_rejected() {
+        let mut c = compress(b"hello hello hello hello hello");
+        let lengths = 7 + 12;
+        let used = (lengths..lengths + 256).find(|&i| c[i] > 0).unwrap();
+        c[used] = 200;
+        assert_eq!(
+            decompress(&c),
+            Err(DecodeError::Corrupt("Huffman code length over 15"))
+        );
     }
 
     #[test]

@@ -50,6 +50,9 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
         }
         let xlen = u16::from_le_bytes([data[pos], data[pos + 1]]) as usize;
         pos += 2 + xlen;
+        if data.len() < pos {
+            return Err(DecodeError::Corrupt("truncated FEXTRA"));
+        }
     }
     for flag in [FNAME, FCOMMENT] {
         if flg & flag != 0 {
@@ -109,6 +112,19 @@ mod tests {
         let n = data.len();
         data[n - 6] ^= 0xff;
         assert_eq!(decompress(&data), Err(DecodeError::ChecksumMismatch));
+    }
+
+    /// An `XLEN` that runs past the end, followed by `FNAME`, is a decode
+    /// error rather than an out-of-range slice.
+    #[test]
+    fn extra_field_past_the_end_is_rejected() {
+        let mut data = compress(b"hello world");
+        data[3] = FEXTRA | FNAME | FCOMMENT;
+        data[10..12].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert_eq!(
+            decompress(&data),
+            Err(DecodeError::Corrupt("truncated FEXTRA"))
+        );
     }
 
     #[test]

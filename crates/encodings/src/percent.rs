@@ -102,8 +102,8 @@ const fn hex_digit(b: u8) -> Option<u8> {
 /// behaviour browsers exhibit, and what a robust scanner needs).
 ///
 /// Single pass, table-driven: hex validation is the branch-reduced
-/// [`HEX_HI`]`|`[`HEX_LO`] lookup. Bit-for-bit identical to
-/// [`decode_lossy_reference`], which the proptest differential suite pins.
+/// [`HEX_HI`]`|`[`HEX_LO`] lookup. The tests hold it to the per-nibble
+/// `to_digit` decoder it replaced.
 pub fn decode_lossy(s: &str) -> Vec<u8> {
     decode_impl(s.as_bytes(), false)
 }
@@ -114,8 +114,8 @@ pub fn decode_lossy(s: &str) -> Vec<u8> {
 /// `s.replace('+', " ")` and then a second output buffer on every form pair
 /// the detector decodes; the `+` → space substitution now happens inline
 /// (`+` is never a hex digit, so it can never be part of a valid escape and
-/// the substitution order is immaterial — [`decode_form_lossy_reference`]
-/// keeps the two-allocation form as the differential reference).
+/// the substitution order is immaterial — the tests hold it to the
+/// two-allocation form).
 pub fn decode_form_lossy(s: &str) -> Vec<u8> {
     decode_impl(s.as_bytes(), true)
 }
@@ -142,37 +142,40 @@ fn decode_impl(bytes: &[u8], plus_is_space: bool) -> Vec<u8> {
     out
 }
 
-/// The pre-kernel `decode_lossy`: per-nibble `to_digit` branches, kept as
-/// the scalar differential reference for tests and `benches/kernels.rs`.
-pub fn decode_lossy_reference(s: &str) -> Vec<u8> {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            if let (Some(hi), Some(lo)) = (
-                bytes
-                    .get(i.wrapping_add(1))
-                    .and_then(|&c| (c as char).to_digit(16)),
-                bytes
-                    .get(i.wrapping_add(2))
-                    .and_then(|&c| (c as char).to_digit(16)),
-            ) {
-                out.push((hi.wrapping_shl(4) | lo) as u8);
-                i = i.wrapping_add(3);
-                continue;
+/// The decoders the table-driven kernel replaced, kept as the oracles for
+/// the differential tests below.
+#[cfg(test)]
+mod reference {
+    /// Per-nibble `to_digit` branches.
+    pub fn decode_lossy(s: &str) -> Vec<u8> {
+        let bytes = s.as_bytes();
+        let mut out = Vec::with_capacity(bytes.len());
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == b'%' {
+                if let (Some(hi), Some(lo)) = (
+                    bytes
+                        .get(i.wrapping_add(1))
+                        .and_then(|&c| (c as char).to_digit(16)),
+                    bytes
+                        .get(i.wrapping_add(2))
+                        .and_then(|&c| (c as char).to_digit(16)),
+                ) {
+                    out.push((hi.wrapping_shl(4) | lo) as u8);
+                    i = i.wrapping_add(3);
+                    continue;
+                }
             }
+            out.push(bytes[i]);
+            i = i.wrapping_add(1);
         }
-        out.push(bytes[i]);
-        i = i.wrapping_add(1);
+        out
     }
-    out
-}
 
-/// The pre-kernel two-allocation `decode_form_lossy`, kept as the
-/// differential reference.
-pub fn decode_form_lossy_reference(s: &str) -> Vec<u8> {
-    decode_lossy_reference(&s.replace('+', " "))
+    /// Two allocations: replace `+` with a space, then decode.
+    pub fn decode_form_lossy(s: &str) -> Vec<u8> {
+        decode_lossy(&s.replace('+', " "))
+    }
 }
 
 #[cfg(test)]
@@ -256,10 +259,23 @@ mod tests {
             }
         }
         probe.push_str("+%+%2B%4%");
-        assert_eq!(decode_lossy(&probe), decode_lossy_reference(&probe));
+        assert_eq!(decode_lossy(&probe), reference::decode_lossy(&probe));
         assert_eq!(
             decode_form_lossy(&probe),
-            decode_form_lossy_reference(&probe)
+            reference::decode_form_lossy(&probe)
         );
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The single-pass table-driven decoders equal the references on
+        /// escape-heavy strings (valid, truncated, and junk escapes, plus
+        /// `+` in both roles).
+        #[test]
+        fn percent_decoders_equal_references(s in "[a-zA-Z0-9%+ =&]{0,64}") {
+            prop_assert_eq!(decode_lossy(&s), reference::decode_lossy(&s));
+            prop_assert_eq!(decode_form_lossy(&s), reference::decode_form_lossy(&s));
+        }
     }
 }

@@ -35,7 +35,6 @@ pub mod adler;
 pub mod blake2b;
 pub mod crc;
 pub mod hex;
-pub mod lanes;
 pub mod md2;
 pub mod md4;
 pub mod md5;

@@ -18,15 +18,14 @@
 use crate::rules::Rule;
 
 /// The overflow-proven scale paths (W03): universe generation, archive
-/// offset accounting, retry backoff, plus the slice-at-a-time hot-path
-/// kernels (CRC slice-by-8, scan prefilter, digest lanes, percent decode)
-/// whose index/offset arithmetic runs over multi-GB scan corpora.
-const W03_FILES: [&str; 7] = [
+/// offset accounting, retry backoff, plus the slice-at-a-time kernels (CRC
+/// slice-by-8, percent decode) and the Aho–Corasick scan, whose
+/// index/offset arithmetic runs over multi-GB scan corpora.
+const W03_FILES: [&str; 6] = [
     "crates/web/src/universe.rs",
     "crates/store/src/writer.rs",
     "crates/crawler/src/retry.rs",
     "crates/hashes/src/crc.rs",
-    "crates/hashes/src/lanes.rs",
     "crates/core/src/scan.rs",
     "crates/encodings/src/percent.rs",
 ];

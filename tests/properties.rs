@@ -34,6 +34,36 @@ proptest! {
         }
     }
 
+    /// Every decoder is total: arbitrary bytes, and `encode` output cut
+    /// short or with bits flipped, decode to `Ok` or `Err` but never
+    /// panic.
+    #[test]
+    fn decoders_are_total(
+        garbage in proptest::collection::vec(any::<u8>(), 0..512),
+        data in proptest::collection::vec(any::<u8>(), 0..256),
+        cut in any::<u32>(),
+        flips in proptest::collection::vec(any::<u32>(), 1..8),
+    ) {
+        for kind in EncodingKind::ALL {
+            let _ = kind.decode(&garbage);
+            let encoded = kind.encode(&data);
+            let _ = kind.decode(&encoded[..cut as usize % (encoded.len() + 1)]);
+            let bits = encoded.len() * 8;
+            if bits == 0 {
+                continue;
+            }
+            let mut damaged = encoded.clone();
+            for &flip in &flips {
+                let bit = flip as usize % bits;
+                let mut once = encoded.clone();
+                once[bit / 8] ^= 1 << (bit % 8);
+                let _ = kind.decode(&once);
+                damaged[bit / 8] ^= 1 << (bit % 8);
+            }
+            let _ = kind.decode(&damaged);
+        }
+    }
+
     /// Streaming hash state is chunking-invariant for every algorithm.
     #[test]
     fn hashing_is_chunking_invariant(
@@ -150,81 +180,6 @@ proptest! {
         fast.sort_by_key(|m| (m.pattern, m.start));
         slow.sort_by_key(|m| (m.pattern, m.start));
         prop_assert_eq!(fast, slow);
-    }
-
-    /// The slice-by-8 CRC-32 equals the byte-at-a-time reference on
-    /// arbitrary binary input under arbitrary chunking.
-    #[test]
-    fn crc32_slice8_equals_scalar(
-        data in proptest::collection::vec(any::<u8>(), 0..512),
-        split in 0usize..512,
-    ) {
-        use pii_suite::hashes::crc::Crc32;
-        use pii_suite::hashes::Hasher;
-        let split = split.min(data.len());
-        let mut scalar = Crc32::new();
-        scalar.update_scalar(&data);
-        let mut sliced = Crc32::new();
-        Hasher::update(&mut sliced, &data[..split]);
-        Hasher::update(&mut sliced, &data[split..]);
-        prop_assert_eq!(sliced.value(), scalar.value());
-    }
-
-    /// The prefiltered scanner equals the unfiltered automaton on arbitrary
-    /// binary patterns and haystacks (including empty and 1-byte haystacks,
-    /// which the 0-length range includes).
-    #[test]
-    fn prefiltered_scan_equals_scalar(
-        patterns in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 1..5), 1..8),
-        haystack in proptest::collection::vec(any::<u8>(), 0..128),
-    ) {
-        use pii_suite::core::scan::AhoCorasick;
-        // `1..5`-byte patterns are never empty, so construction succeeds.
-        let ac = AhoCorasick::new(&patterns).unwrap();
-        prop_assert_eq!(ac.find_all(&haystack), ac.find_all_scalar(&haystack));
-        prop_assert_eq!(ac.is_match(&haystack), ac.is_match_scalar(&haystack));
-    }
-
-    /// A pattern set whose leading bytes cover all 256 values defeats the
-    /// byte-class prefilter entirely — the skip loop must then degrade to
-    /// the scalar scan without changing any match.
-    #[test]
-    fn prefilter_defeated_set_equals_scalar(
-        haystack in proptest::collection::vec(any::<u8>(), 0..96),
-        second in any::<u8>(),
-    ) {
-        use pii_suite::core::scan::AhoCorasick;
-        let patterns: Vec<Vec<u8>> = (0u8..=255).map(|b| vec![b, second]).collect();
-        let ac = AhoCorasick::new(&patterns).unwrap();
-        prop_assert_eq!(ac.find_all(&haystack), ac.find_all_scalar(&haystack));
-        prop_assert_eq!(ac.is_match(&haystack), ac.is_match_scalar(&haystack));
-    }
-
-    /// The single-pass table-driven percent decoders equal the two-pass
-    /// references on escape-heavy strings (valid, truncated, and junk
-    /// escapes, plus `+` in both roles).
-    #[test]
-    fn percent_decoders_equal_references(s in "[a-zA-Z0-9%+ =&]{0,64}") {
-        use pii_suite::encodings::percent;
-        prop_assert_eq!(percent::decode_lossy(&s), percent::decode_lossy_reference(&s));
-        prop_assert_eq!(
-            percent::decode_form_lossy(&s),
-            percent::decode_form_lossy_reference(&s)
-        );
-    }
-
-    /// The multi-lane digest sweep equals per-algorithm one-shot digests on
-    /// arbitrary binary input, in `HashAlgorithm::ALL` order.
-    #[test]
-    fn digest_sweep_equals_oneshot(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        use pii_suite::hashes::{lanes, HashAlgorithm};
-        let swept = lanes::digest_sweep(&HashAlgorithm::ALL, &data);
-        prop_assert_eq!(swept.len(), HashAlgorithm::ALL.len());
-        for ((alg, got), &expected_alg) in swept.iter().zip(HashAlgorithm::ALL.iter()) {
-            prop_assert_eq!(*alg, expected_alg);
-            prop_assert_eq!(got.clone(), digest(*alg, &data), "{}", alg.name());
-        }
     }
 
     /// Registrable-domain extraction is idempotent and suffix-consistent.
