@@ -6,12 +6,12 @@
 
 use crate::report::{Comparison, Table};
 use crate::study::StudyResults;
-use pii_browser::profiles::BrowserKind;
+use pii_browser::profiles::{BrowserKind, BrowserProfile};
 use pii_core::detect::LeakDetector;
 use pii_crawler::{CrawlOutcome, Crawler};
 
 /// One browser's measured exposure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrowserResult {
     pub browser: BrowserKind,
     pub senders: usize,
@@ -31,36 +31,83 @@ impl BrowserResult {
     }
 }
 
-/// Re-crawl the leaking senders under every browser and re-run detection.
+/// The protection policy a browser crawls under: its profile with `kind`
+/// masked. `kind` only picks the `User-Agent` value, and detection never
+/// scans that header, so browsers with one policy leak identically.
+fn policy(kind: BrowserKind) -> BrowserProfile {
+    BrowserProfile {
+        kind: BrowserKind::Firefox88Vanilla,
+        ..kind.profile()
+    }
+}
+
+/// Re-crawl the leaking senders under every browser and re-run detection,
+/// once per distinct protection policy. The re-crawl is plain: no faults,
+/// no cache, one visit per site, with the study's worker count. When the
+/// study's own capture was crawled exactly that way, the capture browser's
+/// policy is not re-crawled: the study's report is that crawl's report.
 pub fn evaluate_all(r: &StudyResults) -> Vec<BrowserResult> {
     let senders: Vec<String> = r.report.senders().iter().map(|s| s.to_string()).collect();
-    let crawler = Crawler::new(&r.universe);
-    BrowserKind::ALL
-        .iter()
-        .map(|&kind| {
-            let dataset = crawler.run_on(kind, Some(&senders));
-            let report = LeakDetector::new(&r.tokens, &r.psl, &r.universe.zones).detect(&dataset);
-            BrowserResult {
+    let mut crawler = Crawler::new(&r.universe);
+    crawler.workers = r.degradation.capture.workers;
+    let reuse = r
+        .degradation
+        .capture_is_plain()
+        .then(|| policy(r.dataset.browser));
+    // Every kind's row, next to its policy; a kind whose policy an earlier
+    // kind has takes that kind's row.
+    let mut rows: Vec<(BrowserProfile, BrowserResult)> = Vec::new();
+    for kind in BrowserKind::ALL {
+        let policy = policy(kind);
+        let row = match rows.iter().find(|(p, _)| *p == policy) {
+            Some((_, row)) => BrowserResult {
                 browser: kind,
-                senders: report.senders().len(),
-                receivers: report.receivers().len(),
-                leaking_requests: report.leaking_request_count(),
-                signup_failures: dataset
-                    .crawls
-                    .iter()
-                    .filter(|c| matches!(c.outcome, CrawlOutcome::SignupFailed(_)))
-                    .map(|c| c.domain.clone())
-                    .collect(),
-            }
-        })
-        .collect()
+                ..row.clone()
+            },
+            // Detection runs only on completed crawls, so every sender's
+            // crawl completed: no broken sign-ups.
+            None if reuse.as_ref() == Some(&policy) => BrowserResult {
+                browser: kind,
+                senders: r.report.senders().len(),
+                receivers: r.report.receivers().len(),
+                leaking_requests: r.report.leaking_request_count(),
+                signup_failures: Vec::new(),
+            },
+            None => crawl_and_detect(r, &crawler, kind, &senders),
+        };
+        rows.push((policy, row));
+    }
+    rows.into_iter().map(|(_, row)| row).collect()
+}
+
+/// One browser's row, measured by re-crawling `senders` and detecting.
+fn crawl_and_detect(
+    r: &StudyResults,
+    crawler: &Crawler,
+    kind: BrowserKind,
+    senders: &[String],
+) -> BrowserResult {
+    let dataset = crawler.run_on(kind, Some(senders));
+    let report = LeakDetector::new(&r.tokens, &r.psl, &r.universe.zones).detect(&dataset);
+    BrowserResult {
+        browser: kind,
+        senders: report.senders().len(),
+        receivers: report.receivers().len(),
+        leaking_requests: report.leaking_request_count(),
+        signup_failures: dataset
+            .crawls
+            .iter()
+            .filter(|c| matches!(c.outcome, CrawlOutcome::SignupFailed(_)))
+            .map(|c| c.domain.clone())
+            .collect(),
+    }
 }
 
 pub fn table(r: &StudyResults, results: &[BrowserResult]) -> Table {
     let base_senders = r.report.senders().len();
     let base_receivers = r.report.receivers().len();
     let mut t = Table::new(
-        "§7.1 — browsers vs PII leakage (re-crawl of the 130 leaking sites)",
+        format!("§7.1 — browsers vs PII leakage (re-crawl of the {base_senders} leaking sites)"),
         &[
             "Browser",
             "Senders",
@@ -138,11 +185,110 @@ pub fn comparisons(r: &StudyResults, results: &[BrowserResult]) -> Vec<Compariso
 mod tests {
     use super::*;
     use crate::study::testutil::shared;
+    use crate::Study;
+    use pii_net::cache::CacheStrategy;
+    use pii_net::fault::FaultProfile;
+    use pii_web::UniverseSpec;
     use std::sync::OnceLock;
 
     fn results() -> &'static Vec<BrowserResult> {
         static R: OnceLock<Vec<BrowserResult>> = OnceLock::new();
         R.get_or_init(|| evaluate_all(shared()))
+    }
+
+    /// The pass `evaluate_all` replaced: a full re-crawl and detection for
+    /// each of the six browsers.
+    fn six_crawls(r: &StudyResults) -> Vec<BrowserResult> {
+        let senders: Vec<String> = r.report.senders().iter().map(|s| s.to_string()).collect();
+        let crawler = Crawler::new(&r.universe);
+        BrowserKind::ALL
+            .iter()
+            .map(|&kind| {
+                let dataset = crawler.run_on(kind, Some(&senders));
+                let report =
+                    LeakDetector::new(&r.tokens, &r.psl, &r.universe.zones).detect(&dataset);
+                BrowserResult {
+                    browser: kind,
+                    senders: report.senders().len(),
+                    receivers: report.receivers().len(),
+                    leaking_requests: report.leaking_request_count(),
+                    signup_failures: dataset
+                        .crawls
+                        .iter()
+                        .filter(|c| matches!(c.outcome, CrawlOutcome::SignupFailed(_)))
+                        .map(|c| c.domain.clone())
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+
+    fn study(seed: u64, faults: FaultProfile, cache: Option<CacheStrategy>, repeat: u32) -> Study {
+        Study {
+            spec: UniverseSpec {
+                seed,
+                ..UniverseSpec::default()
+            },
+            faults,
+            cache,
+            repeat,
+            ..Study::paper()
+        }
+    }
+
+    /// Seed 7 crawled with a warm cache: the study's report misses the
+    /// three Referer-only senders, so it must not stand in for a re-crawl.
+    fn cached() -> &'static StudyResults {
+        static R: OnceLock<StudyResults> = OnceLock::new();
+        R.get_or_init(|| {
+            study(
+                UniverseSpec::default().seed,
+                FaultProfile::None,
+                Some(CacheStrategy::CacheFirst),
+                2,
+            )
+            .run()
+        })
+    }
+
+    #[test]
+    fn grouped_pass_equals_six_crawls_on_plain_studies() {
+        for seed in [7, 11, 23] {
+            let r = if seed == UniverseSpec::default().seed {
+                shared()
+            } else {
+                &study(seed, FaultProfile::None, None, 1).run()
+            };
+            assert!(r.degradation.capture_is_plain());
+            assert_eq!(evaluate_all(r), six_crawls(r), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn grouped_pass_equals_six_crawls_when_the_capture_is_not_plain() {
+        let faulted = study(
+            UniverseSpec::default().seed,
+            FaultProfile::PaperMay2021,
+            None,
+            1,
+        )
+        .run();
+        for r in [&faulted, cached()] {
+            assert!(!r.degradation.capture_is_plain());
+            assert_eq!(evaluate_all(r), six_crawls(r));
+        }
+    }
+
+    #[test]
+    fn title_counts_the_study_senders() {
+        let r = cached();
+        let senders = r.report.senders().len();
+        assert_ne!(senders, 130);
+        let title = table(r, &evaluate_all(r)).title;
+        assert!(
+            title.contains(&format!("re-crawl of the {senders} leaking sites")),
+            "{title}"
+        );
     }
 
     #[test]

@@ -41,12 +41,15 @@ fn count_referer_senders(report: &DetectionReport) -> usize {
     senders.len()
 }
 
-/// Re-crawl with a Firefox 88 profile that enforces strict referrers.
+/// Re-crawl with a Firefox 88 profile that enforces strict referrers: a
+/// plain crawl (no faults, no cache, one visit) with the study's workers.
 pub fn strict_referrer(r: &StudyResults) -> StrictReferrerOutcome {
     let mut profile = BrowserKind::Firefox88Vanilla.profile();
     profile.enforce_strict_referrer = true;
     let senders: Vec<String> = r.report.senders().iter().map(|s| s.to_string()).collect();
-    let dataset = Crawler::new(&r.universe).run_with_profile(profile, Some(&senders));
+    let mut crawler = Crawler::new(&r.universe);
+    crawler.workers = r.degradation.capture.workers;
+    let dataset = crawler.run_with_profile(profile, Some(&senders));
     let after = LeakDetector::new(&r.tokens, &r.psl, &r.universe.zones).detect(&dataset);
     StrictReferrerOutcome {
         referer_senders: (

@@ -8,7 +8,7 @@
 
 use crate::report::{Comparison, Table};
 use pii_crawler::capture::{CrawlDataset, CrawlOutcome, FunnelStats};
-use pii_net::cache::CacheDisposition;
+use pii_net::cache::{CacheDisposition, CacheStrategy};
 use pii_net::fault::FaultProfile;
 use std::collections::BTreeMap;
 
@@ -53,6 +53,42 @@ pub struct Degradation {
     pub archive_skipped: Vec<(String, String)>,
     /// `(verified, indexed)` archive segments when replaying from a store.
     pub archive_segments: Option<(usize, usize)>,
+    /// How the capture was crawled, beyond the fault profile. The passes
+    /// that re-crawl read it to size their pool and to decide whether the
+    /// study's own report already is their baseline crawl.
+    pub capture: CaptureConfig,
+}
+
+/// The study's crawl configuration that the fault profile does not record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CaptureConfig {
+    /// The capture was replayed from an archive (`--from`). An archive's
+    /// meta records neither the cache strategy nor the visit count, so
+    /// `cache` and `repeat` then say what was asked for, not what was
+    /// crawled.
+    pub replayed: bool,
+    /// HTTP cache strategy of the crawl's browsers (`--cache`).
+    pub cache: Option<CacheStrategy>,
+    /// Visits per site (`--repeat`).
+    pub repeat: u32,
+    /// Worker threads for the passes that re-crawl (`--workers`).
+    pub workers: usize,
+}
+
+impl Default for CaptureConfig {
+    /// A live, uncached, one-visit crawl with `Crawler::new`'s pool size:
+    /// what [`compute`] and [`DegradationBuilder::finish`] are handed
+    /// without a study around them.
+    fn default() -> CaptureConfig {
+        CaptureConfig {
+            replayed: false,
+            cache: None,
+            repeat: 1,
+            workers: std::thread::available_parallelism()
+                .map(|n| n.get().min(8))
+                .unwrap_or(4),
+        }
+    }
 }
 
 impl Degradation {
@@ -63,6 +99,18 @@ impl Degradation {
         self.profile != FaultProfile::None
             || !self.archive_skipped.is_empty()
             || self.requests_suppressed + self.cache_revalidated > 0
+    }
+
+    /// True when the capture is exactly what a re-crawl with a plain
+    /// crawler makes: live, faultless, uncached, one visit per site. Each
+    /// site's crawl is then a pure function of the site and the browser
+    /// policy, so a re-crawl of any subset under the capture browser's
+    /// policy reproduces the capture's records for those sites.
+    pub fn capture_is_plain(&self) -> bool {
+        self.profile == FaultProfile::None
+            && !self.capture.replayed
+            && self.capture.cache.is_none()
+            && self.capture.repeat == 1
     }
 }
 
@@ -161,6 +209,7 @@ impl DegradationBuilder {
             cache_revalidated: self.cache_revalidated,
             archive_skipped: Vec::new(),
             archive_segments: None,
+            capture: CaptureConfig::default(),
         }
     }
 }
@@ -304,6 +353,28 @@ mod tests {
             records: Vec::new(),
             stored_cookies: Vec::new(),
             resilience: res,
+        }
+    }
+
+    #[test]
+    fn only_a_live_faultless_uncached_single_visit_capture_is_plain() {
+        let plain =
+            DegradationBuilder::default().finish(FaultProfile::None, FunnelStats::default());
+        assert!(plain.capture_is_plain());
+        let mut more_workers = plain.clone();
+        more_workers.capture.workers += 3;
+        assert!(more_workers.capture_is_plain());
+        let variants: [fn(&mut Degradation); 5] = [
+            |d| d.profile = FaultProfile::PaperMay2021,
+            |d| d.profile = FaultProfile::Hostile,
+            |d| d.capture.replayed = true,
+            |d| d.capture.cache = Some(CacheStrategy::NetworkFirst),
+            |d| d.capture.repeat = 2,
+        ];
+        for (i, change) in variants.iter().enumerate() {
+            let mut d = plain.clone();
+            change(&mut d);
+            assert!(!d.capture_is_plain(), "variant {i}");
         }
     }
 

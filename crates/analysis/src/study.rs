@@ -6,6 +6,7 @@
 //! println!("{}", results.render_all());
 //! ```
 
+use crate::degradation::CaptureConfig;
 use crate::streaming::StudyFold;
 use pii_browser::profiles::BrowserKind;
 use pii_core::detect::{DetectionReport, LeakDetector};
@@ -203,6 +204,12 @@ impl Study {
         let (tracking, mut degradation) = {
             let _span = pii_telemetry::span("study.analyze");
             (analyze(&report), degradation.finish(faults, funnel))
+        };
+        degradation.capture = CaptureConfig {
+            replayed: reader.is_some(),
+            cache: self.cache,
+            repeat: self.repeat,
+            workers,
         };
         if let Some(replay) = replay {
             // Records lost to archive damage are accounted for exactly like

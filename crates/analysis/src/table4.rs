@@ -13,7 +13,9 @@
 //!
 //! The join from leak events to requests and initiator chains builds each
 //! sender's URL → request index once and reuses it for every leak request
-//! of that sender, rather than rebuilding it per leak.
+//! of that sender, rather than rebuilding it per leak. The index borrows
+//! the records' URLs as keys, and [`evaluate_all`] matches all three lists
+//! over one join.
 
 use crate::report::{count_pct, Comparison, Table};
 use crate::study::StudyResults;
@@ -22,6 +24,7 @@ use pii_core::LeakEvent;
 use pii_crawler::CrawlDataset;
 use pii_dns::ZoneStore;
 use pii_net::http::Request;
+use pii_net::Url;
 use pii_web::site::LeakMethod;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -71,11 +74,14 @@ fn join<'a>(
         let Some(crawl) = dataset.site(sender) else {
             continue;
         };
-        // Walk initiator chains by URL equality within the same crawl.
-        let by_url: HashMap<String, &Request> = crawl
+        // Walk initiator chains by URL equality within the same crawl. Two
+        // `Url`s are equal exactly when their texts are, since no URL the
+        // browser builds holds a delimiter inside a field (a `?` in the
+        // path, a `#` in the query).
+        let by_url: HashMap<&Url, &Request> = crawl
             .records
             .iter()
-            .map(|rec| (rec.request.url.to_string(), &rec.request))
+            .map(|rec| (&rec.request.url, &rec.request))
             .collect();
         for (index, (receivers, methods, cloaked)) in groups {
             let Some(record) = crawl.records.get(index) else {
@@ -83,13 +89,13 @@ fn join<'a>(
             };
             let request = &record.request;
             let mut chain = Vec::new();
-            let mut cursor = request.initiator.as_ref().map(|u| u.to_string());
+            let mut cursor = request.initiator.as_ref();
             for _ in 0..5 {
                 let Some(url) = cursor.take() else { break };
                 let Some(req) = by_url.get(&url) else { break };
                 chain.push(*req);
-                let next = req.initiator.as_ref().map(|u| u.to_string());
-                if next.as_deref() == Some(url.as_str()) {
+                let next = req.initiator.as_ref();
+                if next == Some(url) {
                     break; // self-initiated: end of chain
                 }
                 cursor = next;
@@ -119,16 +125,16 @@ fn join<'a>(
 fn blocked_by(r: &StudyResults, set: &FilterSet, leak: &LeakRequest) -> bool {
     let site = leak.sender;
     let check = |req: &Request, host_override: Option<&str>| -> bool {
-        let host = host_override.unwrap_or(&req.url.host).to_string();
+        let host = host_override.unwrap_or(&req.url.host);
         let url = match host_override {
             Some(h) => req.url.to_string().replacen(&req.url.host, h, 1),
             None => req.url.to_string(),
         };
         let info = RequestInfo {
             url: &url,
-            host: &host,
+            host,
             top_level_host: site,
-            is_third_party: !r.psl.same_site(&host, site) || host_override.is_some(),
+            is_third_party: !r.psl.same_site(host, site) || host_override.is_some(),
             kind: req.kind,
         };
         set.matches(&info).is_blocked()
@@ -158,7 +164,16 @@ pub struct ListPerformance {
 
 /// Evaluate one filter set over the study's leak requests.
 pub fn evaluate(r: &StudyResults, name: &'static str, set: &FilterSet) -> ListPerformance {
-    let leaks = collect(r);
+    evaluate_joined(r, name, set, &collect(r))
+}
+
+/// [`evaluate`] over leak requests already joined by [`collect`].
+fn evaluate_joined(
+    r: &StudyResults,
+    name: &'static str,
+    set: &FilterSet,
+    leaks: &[LeakRequest],
+) -> ListPerformance {
     // Per sender / receiver / method: total and unblocked leak requests.
     let mut sender_all: BTreeMap<&str, bool> = BTreeMap::new(); // all blocked?
     let mut receiver_all: BTreeMap<&str, bool> = BTreeMap::new();
@@ -166,7 +181,7 @@ pub fn evaluate(r: &StudyResults, name: &'static str, set: &FilterSet) -> ListPe
     let mut receiver_methods: BTreeMap<&str, BTreeSet<LeakMethod>> = BTreeMap::new();
     let mut sender_method_all: BTreeMap<(&str, LeakMethod), bool> = BTreeMap::new();
     let mut receiver_method_all: BTreeMap<(&str, LeakMethod), bool> = BTreeMap::new();
-    for leak in &leaks {
+    for leak in leaks {
         let blocked = blocked_by(r, set, leak);
         *sender_all.entry(leak.sender).or_insert(true) &= blocked;
         for &method in &leak.methods {
@@ -246,12 +261,16 @@ pub fn evaluate(r: &StudyResults, name: &'static str, set: &FilterSet) -> ListPe
     }
 }
 
-/// Evaluate all three lists.
+/// Evaluate all three lists over one join.
 pub fn evaluate_all(r: &StudyResults) -> Vec<ListPerformance> {
+    let leaks = collect(r);
+    let (easylist, easyprivacy) = (lists::easylist(), lists::easyprivacy());
+    // `lists::combined()`, without parsing both lists a second time.
+    let combined = FilterSet::combined(&[&easylist, &easyprivacy]);
     vec![
-        evaluate(r, "EasyList", &lists::easylist()),
-        evaluate(r, "EasyPrivacy", &lists::easyprivacy()),
-        evaluate(r, "Combined", &lists::combined()),
+        evaluate_joined(r, "EasyList", &easylist, &leaks),
+        evaluate_joined(r, "EasyPrivacy", &easyprivacy, &leaks),
+        evaluate_joined(r, "Combined", &combined, &leaks),
     ]
 }
 

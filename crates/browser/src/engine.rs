@@ -1259,4 +1259,17 @@ mod tests {
         assert!(tracker_uid(&together[0]));
         assert!(!tracker_uid(&together[1]));
     }
+
+    #[test]
+    fn every_user_agent_decodes_to_a_static_string() {
+        // The archive decoder interns header values; a UA missing from
+        // `pii_net::http`'s table would cost an allocation per record.
+        for kind in BrowserKind::ALL {
+            let ua = user_agent(kind);
+            assert!(
+                matches!(pii_net::http::intern(ua), Cow::Borrowed(s) if s == ua),
+                "{ua}"
+            );
+        }
+    }
 }

@@ -127,6 +127,14 @@ const STATIC_HEADER_STRS: &[&str] = &[
     "no-store",
     "text/html",
     "application/x-www-form-urlencoded",
+    // The browser profiles' `User-Agent` values (`pii-browser`'s
+    // `user_agent`, whose tests hold the two lists together).
+    "Mozilla/5.0 (X11; Linux x86_64; rv:88.0) Gecko/20100101 Firefox/88.0",
+    "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 Chrome/93.0",
+    "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 OPR/79.0",
+    "Mozilla/5.0 (Macintosh) AppleWebKit/605.1.15 Version/14.0 Safari/605.1.15",
+    "Mozilla/5.0 (X11; Linux x86_64; rv:92.0) Gecko/20100101 Firefox/92.0",
+    "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 Chrome/93.0 Brave/1.29",
 ];
 
 /// `s` as a header string: borrowed from [`STATIC_HEADER_STRS`] when it is

@@ -4,7 +4,7 @@ use pii_suite::blocklist::{FilterSet, RequestInfo};
 use pii_suite::encodings::EncodingKind;
 use pii_suite::hashes::{digest, HashAlgorithm};
 use pii_suite::net::cookie::Cookie;
-use pii_suite::net::http::ResourceKind;
+use pii_suite::net::http::{Method, Request, ResourceKind};
 use pii_suite::net::Url;
 use proptest::prelude::*;
 
@@ -61,6 +61,32 @@ proptest! {
                 damaged[bit / 8] ^= 1 << (bit % 8);
             }
             let _ = kind.decode(&damaged);
+        }
+    }
+
+    /// Cookie parsing is total: `Request::cookie_pairs` and
+    /// `Cookie::parse_set_cookie` return on any string, never panic.
+    #[test]
+    fn cookie_parsing_is_total(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        code_points in proptest::collection::vec(any::<u32>(), 0..64),
+        shaped in "(( |;|; |=|==)|[a-zA-Z0-9_./-]{1,6}|(Max-Age|max-age|Path|Domain|SameSite|Secure|HttpOnly)=(-|[0-9]{0,24}|/|Lax|[.]{1,2})){0,16}",
+    ) {
+        let unicode: String = code_points
+            .iter()
+            .filter_map(|&c| char::from_u32(c % 0x11_0000))
+            .collect();
+        for header in [String::from_utf8_lossy(&bytes).into_owned(), unicode, shaped] {
+            let _ = Cookie::parse_set_cookie(&header);
+            let mut request = Request::new(
+                Method::Get,
+                Url::parse("https://a.com/").unwrap(),
+                ResourceKind::Document,
+            );
+            request.headers.insert("Cookie", header);
+            for (name, value) in request.cookie_pairs() {
+                prop_assert!(!name.contains("; ") && !value.contains("; "));
+            }
         }
     }
 
