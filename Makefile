@@ -85,8 +85,10 @@ full-smoke:
 # Crash-consistency smoke: kill the archive writer at a segment boundary,
 # confirm `store verify` flags the torn file, resume the crawl, and require
 # the finished archive to be byte-identical to an uninterrupted run and to
-# verify clean. Then flip a byte, and require verify → repair → verify to go
-# dirty → fixed → clean.
+# verify clean. Re-capture over the uncut archive and require the same
+# bytes; repair it onto itself and require it to verify clean and replay
+# `tables` as the live run prints them. Then flip a byte, and require
+# verify → repair → verify to go dirty → fixed → clean.
 chaos-smoke:
 	rm -f target/chaos.store
 	! cargo run --release -q -- --seed 7 --workers 1 crawl --out target/chaos.store --kill after-segment:100 2> /dev/null
@@ -95,6 +97,14 @@ chaos-smoke:
 	cargo run --release -q -- store verify target/chaos.store > /dev/null
 	cargo run --release -q -- --seed 7 --workers 1 crawl --out target/chaos-uncut.store > /dev/null
 	cmp target/chaos.store target/chaos-uncut.store
+	cp target/chaos-uncut.store target/chaos-first.store
+	cargo run --release -q -- --seed 7 --workers 1 crawl --out target/chaos-uncut.store > /dev/null
+	cmp target/chaos-first.store target/chaos-uncut.store
+	cargo run --release -q -- store repair target/chaos-uncut.store --out target/chaos-uncut.store > /dev/null
+	cargo run --release -q -- store verify target/chaos-uncut.store > /dev/null
+	cargo run --release -q -- --seed 7 tables > target/chaos-live.txt
+	cargo run --release -q -- --from target/chaos-uncut.store tables > target/chaos-replay.txt
+	cmp target/chaos-live.txt target/chaos-replay.txt
 	cargo run --release -q --example corrupt_store target/chaos.store target/chaos-corrupt.store
 	! cargo run --release -q -- store verify target/chaos-corrupt.store > /dev/null
 	cargo run --release -q -- store repair target/chaos-corrupt.store > /dev/null

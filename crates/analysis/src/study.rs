@@ -275,7 +275,8 @@ impl Study {
     /// as a full crawl. The returned funnel folds the kept outcomes
     /// together with the recrawled ones, so it matches an uninterrupted
     /// run's funnel exactly. Without `resume`, any existing file is
-    /// truncated and the full universe is crawled.
+    /// replaced (`ArchiveWriter::create`) and the full universe is
+    /// crawled.
     ///
     /// `kill` arms a deterministic [`FailPoint`] on the writer: the crawl
     /// runs until the archive hits that point, then every append fails and

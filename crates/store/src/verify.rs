@@ -118,8 +118,25 @@ pub fn verify(path: &Path) -> Result<VerifyReport, StoreError> {
 /// damaged ones as `Quarantined` placeholders — so the repaired archive
 /// replays with the same funnel totals the damaged one would, minus the
 /// anonymous regions nothing claimed.
+///
+/// When `out` names the same file as `path` (the two canonicalize to one
+/// path), the repair is written to the sibling `*.repair-tmp` and renamed
+/// over that file only once it is finalized: the reader never has its
+/// file truncated under it, and a crash mid-repair loses nothing.
 pub fn repair(path: &Path, out: &Path) -> Result<RepairSummary, StoreError> {
     let reader = ArchiveReader::open(path)?;
+    let target = std::fs::canonicalize(path)?;
+    if !out.exists() || std::fs::canonicalize(out)? != target {
+        return rewrite(&reader, out);
+    }
+    let tmp = target.with_extension("repair-tmp");
+    let summary = rewrite(&reader, &tmp)?;
+    std::fs::rename(&tmp, &target)?;
+    Ok(summary)
+}
+
+/// [`repair`]'s rewrite of everything `reader` can recover into `out`.
+fn rewrite(reader: &ArchiveReader, out: &Path) -> Result<RepairSummary, StoreError> {
     let mut writer = ArchiveWriter::create(out, reader.meta())?;
     let mut summary = RepairSummary {
         regions_dropped: reader.scan_damage().len(),

@@ -102,9 +102,47 @@ pub struct ArchiveWriter<W: Write> {
     fail: Option<FailState>,
 }
 
+/// Take a previous archive at `path` off the critical path of
+/// [`ArchiveWriter::create`]: when `path` is a regular file this process
+/// could open for writing, open it, remove its name, and drop the handle on
+/// a detached thread. The last close frees the old blocks, and that close
+/// is the expensive step: on ext4, truncating a recently rewritten file
+/// waits for its writeback and discards, while an unlinked inode's dirty
+/// pages are simply dropped (DESIGN §11 "Replacing an archive"). Anything
+/// else — a symlink, a read-only or missing file, a failed open or remove
+/// — is left for `File::create` to truncate.
+fn retire_previous(path: &Path) {
+    let writable_file = std::fs::symlink_metadata(path)
+        .is_ok_and(|m| m.file_type().is_file() && !m.permissions().readonly());
+    if !writable_file {
+        return;
+    }
+    // Opened for writing (never truncating): a file `File::create` could
+    // not open is not replaced behind its permissions either.
+    let Ok(old) = std::fs::OpenOptions::new().write(true).open(path) else {
+        return;
+    };
+    if std::fs::remove_file(path).is_err() {
+        return;
+    }
+    // Detached on purpose: joining would put the close back on the critical
+    // path, and dropping a `File` cannot panic. No thread name: a name is a
+    // heap `String` per call. A failed spawn drops the closure, and with it
+    // the handle, inline.
+    if std::thread::Builder::new()
+        .spawn(move || drop(old))
+        .is_err()
+    {
+        pii_telemetry::counter("store.create.retire_inline", 1);
+    }
+}
+
 impl ArchiveWriter<std::io::BufWriter<std::fs::File>> {
-    /// Create `path` (truncating any previous archive) and write the file
-    /// header plus the meta segment.
+    /// Create `path`, replacing any previous archive there, and write the
+    /// file header plus the meta segment. Once this returns, the previous
+    /// archive's name is gone. A reader already open on it keeps reading
+    /// its bytes, except through a symlink or on a read-only file, which
+    /// are truncated in place.
     pub fn create(
         path: &Path,
         meta: &ArchiveMeta,
@@ -121,7 +159,8 @@ impl ArchiveWriter<std::io::BufWriter<std::fs::File>> {
         meta: &ArchiveMeta,
         fail: Option<FailPoint>,
     ) -> std::io::Result<ArchiveWriter<std::io::BufWriter<std::fs::File>>> {
-        let _span = pii_telemetry::span("store.open");
+        let _span = pii_telemetry::span("store.create");
+        retire_previous(path);
         let file = std::fs::File::create(path)?;
         ArchiveWriter::new_with_failpoint(std::io::BufWriter::new(file), meta, fail)
     }
@@ -609,13 +648,121 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kill_path_io_errors_are_counted() {
-        let meta = ArchiveMeta {
+    fn meta() -> ArchiveMeta {
+        ArchiveMeta {
             spec: UniverseSpec::default(),
             browser: BrowserKind::Firefox88Vanilla,
             faults: FaultProfile::None,
+        }
+    }
+
+    fn dataset(domains: &[&str]) -> CrawlDataset {
+        let site = |domain: &&str| SiteCrawl {
+            domain: domain.to_string(),
+            outcome: CrawlOutcome::Completed {
+                email_confirmed: true,
+                bot_detection_passed: false,
+            },
+            records: Vec::new(),
+            stored_cookies: Vec::new(),
+            resilience: None,
         };
+        CrawlDataset {
+            browser: BrowserKind::Firefox88Vanilla,
+            crawls: domains.iter().map(site).collect(),
+        }
+    }
+
+    /// The archive `dataset` makes, written to memory.
+    fn archive_bytes(dataset: &CrawlDataset) -> Vec<u8> {
+        let mut writer = ArchiveWriter::new(Vec::new(), &meta()).unwrap();
+        for (index, crawl) in dataset.crawls.iter().enumerate() {
+            writer.append_site(index, crawl).unwrap();
+        }
+        writer.finish_with_sink().unwrap().1
+    }
+
+    /// An empty directory of the test's own, so it can be listed whole.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("pii-store-writer-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn creating_over_an_archive_leaves_open_readers_their_bytes() {
+        let dir = scratch_dir("over");
+        let path = dir.join("study.store");
+        let old = dataset(&["a.com", "bb.com", "ccc.com"]);
+        let new = dataset(&["dddd.com"]);
+        write_archive(&path, &meta(), &old).unwrap();
+        let reader = reader::ArchiveReader::open(&path).unwrap();
+        write_archive(&path, &meta(), &new).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), archive_bytes(&new));
+        // Truncation would cut the open reader's file from under it.
+        let replay = reader.read_dataset();
+        assert_eq!(replay.report.segments_verified, 3);
+        assert!(replay.report.skipped.is_empty());
+        assert_eq!(
+            serde_json::to_string(&replay.dataset).unwrap(),
+            serde_json::to_string(&old).unwrap()
+        );
+        assert_eq!(file_names(&dir), ["study.store"]);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_symlinked_path_keeps_its_link() {
+        let dir = scratch_dir("symlink");
+        let target = dir.join("target.store");
+        let link = dir.join("link.store");
+        write_archive(&target, &meta(), &dataset(&["a.com", "bb.com"])).unwrap();
+        std::os::unix::fs::symlink(&target, &link).unwrap();
+        let new = dataset(&["ccc.com"]);
+        write_archive(&link, &meta(), &new).unwrap();
+        let link_meta = std::fs::symlink_metadata(&link).unwrap();
+        assert!(link_meta.file_type().is_symlink());
+        assert_eq!(std::fs::read(&target).unwrap(), archive_bytes(&new));
+        assert_eq!(file_names(&dir), ["link.store", "target.store"]);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_read_only_file_is_not_retired() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = scratch_dir("read-only");
+        let path = dir.join("study.store");
+        write_archive(&path, &meta(), &dataset(&["a.com", "bb.com"])).unwrap();
+        let inode = std::fs::metadata(&path).unwrap().ino();
+        let mut permissions = std::fs::metadata(&path).unwrap().permissions();
+        permissions.set_readonly(true);
+        std::fs::set_permissions(&path, permissions).unwrap();
+        // Without the privilege to override file modes, `create` fails as
+        // it always has; with it, `File::create` truncates in place. Either
+        // way the file keeps its inode.
+        let new = dataset(&["ccc.com"]);
+        let created = write_archive(&path, &meta(), &new);
+        assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode);
+        if created.is_ok() {
+            assert_eq!(std::fs::read(&path).unwrap(), archive_bytes(&new));
+        }
+        assert_eq!(file_names(&dir), ["study.store"]);
+    }
+
+    #[test]
+    fn kill_path_io_errors_are_counted() {
+        let meta = meta();
         // Tear the file magic after four bytes: the kill writes that torn
         // prefix and flushes, and both fail on this sink. The counter is
         // process-global; no other test in this crate kills a writer over a

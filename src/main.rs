@@ -476,28 +476,17 @@ fn main() {
                 }
                 (Some("repair"), Some(path)) => {
                     let path = std::path::Path::new(path);
+                    // Without `--out` the repair is in place; `repair` writes
+                    // it beside the archive and renames it over once finalized.
                     let out = match (args.get(3).map(String::as_str), args.get(4)) {
-                        (Some("--out"), Some(fixed)) => Some(std::path::PathBuf::from(fixed)),
-                        (None, _) => None,
+                        (Some("--out"), Some(fixed)) => std::path::Path::new(fixed),
+                        (None, _) => path,
                         _ => usage(),
                     };
-                    // In-place repair still writes a fresh archive first and
-                    // renames over the damaged one only once it is finalized,
-                    // so a crash mid-repair never loses the recoverable data.
-                    let result = match &out {
-                        Some(fixed) => pii_suite::store::repair(path, fixed),
-                        None => {
-                            let tmp = path.with_extension("repair-tmp");
-                            pii_suite::store::repair(path, &tmp).and_then(|summary| {
-                                std::fs::rename(&tmp, path)?;
-                                Ok(summary)
-                            })
-                        }
-                    };
-                    match result {
+                    match pii_suite::store::repair(path, out) {
                         Ok(s) => println!(
                             "repaired {}: {} segments recovered, {} sites quarantined, {} anonymous damaged regions dropped",
-                            out.as_deref().unwrap_or(path).display(),
+                            out.display(),
                             s.segments_recovered,
                             s.segments_quarantined,
                             s.regions_dropped

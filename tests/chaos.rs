@@ -288,3 +288,47 @@ proptest! {
         prop_assert_eq!(&std::fs::read(&path).expect("resumed bytes"), baseline_bytes);
     }
 }
+
+/// `repair A --out A` must not read the file it is rewriting: a clean and
+/// a bit-flipped fixture, each repaired onto itself, come out with the
+/// same bytes and row counts as a repair to a separate path, and no
+/// temporary file is left beside them. The read-only copy is one the
+/// writer cannot retire, so there only the repair itself keeps its input.
+#[test]
+fn repairing_an_archive_onto_itself_matches_a_separate_repair() {
+    let (baseline_bytes, _) = baseline(FaultProfile::None);
+    let mut flipped = baseline_bytes.clone();
+    flipped[baseline_bytes.len() / 2] ^= 0x40;
+    for (name, bytes) in [("clean", baseline_bytes.clone()), ("flip", flipped)] {
+        let source = temp_path(&format!("self-{name}.store"));
+        let separate = temp_path(&format!("self-{name}-separate.store"));
+        std::fs::write(&source, &bytes).expect("write fixture");
+        let expected = store::repair(&source, &separate).expect("repair to a separate path");
+        let expected_bytes = std::fs::read(&separate).expect("separate bytes");
+        for read_only in [false, true] {
+            let ctx = format!("fixture {name}, read-only {read_only}");
+            let in_place = temp_path(&format!("self-{name}-{read_only}.store"));
+            std::fs::write(&in_place, &bytes).expect("write fixture");
+            let mut permissions = std::fs::metadata(&in_place).expect("stat").permissions();
+            permissions.set_readonly(read_only);
+            std::fs::set_permissions(&in_place, permissions).expect("chmod");
+            let summary = store::repair(&in_place, &in_place).expect("repair onto itself");
+            assert_eq!(summary, expected, "{ctx}");
+            assert_eq!(
+                summary.segments_recovered + summary.segments_quarantined,
+                60,
+                "{ctx}: every site keeps its row"
+            );
+            assert_eq!(
+                std::fs::read(&in_place).expect("repaired bytes"),
+                expected_bytes,
+                "{ctx}"
+            );
+            assert!(
+                store::verify(&in_place).expect("verify").is_clean(),
+                "{ctx}"
+            );
+            assert!(!in_place.with_extension("repair-tmp").exists(), "{ctx}");
+        }
+    }
+}
