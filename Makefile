@@ -1,6 +1,6 @@
-.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke chaos-smoke lint-invariants bench-trajectory perfbench-selftest
+.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke workers-smoke chaos-smoke lint-invariants bench-trajectory perfbench-selftest
 
-ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke chaos-smoke perfbench-selftest lint-invariants clippy fmt-check
+ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke workers-smoke chaos-smoke perfbench-selftest lint-invariants clippy fmt-check
 
 build:
 	cargo build --release --workspace
@@ -35,35 +35,39 @@ store-smoke:
 	grep -q "archive segments skipped" target/smoke-corrupt.txt
 	! cmp -s target/smoke-live.txt target/smoke-corrupt.txt
 
-# Constant-memory pipeline: the streaming replay of a capture archive must
-# render byte-identically to the materialized replay of the same archive,
-# and a live streaming run, folded through the crawl's reorder buffer, must
-# match a plain live run — at the default pool, at one worker (in-order
-# delivery), and at two workers under hostile faults (out-of-order
-# delivery).
+# `full` prints `tables`, then `blocklists`, a blank line, `browsers` and
+# the comparison tally. `full` and `blocklists` keep the study's crawls;
+# `tables` and `browsers` drop each site once it is folded. Under the same
+# flags ($(1)) each of the three must print exactly its slice of `full`.
+define full_slices
+	cargo run --release -q -- $(1) full > target/$(2)-full.txt
+	cargo run --release -q -- $(1) tables > target/$(2)-tables.txt
+	cargo run --release -q -- $(1) blocklists > target/$(2)-blocklists.txt
+	cargo run --release -q -- $(1) browsers > target/$(2)-browsers.txt
+	tail -n 1 target/$(2)-full.txt | grep -Eqx '[0-9]+/[0-9]+ comparisons match the paper'
+	{ cat target/$(2)-tables.txt target/$(2)-blocklists.txt; echo; cat target/$(2)-browsers.txt; tail -n 1 target/$(2)-full.txt; } | cmp - target/$(2)-full.txt
+endef
+
+# Constant-memory pipeline: the crawl-dropping subcommands must print their
+# slice of the crawl-keeping `full`, replayed from an archive and live —
+# at the default pool, at one worker (in-order delivery), and at two
+# workers under hostile faults (out-of-order delivery through the live
+# fold's reorder buffer).
 stream-smoke:
 	cargo run --release -q -- --seed 7 crawl --out target/stream-smoke.store > /dev/null
-	cargo run --release -q -- --from target/stream-smoke.store tables > target/stream-materialized.txt
-	cargo run --release -q -- --from target/stream-smoke.store --stream tables > target/stream-streamed.txt
-	cmp target/stream-materialized.txt target/stream-streamed.txt
-	cargo run --release -q -- --seed 7 tables > target/stream-live.txt
-	cargo run --release -q -- --seed 7 --stream tables > target/stream-live-streamed.txt
-	cmp target/stream-live.txt target/stream-live-streamed.txt
-	cargo run --release -q -- --seed 7 --workers 1 tables > target/stream-live-w1.txt
-	cargo run --release -q -- --seed 7 --workers 1 --stream tables > target/stream-live-w1-streamed.txt
-	cmp target/stream-live-w1.txt target/stream-live-w1-streamed.txt
-	cargo run --release -q -- --seed 7 --workers 2 --faults hostile tables > target/stream-live-hostile.txt
-	cargo run --release -q -- --seed 7 --workers 2 --faults hostile --stream tables > target/stream-live-hostile-streamed.txt
-	cmp target/stream-live-hostile.txt target/stream-live-hostile-streamed.txt
+	$(call full_slices,--from target/stream-smoke.store,stream-replay)
+	$(call full_slices,--seed 7,stream-live)
+	$(call full_slices,--seed 7 --workers 1,stream-live-w1)
+	$(call full_slices,--seed 7 --workers 2 --faults hostile,stream-live-hostile)
 
 # `full` is the pass that `stream-smoke`'s `tables` skips: the six-browser
-# re-crawl and Table 4, both detected by the sequential
-# `LeakDetector::detect`. Its report must be byte-identical at one worker,
+# re-crawl and Table 4. Its report must be byte-identical at one worker,
 # at four workers, and replayed from the one-worker archive — plain, and
 # under the paper's fault mix with a warm-cache revisit. Last, an archive
 # captured under hostile faults with a warm-cache revisit (aborted and
-# cache-served records) must replay `full` and `--stream tables` exactly
-# as the live runs with the same flags render them.
+# cache-served records) must replay `full` exactly as the live run with the
+# same flags renders it, and live and replayed, each crawl-dropping
+# subcommand must print its slice of `full`.
 HOSTILE_FLAGS = --seed 7 --faults hostile --cache cache-first --repeat 2
 full-smoke:
 	for flags in "" "--faults paper-may-2021 --cache cache-first --repeat 2"; do \
@@ -78,9 +82,24 @@ full-smoke:
 	cargo run --release -q -- $(HOSTILE_FLAGS) full > target/full-hostile-live.txt
 	cargo run --release -q -- --from target/full-hostile.store full > target/full-hostile-replay.txt
 	cmp target/full-hostile-live.txt target/full-hostile-replay.txt
-	cargo run --release -q -- $(HOSTILE_FLAGS) --stream tables > target/full-hostile-live-stream.txt
-	cargo run --release -q -- --from target/full-hostile.store --stream tables > target/full-hostile-replay-stream.txt
-	cmp target/full-hostile-live-stream.txt target/full-hostile-replay-stream.txt
+	$(call full_slices,$(HOSTILE_FLAGS),full-hostile-live)
+	$(call full_slices,--from target/full-hostile.store,full-hostile-replay)
+
+# Every pass that re-crawls runs on the study's `--workers`: the
+# strict-referrer counterfactual and the crowdsourced contributors print
+# the same bytes at one worker and at four, and at one worker `full`,
+# `counterfactual` and `crowdsource` crawl on worker 0 alone.
+workers-smoke:
+	for cmd in counterfactual "crowdsource 3"; do \
+		cargo run --release -q -- --seed 7 --workers 1 $$cmd > target/workers-w1.txt || exit 1; \
+		cargo run --release -q -- --seed 7 --workers 4 $$cmd > target/workers-w4.txt || exit 1; \
+		cmp target/workers-w1.txt target/workers-w4.txt || exit 1; \
+	done
+	for cmd in full counterfactual "crowdsource 2"; do \
+		cargo run --release -q -- --seed 7 --workers 1 --metrics $$cmd > target/workers-metrics.txt || exit 1; \
+		grep -q "crawler.worker.0.sites" target/workers-metrics.txt || exit 1; \
+		! grep -q "crawler.worker.1.sites" target/workers-metrics.txt || { echo "$$cmd: --workers 1 crawled on a second worker"; exit 1; }; \
+	done
 
 # Crash-consistency smoke: kill the archive writer at a segment boundary,
 # confirm `store verify` flags the torn file, resume the crawl, and require

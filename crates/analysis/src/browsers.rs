@@ -5,6 +5,7 @@
 //! these profiles."
 
 use crate::report::{Comparison, Table};
+use crate::streaming::StudyFold;
 use crate::study::StudyResults;
 use pii_browser::profiles::{BrowserKind, BrowserProfile};
 use pii_core::detect::LeakDetector;
@@ -42,14 +43,16 @@ fn policy(kind: BrowserKind) -> BrowserProfile {
 }
 
 /// Re-crawl the leaking senders under every browser and re-run detection,
-/// once per distinct protection policy. The re-crawl is plain: no faults,
-/// no cache, one visit per site, with the study's worker count. When the
-/// study's own capture was crawled exactly that way, the capture browser's
-/// policy is not re-crawled: the study's report is that crawl's report.
+/// once per distinct protection policy, through the study fold. The
+/// re-crawl is plain: no faults, no cache, one visit per site, with the
+/// study's worker count. When the study's own capture was crawled exactly
+/// that way, the capture browser's policy is not re-crawled: the study's
+/// report is that crawl's report.
 pub fn evaluate_all(r: &StudyResults) -> Vec<BrowserResult> {
     let senders: Vec<String> = r.report.senders().iter().map(|s| s.to_string()).collect();
     let mut crawler = Crawler::new(&r.universe);
     crawler.workers = r.degradation.capture.workers;
+    let detector = LeakDetector::new(&r.tokens, &r.psl, &r.universe.zones);
     let reuse = r
         .degradation
         .capture_is_plain()
@@ -73,30 +76,33 @@ pub fn evaluate_all(r: &StudyResults) -> Vec<BrowserResult> {
                 leaking_requests: r.report.leaking_request_count(),
                 signup_failures: Vec::new(),
             },
-            None => crawl_and_detect(r, &crawler, kind, &senders),
+            None => crawl_and_detect(&crawler, &detector, kind, &senders),
         };
         rows.push((policy, row));
     }
     rows.into_iter().map(|(_, row)| row).collect()
 }
 
-/// One browser's row, measured by re-crawling `senders` and detecting.
+/// One browser's row, measured by re-crawling `senders` and detecting. The
+/// fold keeps its crawls: the row names the sites whose sign-up failed.
 fn crawl_and_detect(
-    r: &StudyResults,
     crawler: &Crawler,
+    detector: &LeakDetector,
     kind: BrowserKind,
     senders: &[String],
 ) -> BrowserResult {
-    let dataset = crawler.run_on(kind, Some(senders));
-    let report = LeakDetector::new(&r.tokens, &r.psl, &r.universe.zones).detect(&dataset);
+    let mut fold = StudyFold::new(true);
+    crate::streaming::crawl(crawler, kind.profile(), Some(senders), detector, &mut fold);
+    let report = &fold.report;
     BrowserResult {
         browser: kind,
         senders: report.senders().len(),
         receivers: report.receivers().len(),
         leaking_requests: report.leaking_request_count(),
-        signup_failures: dataset
+        signup_failures: fold
             .crawls
             .iter()
+            .flatten()
             .filter(|c| matches!(c.outcome, CrawlOutcome::SignupFailed(_)))
             .map(|c| c.domain.clone())
             .collect(),

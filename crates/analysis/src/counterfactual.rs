@@ -12,8 +12,9 @@
 //!   visible host (no CNAME resolution)? Prediction: the Adobe cookie/URI
 //!   channel survives wholesale blocking.
 
+use crate::streaming::StudyFold;
 use crate::study::StudyResults;
-use pii_browser::profiles::BrowserKind;
+use pii_browser::profiles::{BrowserKind, BrowserProfile};
 use pii_core::detect::{DetectionReport, LeakDetector};
 use pii_crawler::Crawler;
 use pii_web::site::LeakMethod;
@@ -41,16 +42,9 @@ fn count_referer_senders(report: &DetectionReport) -> usize {
     senders.len()
 }
 
-/// Re-crawl with a Firefox 88 profile that enforces strict referrers: a
-/// plain crawl (no faults, no cache, one visit) with the study's workers.
+/// Re-crawl with a Firefox 88 profile that enforces strict referrers.
 pub fn strict_referrer(r: &StudyResults) -> StrictReferrerOutcome {
-    let mut profile = BrowserKind::Firefox88Vanilla.profile();
-    profile.enforce_strict_referrer = true;
-    let senders: Vec<String> = r.report.senders().iter().map(|s| s.to_string()).collect();
-    let mut crawler = Crawler::new(&r.universe);
-    crawler.workers = r.degradation.capture.workers;
-    let dataset = crawler.run_with_profile(profile, Some(&senders));
-    let after = LeakDetector::new(&r.tokens, &r.psl, &r.universe.zones).detect(&dataset);
+    let after = strict_recrawl(r);
     StrictReferrerOutcome {
         referer_senders: (
             count_referer_senders(&r.report),
@@ -59,6 +53,28 @@ pub fn strict_referrer(r: &StudyResults) -> StrictReferrerOutcome {
         total_senders: (r.report.senders().len(), after.senders().len()),
         total_receivers: (r.report.receivers().len(), after.receivers().len()),
     }
+}
+
+/// Firefox 88 enforcing `strict-origin-when-cross-origin` on every page.
+fn strict_profile() -> BrowserProfile {
+    BrowserProfile {
+        enforce_strict_referrer: true,
+        ..BrowserKind::Firefox88Vanilla.profile()
+    }
+}
+
+/// The leaking senders re-crawled under [`strict_profile`] through the
+/// study fold: a plain crawl (no faults, no cache, one visit) with the
+/// study's workers, each crawl dropped once detected.
+fn strict_recrawl(r: &StudyResults) -> DetectionReport {
+    let senders: Vec<String> = r.report.senders().iter().map(|s| s.to_string()).collect();
+    let mut crawler = Crawler::new(&r.universe);
+    crawler.workers = r.degradation.capture.workers;
+    let detector = LeakDetector::new(&r.tokens, &r.psl, &r.universe.zones);
+    let mut fold = StudyFold::new(false);
+    let profile = strict_profile();
+    crate::streaming::crawl(&crawler, profile, Some(&senders), &detector, &mut fold);
+    fold.report
 }
 
 /// Outcome of the no-CNAME-uncloaking counterfactual.
@@ -89,6 +105,50 @@ pub fn no_cname_uncloaking(r: &StudyResults) -> NoUncloakingOutcome {
 mod tests {
     use super::*;
     use crate::study::testutil::shared;
+    use crate::Study;
+    use pii_crawler::{CrawlDataset, SiteCrawl};
+    use pii_web::UniverseSpec;
+
+    /// The pass `strict_recrawl` replaced: the senders crawled into a
+    /// dataset, then detected one site after another.
+    fn crawl_then_detect(r: &StudyResults) -> DetectionReport {
+        let senders: Vec<String> = r.report.senders().iter().map(|s| s.to_string()).collect();
+        let crawls: std::sync::Mutex<Vec<(usize, SiteCrawl)>> = Default::default();
+        let browser = Crawler::new(&r.universe).run_pool(
+            strict_profile(),
+            Some(&senders),
+            &|index, crawl| crawls.lock().unwrap().push((index, crawl)),
+        );
+        let mut crawls = crawls.into_inner().unwrap();
+        crawls.sort_by_key(|(index, _)| *index);
+        let dataset = CrawlDataset {
+            browser,
+            crawls: crawls.into_iter().map(|(_, crawl)| crawl).collect(),
+        };
+        LeakDetector::new(&r.tokens, &r.psl, &r.universe.zones).detect(&dataset)
+    }
+
+    #[test]
+    fn strict_recrawl_equals_crawl_then_detect() {
+        for seed in [7, 11] {
+            for workers in [1, 4] {
+                let r = Study {
+                    spec: UniverseSpec {
+                        seed,
+                        ..UniverseSpec::default()
+                    },
+                    ..Study::with_workers(workers)
+                }
+                .run_streaming();
+                assert_eq!(r.degradation.capture.workers, workers);
+                assert_eq!(
+                    strict_recrawl(&r),
+                    crawl_then_detect(&r),
+                    "seed {seed}, {workers} workers"
+                );
+            }
+        }
+    }
 
     #[test]
     fn strict_referrer_kills_exactly_the_accidental_channel() {

@@ -11,6 +11,7 @@
 //! each saw a consistent ID from ≥1 site, and that the ID differs across
 //! contributors (it is identity-derived, not a constant).
 
+use crate::streaming::StudyFold;
 use pii_browser::profiles::BrowserKind;
 use pii_core::detect::{DetectionReport, LeakDetector};
 use pii_core::tokens::TokenSetBuilder;
@@ -35,8 +36,14 @@ pub fn contributor_personas(k: usize) -> Vec<Persona> {
         .collect()
 }
 
-/// Detection reports, one per contributor.
-pub fn run_contributors(universe: &Universe, personas: &[Persona]) -> Vec<DetectionReport> {
+/// Detection reports, one per contributor. Each contributor's full crawl
+/// runs through the study fold on `workers` crawl workers and is dropped
+/// once detected.
+pub fn run_contributors(
+    universe: &Universe,
+    personas: &[Persona],
+    workers: usize,
+) -> Vec<DetectionReport> {
     let psl = PublicSuffixList::embedded();
     personas
         .iter()
@@ -45,9 +52,14 @@ pub fn run_contributors(universe: &Universe, personas: &[Persona]) -> Vec<Detect
             // universe with the persona swapped (sites and zones identical).
             let mut u = universe.clone();
             u.persona = persona.clone();
-            let dataset = Crawler::new(&u).run(BrowserKind::Firefox88Vanilla);
+            let mut crawler = Crawler::new(&u);
+            crawler.workers = workers;
             let tokens = TokenSetBuilder::default().build(persona);
-            LeakDetector::new(&tokens, &psl, &u.zones).detect(&dataset)
+            let detector = LeakDetector::new(&tokens, &psl, &u.zones);
+            let mut fold = StudyFold::new(false);
+            let profile = BrowserKind::Firefox88Vanilla.profile();
+            crate::streaming::crawl(&crawler, profile, None, &detector, &mut fold);
+            fold.report
         })
         .collect()
 }
@@ -118,7 +130,7 @@ mod tests {
         F.get_or_init(|| {
             let universe = Universe::generate();
             let personas = contributor_personas(3);
-            let reports = run_contributors(&universe, &personas);
+            let reports = run_contributors(&universe, &personas, 3);
             Fixture { universe, reports }
         })
     }
@@ -132,6 +144,13 @@ mod tests {
             personas[0].email, "foo@mydom.com",
             "contributor 0 is the study persona"
         );
+    }
+
+    #[test]
+    fn contributor_reports_do_not_depend_on_the_worker_count() {
+        let f = fixture();
+        let one_worker = run_contributors(&f.universe, &contributor_personas(3), 1);
+        assert_eq!(one_worker, f.reports);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   the buffer until it arrives.
 
 use crate::degradation::DegradationBuilder;
-use pii_browser::profiles::BrowserKind;
+use pii_browser::profiles::BrowserProfile;
 use pii_core::detect::{DetectionReport, LeakDetector};
 use pii_crawler::{Crawler, FunnelStats, SiteCrawl};
 use pii_store::format::{FrameError, IndexEntry};
@@ -82,12 +82,16 @@ impl StudyFold {
     }
 }
 
-/// Fold a live crawl of `crawler`'s universe with browser `kind`. Each site
-/// is detected on the worker that crawled it, then parked until every site
-/// before it has been folded.
+/// Fold a live crawl of `crawler`'s universe — or of the `filter` subset,
+/// in universe order — under `profile`. Each site is detected on the worker
+/// that crawled it, then parked until every site before it has been folded.
+/// This is the only code that crawls and detects: the study itself and
+/// every re-crawling pass (the §7.1 browsers, the strict-referrer
+/// counterfactual, the crowdsourced contributors) go through it.
 pub(crate) fn crawl(
     crawler: &Crawler<'_>,
-    kind: BrowserKind,
+    profile: BrowserProfile,
+    filter: Option<&[String]>,
     detector: &LeakDetector,
     fold: &mut StudyFold,
 ) {
@@ -101,7 +105,7 @@ pub(crate) fn crawl(
         parked: BTreeMap::new(),
         fold,
     });
-    crawler.run_pool(kind.profile(), None, &|index, crawl| {
+    crawler.run_pool(profile, filter, &|index, crawl| {
         let fragment = detector.detect_site_guarded(&crawl);
         let mut guard = reorder.lock();
         let buffer = &mut *guard;
@@ -232,6 +236,7 @@ fn decode_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pii_browser::profiles::BrowserKind;
     use pii_core::tokens::TokenSetBuilder;
     use pii_dns::PublicSuffixList;
     use pii_net::fault::{DomainSchedule, FaultProfile};
@@ -255,7 +260,8 @@ mod tests {
         let mut fold = StudyFold::new(true);
         crawl(
             &crawler,
-            BrowserKind::Firefox88Vanilla,
+            BrowserKind::Firefox88Vanilla.profile(),
+            None,
             &detector,
             &mut fold,
         );

@@ -189,7 +189,13 @@ impl Study {
                     let mut span = pii_telemetry::span("study.crawl");
                     span.add_arg("browser", browser.name());
                     let crawler = self.crawler(&universe);
-                    crate::streaming::crawl(&crawler, browser, &detector, &mut fold);
+                    crate::streaming::crawl(
+                        &crawler,
+                        browser.profile(),
+                        None,
+                        &detector,
+                        &mut fold,
+                    );
                     (None, None)
                 }
             }

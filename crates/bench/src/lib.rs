@@ -13,7 +13,6 @@
 //! | `tokens`    | ablation: candidate-set depth & precompute-vs-rehash |
 //! | `scan`      | ablation: Aho–Corasick vs naive multi-pattern scan |
 //! | `blocklist` | ablation: indexed vs linear filter matching |
-//! | `parallel`  | sharded vs sequential detection at 10x |
 //! | `store`     | archive replay vs re-crawl at 10x |
 //! | `streaming` | crawl → archive → replay at 1x/10x/100x (`BENCH_streaming.json`) |
 

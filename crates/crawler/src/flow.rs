@@ -80,10 +80,23 @@ impl<'a> Crawler<'a> {
         self.run_on(kind, None)
     }
 
-    /// Crawl a subset of sites (e.g. the 130 leaking senders for §7.1's
-    /// browser-comparison pass).
+    /// Crawl a subset of sites into a materialized dataset, in universe
+    /// order. The analysis passes crawl and detect through `pii-analysis`'s
+    /// study fold instead; this collector serves [`Crawler::run`], tests and
+    /// examples.
     pub fn run_on(&self, kind: BrowserKind, filter: Option<&[String]>) -> CrawlDataset {
-        self.run_with_profile(kind.profile(), filter)
+        // The materialized view is itself just a consumer of the streaming
+        // pool: collect the shards, then restore canonical site order.
+        let results: Mutex<Vec<(usize, SiteCrawl)>> = Mutex::new(Vec::new());
+        let browser = self.run_pool(kind.profile(), filter, &|index, crawl| {
+            results.lock().push((index, crawl));
+        });
+        let mut results = results.into_inner();
+        results.sort_by_key(|(i, _)| *i);
+        CrawlDataset {
+            browser,
+            crawls: results.into_iter().map(|(_, crawl)| crawl).collect(),
+        }
     }
 
     /// Streaming crawl: hands each site's finished crawl to `sink` the
@@ -120,28 +133,6 @@ impl<'a> Crawler<'a> {
         }
     }
 
-    /// Crawl with an explicit (possibly counterfactual) browser profile —
-    /// used by `pii-analysis::counterfactual` for the strict-referrer
-    /// what-if experiment.
-    pub fn run_with_profile(
-        &self,
-        profile: pii_browser::profiles::BrowserProfile,
-        filter: Option<&[String]>,
-    ) -> CrawlDataset {
-        // The materialized view is itself just a consumer of the streaming
-        // pool: collect the shards, then restore canonical site order.
-        let results: Mutex<Vec<(usize, SiteCrawl)>> = Mutex::new(Vec::new());
-        let browser = self.run_pool(profile, filter, &|index, crawl| {
-            results.lock().push((index, crawl));
-        });
-        let mut results = results.into_inner();
-        results.sort_by_key(|(i, _)| *i);
-        CrawlDataset {
-            browser,
-            crawls: results.into_iter().map(|(_, crawl)| crawl).collect(),
-        }
-    }
-
     /// The worker pool underneath every crawl: one OS thread per worker,
     /// sites claimed from a shared queue. `deliver` receives every site
     /// exactly once, by value, with its index into the (filtered) site
@@ -169,10 +160,11 @@ impl<'a> Crawler<'a> {
         // surface as quarantined through the gap-fill below instead of
         // aborting the crawl.
         let _ = crossbeam::thread::scope(|scope| {
+            let mut workers = Vec::with_capacity(self.workers.max(1));
             for worker_id in 0..self.workers.max(1) {
                 let (next, requeued, ledger) = (&next, &requeued, &ledger);
                 let (sites, board, profile) = (&sites, &board, &profile);
-                scope.spawn(move |_| {
+                workers.push(scope.spawn(move |_| {
                     let mut browser = self.fresh_browser(profile, plan);
                     loop {
                         // Requeued sites take priority; a worker skips its
@@ -257,7 +249,17 @@ impl<'a> Crawler<'a> {
                             }
                         }
                     }
-                });
+                }));
+            }
+            // The scope itself waits only for the workers' closures to
+            // return. Joining waits for each thread to exit, which is when
+            // the allocator releases the thread's arena. Unjoined, the next
+            // pool's worker can find that arena still attached and start
+            // another, and the resident memory of back-to-back crawls then
+            // varies from run to run. A join error is a worker lost outside
+            // the panic guard; the gap-fill covers it.
+            for worker in workers {
+                let _ = worker.join();
             }
         });
         // Gap-fill: a site nobody delivered (worker lost outside the panic

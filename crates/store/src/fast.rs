@@ -15,9 +15,10 @@
 //! any field order plus the unpacked body form. The unit tests pin this
 //! equivalence on every variant of every type in the graph; `tests/store.rs`
 //! proptests it on whole datasets. A payload the decoder does not
-//! recognise (e.g. written by a future field the fallback knows about) is
-//! an `Err`, and [`crate::format::decode_site`] falls back to the generic
-//! route — the fast path is an optimisation, never a compatibility wall.
+//! recognise (e.g. one with a field this build does not know) is an `Err`,
+//! and [`crate::format::decode_site`] reports the segment corrupt. The
+//! generic route survives only in this module's tests, as the reference
+//! the codec is held to.
 
 use crate::vbin::{
     unzigzag, write_str, write_uvar, Reader, VbinError, TAG_ARR, TAG_BYTES, TAG_FALSE, TAG_I64,
@@ -719,9 +720,7 @@ fn r_resilience(r: &mut Reader<'_>) -> Result<SiteResilience, VbinError> {
 }
 
 /// Decode a [`SiteCrawl`] spanning exactly `bytes`. `Err` means the shape
-/// was not the one [`encode_site_crawl`] produces — the caller should fall
-/// back to the generic `from_value` route, which accepts anything derived
-/// `Deserialize` does.
+/// was not the one [`encode_site_crawl`] produces.
 pub fn decode_site_crawl(bytes: &[u8]) -> Result<SiteCrawl, VbinError> {
     let mut r = Reader::new(bytes);
     let count = r.r_obj()?;
@@ -922,9 +921,8 @@ pub(crate) mod tests {
 
     /// Header maps hold static and owned strings side by side; the
     /// hand-written serde impl must give both the derived
-    /// `{"entries": [[name, value], …]}` shape, so the generic route (the
-    /// `store.decode.generic_fallback` path) writes the fast encoder's bytes
-    /// and reads them back equal.
+    /// `{"entries": [[name, value], …]}` shape, so the generic route writes
+    /// the fast encoder's bytes and reads them back equal.
     #[test]
     fn borrowed_and_owned_headers_share_one_wire_shape() {
         let mut crawl = exhaustive_crawl();
@@ -1046,49 +1044,54 @@ pub(crate) mod tests {
         bytes
     }
 
+    /// A future writer might add a field. The fast decoder must refuse it
+    /// rather than silently drop data, and a reader must skip and count the
+    /// segment.
     #[test]
-    fn unknown_fields_fall_back_instead_of_misdecoding() {
-        // A future writer might add a field; the fast decoder must refuse
-        // (triggering the generic fallback), not silently drop data.
+    fn unknown_fields_are_rejected_and_the_segment_skipped() {
         let bytes = new_field_bytes();
         assert!(decode_site_crawl(&bytes).is_err());
-        // …and the generic route accepts it (unknown fields ignored).
-        let back: Result<SiteCrawl, _> =
-            serde::value::from_value(crate::vbin::decode_value(&bytes).unwrap());
-        assert!(back.is_ok());
-    }
-
-    /// Held by each test that decodes through [`crate::format::decode_site`]
-    /// payloads the direct decoder may refuse, so that
-    /// `decode_site_counts_each_generic_fallback` sees only its own changes
-    /// to the process-global fallback counter.
-    fn hold_fallback_counter() -> std::sync::MutexGuard<'static, ()> {
-        static FALLBACK_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        FALLBACK_COUNTER
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    #[test]
-    fn decode_site_counts_each_generic_fallback() {
-        let counter = "store.decode.generic_fallback";
-        let clean = crate::format::encode_site(&exhaustive_crawl());
-        let unfamiliar = new_field_bytes();
-        let unfamiliar_len = unfamiliar.len() as u32;
-        let unfamiliar = pii_encodings::deflate::compress(&unfamiliar);
-        // The counter is process-global; every other test in this crate
-        // that can take the fallback decodes under the same lock, so its
-        // change here is this test's own.
-        let _counter = hold_fallback_counter();
-        pii_telemetry::enable();
-        let before = pii_telemetry::snapshot().counter(counter);
-        let decoded = crate::format::decode_site(&clean.payload, clean.raw_len).unwrap();
-        assert_eq!(generic_bytes(&decoded), generic_bytes(&exhaustive_crawl()));
-        let after_clean = pii_telemetry::snapshot().counter(counter);
-        assert!(crate::format::decode_site(&unfamiliar, unfamiliar_len).is_ok());
-        let after_fallback = pii_telemetry::snapshot().counter(counter);
-        assert_eq!(after_clean, before, "a clean payload must not count");
-        assert_eq!(after_fallback, after_clean + 1);
+        let payload = pii_encodings::deflate::compress(&bytes);
+        let raw_len = bytes.len() as u32;
+        assert_eq!(
+            crate::format::decode_site(&payload, raw_len).map(|c| c.domain),
+            Err(crate::format::FrameError::Corrupt("record shape"))
+        );
+        // An archive whose only site segment carries the unknown field: an
+        // honest archive's meta prefix, then the segment, with no footer.
+        let meta = crate::ArchiveMeta {
+            spec: pii_web::UniverseSpec::default(),
+            browser: pii_browser::profiles::BrowserKind::Firefox88Vanilla,
+            faults: pii_net::fault::FaultProfile::None,
+        };
+        let mut writer = crate::ArchiveWriter::new(Vec::new(), &meta).unwrap();
+        writer.append_site(0, &exhaustive_crawl()).unwrap();
+        let honest = writer.finish_with_sink().unwrap().1;
+        let site_offset = crate::ArchiveReader::from_bytes(honest.clone())
+            .unwrap()
+            .entries()[0]
+            .offset as usize;
+        let mut archive = honest[..site_offset].to_vec();
+        crate::format::write_segment(
+            &mut archive,
+            crate::format::SegmentKind::Site,
+            0,
+            1,
+            raw_len,
+            "shop0001.com",
+            &payload,
+        );
+        let replay = crate::ArchiveReader::from_bytes(archive)
+            .unwrap()
+            .read_dataset();
+        assert_eq!(replay.report.segments_total, 1);
+        assert_eq!(replay.report.segments_verified, 0);
+        assert_eq!(replay.report.skipped.len(), 1);
+        assert_eq!(replay.report.skipped[0].reason, "corrupt: record shape");
+        assert!(matches!(
+            replay.dataset.crawls[0].outcome,
+            CrawlOutcome::Quarantined(_)
+        ));
     }
 
     #[test]
@@ -1103,10 +1106,7 @@ pub(crate) mod tests {
     /// accepts it the generic value-tree route decodes the same crawl.
     fn assert_site_decoders_agree(raw: &[u8]) -> Result<(), TestCaseError> {
         let payload = pii_encodings::deflate::compress(raw);
-        {
-            let _counter = hold_fallback_counter();
-            let _ = crate::format::decode_site(&payload, raw.len() as u32);
-        }
+        let _ = crate::format::decode_site(&payload, raw.len() as u32);
         if let Ok(fast) = decode_site_crawl(raw) {
             let tree = crate::vbin::decode_value(raw);
             prop_assert!(tree.is_ok(), "fast accepted what vbin rejects: {raw:02x?}");

@@ -192,18 +192,14 @@ pub fn encode_site(crawl: &pii_crawler::SiteCrawl) -> EncodedRecord {
     deflate_record(&raw)
 }
 
-/// [`decode_record`] for site segments: the direct decoder first, the
-/// generic value-tree route when the payload's shape is unfamiliar. Each
-/// fallback bumps `store.decode.generic_fallback`. `raw_len` is as for
+/// [`decode_record`] for site segments, through the direct decoder in
+/// [`crate::fast`]. A payload in any other shape than [`encode_site`]
+/// writes — an unknown field, say — is `Corrupt`, so readers skip and count
+/// the segment instead of guessing at it. `raw_len` is as for
 /// [`decode_record`].
 pub fn decode_site(payload: &[u8], raw_len: u32) -> Result<pii_crawler::SiteCrawl, FrameError> {
     let raw = inflate_payload(payload, raw_len)?;
-    if let Ok(crawl) = crate::fast::decode_site_crawl(&raw) {
-        return Ok(crawl);
-    }
-    pii_telemetry::counter("store.decode.generic_fallback", 1);
-    let tree = crate::vbin::decode_value(&raw).map_err(|_| FrameError::Corrupt("record body"))?;
-    serde::value::from_value(tree).map_err(|_| FrameError::Corrupt("record shape"))
+    crate::fast::decode_site_crawl(&raw).map_err(|_| FrameError::Corrupt("record shape"))
 }
 
 /// Serialize one segment (header + payload) into `out`.

@@ -34,10 +34,9 @@
 //! pii-study export <dir>               write dataset artifacts + HAR + capture archive
 //! pii-study seed <u64> <subcommand>    run any of the above on another seed
 //! pii-study --from <store> <cmd>       replay a capture archive instead of crawling
-//! pii-study --stream tables            constant-memory pipeline: each site is detected and
-//!                                      folded as it is crawled (or, with --from, read back
-//!                                      batch by batch) and then dropped — same bytes out
-//! pii-study --workers <n> <subcommand> size of the crawl/detect worker pool
+//! pii-study --workers <n> <subcommand> size of the crawl/detect worker pool, for the study
+//!                                      and for every pass that re-crawls (browsers,
+//!                                      counterfactual, crowdsource)
 //! pii-study --faults <profile> <cmd>   inject transport faults (none|paper-may-2021|hostile)
 //! pii-study --retries <n> <cmd>        max page-load attempts for the fault-injected crawl
 //! pii-study --watchdog-ms <n> <cmd>    per-site virtual-time deadline: a site whose retry
@@ -52,6 +51,12 @@
 //! pii-study --metrics <cmd>            print the telemetry run report after the command
 //! pii-study --trace <out.json> <cmd>   write a Chrome trace-event file (Perfetto-loadable)
 //! ```
+//!
+//! Every study crawls (or replays) and detects through one canonical-order
+//! fold. `full`, `blocklists`, `ablations` and `export` read raw crawl
+//! records, so they keep the capture; every other subcommand drops each site
+//! once it is folded and runs in memory bounded by the sites in flight. The
+//! output is the same either way.
 
 #![forbid(unsafe_code)]
 
@@ -66,7 +71,7 @@ use pii_suite::web::UniverseSpec;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pii-study [seed|--seed <u64>] [--from <store>] [--stream] [--workers <n>] [--faults <none|paper-may-2021|hostile>] [--retries <n>] [--watchdog-ms <n>] [--cache <cache-first|network-first|stale-while-revalidate>] [--repeat <n>] [--metrics] [--trace <out.json>] <full|tables|stats|sweep [N]|browsers|blocklists|ablations|counterfactual|crowdsource [K]|crawl --out <store> [--resume] [--kill <point>]|store <verify|repair> <store> [--out <fixed>]|lint [--json]|export <dir>>"
+        "usage: pii-study [seed|--seed <u64>] [--from <store>] [--workers <n>] [--faults <none|paper-may-2021|hostile>] [--retries <n>] [--watchdog-ms <n>] [--cache <cache-first|network-first|stale-while-revalidate>] [--repeat <n>] [--metrics] [--trace <out.json>] <full|tables|stats|sweep [N]|browsers|blocklists|ablations|counterfactual|crowdsource [K]|crawl --out <store> [--resume] [--kill <point>]|store <verify|repair> <store> [--out <fixed>]|lint [--json]|export <dir>>"
     );
     std::process::exit(2);
 }
@@ -82,10 +87,6 @@ struct StudyArgs {
     trace: Option<String>,
     /// Replay this capture archive instead of crawling.
     from: Option<String>,
-    /// Run the constant-memory streaming pipeline instead of materializing
-    /// the crawl dataset. Only `tables` supports it — Table 4 and the
-    /// ablations revisit raw crawl records and need the materialized path.
-    stream: bool,
     /// Per-site virtual-time deadline for live crawls.
     watchdog_ms: Option<u64>,
     /// HTTP cache strategy for the crawl's browsers (`--cache`).
@@ -117,7 +118,11 @@ fn configure_study(args: &StudyArgs) -> Study {
     study
 }
 
-fn run_study(args: &StudyArgs) -> StudyResults {
+/// The study the subcommand runs, announced on stderr. Each subcommand then
+/// picks the pipeline: `Study::run` keeps the crawls for the passes that read
+/// raw records (Table 4, the ablations, `export`), `Study::run_streaming`
+/// drops each site once it is folded. Both print the same bytes.
+fn study(args: &StudyArgs) -> Study {
     let mut study = configure_study(args);
     if let Some(path) = &args.from {
         // The archive carries its own seed/browser/fault meta; only the
@@ -133,12 +138,7 @@ fn run_study(args: &StudyArgs) -> StudyResults {
             study.spec.seed, study.workers, study.faults
         );
     }
-    if args.stream {
-        eprintln!("streaming mode: sites folded as they arrive, no materialized dataset…");
-        study.run_streaming()
-    } else {
-        study.run()
-    }
+    study
 }
 
 fn print_tables(r: &StudyResults) {
@@ -165,7 +165,6 @@ fn main() {
         metrics: false,
         trace: None,
         from: None,
-        stream: false,
         watchdog_ms: None,
         cache: None,
         repeat: None,
@@ -218,10 +217,6 @@ fn main() {
                 study_args.from = Some(path.clone());
                 args = &args[2..];
             }
-            Some("--stream") => {
-                study_args.stream = true;
-                args = &args[1..];
-            }
             Some("--watchdog-ms") => {
                 let Some(value) = args.get(1).and_then(|s| s.parse::<u64>().ok()) else {
                     usage();
@@ -252,13 +247,9 @@ fn main() {
         pii_suite::telemetry::enable();
     }
     let Some(command) = args.first() else { usage() };
-    if study_args.stream && command != "tables" {
-        eprintln!("--stream only applies to `tables`: the other subcommands revisit raw crawl records and need the materialized dataset");
-        usage();
-    }
     match command.as_str() {
         "full" => {
-            let r = run_study(&study_args);
+            let r = study(&study_args).run();
             print_tables(&r);
             println!("{}", table4::table(&r).render());
             println!(
@@ -277,7 +268,7 @@ fn main() {
             );
         }
         "tables" => {
-            let r = run_study(&study_args);
+            let r = study(&study_args).run_streaming();
             print_tables(&r);
             if let Some(s) = r.stream {
                 eprintln!(
@@ -287,12 +278,12 @@ fn main() {
             }
         }
         "browsers" => {
-            let r = run_study(&study_args);
+            let r = study(&study_args).run_streaming();
             let results = browsers::evaluate_all(&r);
             println!("{}", browsers::table(&r, &results).render());
         }
         "blocklists" => {
-            let r = run_study(&study_args);
+            let r = study(&study_args).run();
             println!("{}", table4::table(&r).render());
             println!(
                 "providers missed by the combined lists: {:?}",
@@ -300,7 +291,7 @@ fn main() {
             );
         }
         "ablations" => {
-            let r = run_study(&study_args);
+            let r = study(&study_args).run();
             println!("chain-depth recall:");
             for d in ablations::chain_depth_recall(&r, 2) {
                 println!(
@@ -316,10 +307,14 @@ fn main() {
         }
         "crowdsource" => {
             let k: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(3);
-            let r = run_study(&study_args);
+            let r = study(&study_args).run_streaming();
             eprintln!("running {k} contributor crawls…");
             let personas = crowdsource::contributor_personas(k);
-            let reports = crowdsource::run_contributors(&r.universe, &personas);
+            let reports = crowdsource::run_contributors(
+                &r.universe,
+                &personas,
+                r.degradation.capture.workers,
+            );
             let confirmed = crowdsource::confirm(&reports, 2);
             let crowd_only = confirmed
                 .iter()
@@ -345,7 +340,7 @@ fn main() {
             }
         }
         "stats" => {
-            let r = run_study(&study_args);
+            let r = study(&study_args).run_streaming();
             println!("{}", pii_suite::web::stats::compute(&r.universe).render());
         }
         "sweep" => {
@@ -372,7 +367,7 @@ fn main() {
             }
         }
         "counterfactual" => {
-            let r = run_study(&study_args);
+            let r = study(&study_args).run_streaming();
             let strict = counterfactual::strict_referrer(&r);
             println!(
                 "strict-referrer enforcement: referer senders {} -> {}, total senders {} -> {}, receivers {} -> {}",
@@ -526,7 +521,7 @@ fn main() {
         }
         "export" => {
             let Some(dir) = args.get(1) else { usage() };
-            let r = run_study(&study_args);
+            let r = study(&study_args).run();
             let dir = std::path::Path::new(dir);
             dataset::build(&r).write_to(dir).expect("write dataset");
             std::fs::write(

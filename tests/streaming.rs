@@ -14,9 +14,9 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
-/// The tentpole gate: for every fault profile and worker counts across the
-/// 1–8 range, `tables --stream --from study.store` is byte-identical to the
-/// materialized replay of the same archive.
+/// For every fault profile and worker counts across the 1–8 range, the
+/// streaming replay of an archive (`--from study.store tables`) is
+/// byte-identical to the materialized replay of the same archive.
 #[test]
 fn streaming_replay_is_byte_identical_for_any_workers_and_faults() {
     for profile in [
