@@ -16,11 +16,16 @@ fault-matrix:
 	done
 
 # Two seeded runs with different worker counts must produce a well-formed
-# Chrome trace and identical seed-deterministic counters.
+# Chrome trace and identical seed-deterministic counters — for `tables`,
+# and for `full`, whose §7.1 browser pass adds its page loads, requests and
+# DNS queries to the counters.
 telemetry-smoke:
 	cargo run --release -q -- --seed 7 --workers 4 --metrics --trace target/trace-a.json tables > /dev/null
 	cargo run --release -q -- --seed 7 --workers 2 --metrics --trace target/trace-b.json tables > /dev/null
 	cargo run --release -q --example validate_trace target/trace-a.json target/trace-b.json
+	cargo run --release -q -- --seed 7 --workers 1 --metrics --trace target/trace-full-a.json full > /dev/null
+	cargo run --release -q -- --seed 7 --workers 4 --metrics --trace target/trace-full-b.json full > /dev/null
+	cargo run --release -q --example validate_trace target/trace-full-a.json target/trace-full-b.json
 
 # Capture-once/analyze-many: a seeded crawl persisted to an archive must
 # replay byte-identically to the live pipeline, and a deliberately damaged

@@ -9,7 +9,7 @@ use crate::streaming::StudyFold;
 use crate::study::StudyResults;
 use pii_browser::profiles::{BrowserKind, BrowserProfile};
 use pii_core::detect::LeakDetector;
-use pii_crawler::{CrawlOutcome, Crawler};
+use pii_crawler::Crawler;
 
 /// One browser's measured exposure.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,14 +84,15 @@ pub fn evaluate_all(r: &StudyResults) -> Vec<BrowserResult> {
 }
 
 /// One browser's row, measured by re-crawling `senders` and detecting. The
-/// fold keeps its crawls: the row names the sites whose sign-up failed.
+/// fold drops each site once it is folded, keeping only the names of the
+/// sites whose sign-up failed, so the pass holds one site at a time.
 fn crawl_and_detect(
     crawler: &Crawler,
     detector: &LeakDetector,
     kind: BrowserKind,
     senders: &[String],
 ) -> BrowserResult {
-    let mut fold = StudyFold::new(true);
+    let mut fold = StudyFold::new(false);
     crate::streaming::crawl(crawler, kind.profile(), Some(senders), detector, &mut fold);
     let report = &fold.report;
     BrowserResult {
@@ -99,13 +100,7 @@ fn crawl_and_detect(
         senders: report.senders().len(),
         receivers: report.receivers().len(),
         leaking_requests: report.leaking_request_count(),
-        signup_failures: fold
-            .crawls
-            .iter()
-            .flatten()
-            .filter(|c| matches!(c.outcome, CrawlOutcome::SignupFailed(_)))
-            .map(|c| c.domain.clone())
-            .collect(),
+        signup_failures: fold.signup_failures,
     }
 }
 
@@ -192,6 +187,7 @@ mod tests {
     use super::*;
     use crate::study::testutil::shared;
     use crate::Study;
+    use pii_crawler::CrawlOutcome;
     use pii_net::cache::CacheStrategy;
     use pii_net::fault::FaultProfile;
     use pii_web::UniverseSpec;

@@ -29,7 +29,7 @@
 use crate::degradation::DegradationBuilder;
 use pii_browser::profiles::BrowserProfile;
 use pii_core::detect::{DetectionReport, LeakDetector};
-use pii_crawler::{Crawler, FunnelStats, SiteCrawl};
+use pii_crawler::{CrawlOutcome, Crawler, FunnelStats, SiteCrawl};
 use pii_store::format::{FrameError, IndexEntry};
 use pii_store::reader::{ArchiveReader, ReplayReport, SkippedSegment};
 use std::collections::BTreeMap;
@@ -61,6 +61,8 @@ pub(crate) struct StudyFold {
     pub(crate) report: DetectionReport,
     /// The folded crawls, kept only by the materialized pipeline.
     pub(crate) crawls: Option<Vec<SiteCrawl>>,
+    /// The sites whose sign-up the crawling browser broke, in site order.
+    pub(crate) signup_failures: Vec<String>,
 }
 
 impl StudyFold {
@@ -76,6 +78,9 @@ impl StudyFold {
         self.funnel.observe(&crawl.outcome);
         self.degradation.observe(&crawl);
         self.report.merge(fragment);
+        if let CrawlOutcome::SignupFailed(_) = crawl.outcome {
+            self.signup_failures.push(crawl.domain.clone());
+        }
         if let Some(crawls) = &mut self.crawls {
             crawls.push(crawl);
         }
@@ -211,14 +216,24 @@ fn decode_batch(
         .collect();
     let next = AtomicUsize::new(0);
     let _ = crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let (Some(slot), Some(item)) = (slots.get(index), batch.get(index)) else {
-                    break;
-                };
-                *slot.lock() = Some(fill(item));
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|_| loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    let (Some(slot), Some(item)) = (slots.get(index), batch.get(index)) else {
+                        break;
+                    };
+                    *slot.lock() = Some(fill(item));
+                })
+            })
+            .collect();
+        // Join each worker, as `Crawler::run_pool` does: the scope waits
+        // only for the closures, and a thread not yet exited can keep its
+        // allocator arena attached when the next batch spawns its workers.
+        // A join error is a worker lost outside the panic guard; its
+        // unfilled slots degrade below.
+        for handle in handles {
+            let _ = handle.join();
         }
     });
     slots

@@ -66,6 +66,15 @@ pub struct Study {
     pub repeat: u32,
 }
 
+/// The capture a study folds: the archive it replays, opened (`None` for a
+/// live crawl), and the capture's universe spec, browser and fault profile.
+struct Capture {
+    reader: Option<ArchiveReader>,
+    spec: UniverseSpec,
+    browser: BrowserKind,
+    faults: FaultProfile,
+}
+
 impl Study {
     /// The paper's configuration: default universe, Firefox 88 capture,
     /// one crawl/detect worker per available core (capped at 8).
@@ -146,24 +155,12 @@ impl Study {
     /// difference between the two.
     fn fold(self, keep_crawls: bool) -> StudyResults {
         let workers = self.workers.max(1);
-        let reader = match &self.source {
-            CaptureSource::Live => None,
-            // Documented `# Panics` contract on `run`: an archive that
-            // cannot be opened at all has no degraded flow to fall back to.
-            CaptureSource::Archive(path) => Some(
-                ArchiveReader::open(path)
-                    // lint:allow(W04) -- see the `# Panics` contract on `run`
-                    .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display())),
-            ),
-        };
-        // An archive's recorded meta is its capture's configuration.
-        let (spec, browser, faults) = match &reader {
-            Some(reader) => {
-                let meta = reader.meta();
-                (meta.spec.clone(), meta.browser, meta.faults)
-            }
-            None => (self.spec.clone(), self.capture_browser, self.faults),
-        };
+        let Capture {
+            reader,
+            spec,
+            browser,
+            faults,
+        } = self.capture();
         let universe = {
             let _span = pii_telemetry::span("study.generate");
             Universe::generate_with(spec)
@@ -205,6 +202,7 @@ impl Study {
             degradation,
             mut report,
             crawls,
+            ..
         } = fold;
         pii_telemetry::gauge("study.leak_events", report.events.len() as i64);
         let (tracking, mut degradation) = {
@@ -245,6 +243,45 @@ impl Study {
             tracking,
             degradation,
             stream: stream.filter(|_| !keep_crawls),
+        }
+    }
+
+    /// The universe the study measures, generated without crawling or
+    /// replaying anything: from `spec`, or under
+    /// [`CaptureSource::Archive`] from the archive's recorded spec.
+    ///
+    /// # Panics
+    ///
+    /// As [`Study::run`]: only when the archive cannot be opened at all.
+    pub fn universe(&self) -> Universe {
+        Universe::generate_with(self.capture().spec)
+    }
+
+    /// The capture this study folds. An archive's recorded meta is its
+    /// capture's configuration; a live crawl takes this study's own.
+    fn capture(&self) -> Capture {
+        let reader = match &self.source {
+            CaptureSource::Live => None,
+            // Documented `# Panics` contract on `run`: an archive that
+            // cannot be opened at all has no degraded flow to fall back to.
+            CaptureSource::Archive(path) => Some(
+                ArchiveReader::open(path)
+                    // lint:allow(W04) -- see the `# Panics` contract on `run`
+                    .unwrap_or_else(|e| panic!("cannot replay {}: {e}", path.display())),
+            ),
+        };
+        let (spec, browser, faults) = match &reader {
+            Some(reader) => {
+                let meta = reader.meta();
+                (meta.spec.clone(), meta.browser, meta.faults)
+            }
+            None => (self.spec.clone(), self.capture_browser, self.faults),
+        };
+        Capture {
+            reader,
+            spec,
+            browser,
+            faults,
         }
     }
 

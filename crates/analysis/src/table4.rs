@@ -14,7 +14,9 @@
 //! The join from leak events to requests and initiator chains builds each
 //! sender's URL → request index once and reuses it for every leak request
 //! of that sender, rather than rebuilding it per leak. The index borrows
-//! the records' URLs as keys, and [`evaluate_all`] matches all three lists
+//! the records' URLs as keys. The join also computes, once per leak
+//! request, what every list check needs (the lowercased URL text, the host
+//! and the third-party flag), and [`evaluate_all`] matches all three lists
 //! over one join.
 
 use crate::report::{count_pct, Comparison, Table};
@@ -22,10 +24,11 @@ use crate::study::StudyResults;
 use pii_blocklist::{lists, FilterSet, RequestInfo};
 use pii_core::LeakEvent;
 use pii_crawler::CrawlDataset;
-use pii_dns::ZoneStore;
+use pii_dns::{PublicSuffixList, ZoneStore};
 use pii_net::http::Request;
 use pii_net::Url;
 use pii_web::site::LeakMethod;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One leak request joined with everything matching needs.
@@ -33,18 +36,86 @@ struct LeakRequest<'a> {
     sender: &'a str,
     receivers: BTreeSet<&'a str>,
     methods: BTreeSet<LeakMethod>,
+    /// The requests a list may block the leak through, as each list check
+    /// sees them: the leak request, its CNAME-unmasked form when it is
+    /// cloaked, then its initiator chain, leak-first.
+    checks: Vec<Check<'a>>,
+}
+
+/// One request as a list check sees it, computed once per leak request.
+struct Check<'a> {
     request: &'a Request,
-    /// Initiator chain, leak-first.
-    chain: Vec<&'a Request>,
-    /// Unmasked host for cloaked requests.
-    unmasked_host: Option<String>,
+    /// The URL's text, ASCII-lowercased.
+    url: String,
+    /// The request's host; owned for an unmasked form.
+    host: Cow<'a, str>,
+    third_party: bool,
+}
+
+impl<'a> Check<'a> {
+    /// `req` on `site`, or its CNAME-unmasked form when `unmasked` is set:
+    /// the URL's host replaced by the unmasked one, always a third party.
+    fn new(
+        psl: &PublicSuffixList,
+        site: &str,
+        req: &'a Request,
+        unmasked: Option<&str>,
+    ) -> Check<'a> {
+        let (mut url, host, third_party) = match unmasked {
+            Some(h) => (
+                req.url.text().replacen(&req.url.host, h, 1),
+                Cow::Owned(h.to_string()),
+                true,
+            ),
+            None => (
+                req.url.text(),
+                Cow::Borrowed(req.url.host.as_str()),
+                !psl.same_site(&req.url.host, site),
+            ),
+        };
+        url.make_ascii_lowercase();
+        Check {
+            request: req,
+            url,
+            host,
+            third_party,
+        }
+    }
+
+    /// The check of this request against `set`.
+    fn blocked_by(&self, set: &FilterSet, site: &str) -> bool {
+        set.is_blocked(&RequestInfo {
+            url: &self.url,
+            host: &self.host,
+            top_level_host: site,
+            is_third_party: self.third_party,
+            kind: self.request.kind,
+        })
+    }
+}
+
+/// The checks of a leak request, in the order a list is matched.
+fn checks<'a>(
+    psl: &PublicSuffixList,
+    site: &str,
+    request: &'a Request,
+    unmasked_host: Option<&str>,
+    chain: &[&'a Request],
+) -> Vec<Check<'a>> {
+    let mut out = Vec::with_capacity(1 + usize::from(unmasked_host.is_some()) + chain.len());
+    out.push(Check::new(psl, site, request, None));
+    if let Some(unmasked) = unmasked_host {
+        out.push(Check::new(psl, site, request, Some(unmasked)));
+    }
+    out.extend(chain.iter().map(|req| Check::new(psl, site, req, None)));
+    out
 }
 
 /// The receivers, methods and cloaking flag of one `(sender, request)` group.
 type Group<'a> = (BTreeSet<&'a str>, BTreeSet<LeakMethod>, bool);
 
 fn collect(r: &StudyResults) -> Vec<LeakRequest<'_>> {
-    join(&r.dataset, &r.universe.zones, &r.report.events)
+    join(&r.dataset, &r.universe.zones, &r.psl, &r.report.events)
 }
 
 /// Join the leak events, grouped by `(sender, request index)`, to their
@@ -54,6 +125,7 @@ fn collect(r: &StudyResults) -> Vec<LeakRequest<'_>> {
 fn join<'a>(
     dataset: &'a CrawlDataset,
     zones: &ZoneStore,
+    psl: &PublicSuffixList,
     events: &'a [LeakEvent],
 ) -> Vec<LeakRequest<'a>> {
     let mut grouped: BTreeMap<&str, BTreeMap<usize, Group>> = BTreeMap::new();
@@ -89,12 +161,12 @@ fn join<'a>(
             };
             let request = &record.request;
             let mut chain = Vec::new();
-            let mut cursor = request.initiator.as_ref();
+            let mut cursor = request.initiator.as_deref();
             for _ in 0..5 {
                 let Some(url) = cursor.take() else { break };
                 let Some(req) = by_url.get(&url) else { break };
                 chain.push(*req);
-                let next = req.initiator.as_ref();
+                let next = req.initiator.as_deref();
                 if next == Some(url) {
                     break; // self-initiated: end of chain
                 }
@@ -113,41 +185,17 @@ fn join<'a>(
                 sender,
                 receivers,
                 methods,
-                request,
-                chain,
-                unmasked_host,
+                checks: checks(psl, sender, request, unmasked_host.as_deref(), &chain),
             });
         }
     }
     out
 }
 
-fn blocked_by(r: &StudyResults, set: &FilterSet, leak: &LeakRequest) -> bool {
-    let site = leak.sender;
-    let check = |req: &Request, host_override: Option<&str>| -> bool {
-        let host = host_override.unwrap_or(&req.url.host);
-        let url = match host_override {
-            Some(h) => req.url.to_string().replacen(&req.url.host, h, 1),
-            None => req.url.to_string(),
-        };
-        let info = RequestInfo {
-            url: &url,
-            host,
-            top_level_host: site,
-            is_third_party: !r.psl.same_site(host, site) || host_override.is_some(),
-            kind: req.kind,
-        };
-        set.matches(&info).is_blocked()
-    };
-    if check(leak.request, None) {
-        return true;
-    }
-    if let Some(unmasked) = &leak.unmasked_host {
-        if check(leak.request, Some(unmasked)) {
-            return true;
-        }
-    }
-    leak.chain.iter().any(|req| check(req, None))
+/// Whether `set` prevents the leak: it blocks the leak request, its
+/// unmasked form, or a request of its initiator chain.
+fn blocked_by(set: &FilterSet, leak: &LeakRequest) -> bool {
+    leak.checks.iter().any(|c| c.blocked_by(set, leak.sender))
 }
 
 /// Blocked-counts for one list.
@@ -164,16 +212,11 @@ pub struct ListPerformance {
 
 /// Evaluate one filter set over the study's leak requests.
 pub fn evaluate(r: &StudyResults, name: &'static str, set: &FilterSet) -> ListPerformance {
-    evaluate_joined(r, name, set, &collect(r))
+    evaluate_joined(name, set, &collect(r))
 }
 
 /// [`evaluate`] over leak requests already joined by [`collect`].
-fn evaluate_joined(
-    r: &StudyResults,
-    name: &'static str,
-    set: &FilterSet,
-    leaks: &[LeakRequest],
-) -> ListPerformance {
+fn evaluate_joined(name: &'static str, set: &FilterSet, leaks: &[LeakRequest]) -> ListPerformance {
     // Per sender / receiver / method: total and unblocked leak requests.
     let mut sender_all: BTreeMap<&str, bool> = BTreeMap::new(); // all blocked?
     let mut receiver_all: BTreeMap<&str, bool> = BTreeMap::new();
@@ -182,7 +225,7 @@ fn evaluate_joined(
     let mut sender_method_all: BTreeMap<(&str, LeakMethod), bool> = BTreeMap::new();
     let mut receiver_method_all: BTreeMap<(&str, LeakMethod), bool> = BTreeMap::new();
     for leak in leaks {
-        let blocked = blocked_by(r, set, leak);
+        let blocked = blocked_by(set, leak);
         *sender_all.entry(leak.sender).or_insert(true) &= blocked;
         for &method in &leak.methods {
             sender_methods
@@ -268,9 +311,9 @@ pub fn evaluate_all(r: &StudyResults) -> Vec<ListPerformance> {
     // `lists::combined()`, without parsing both lists a second time.
     let combined = FilterSet::combined(&[&easylist, &easyprivacy]);
     vec![
-        evaluate_joined(r, "EasyList", &easylist, &leaks),
-        evaluate_joined(r, "EasyPrivacy", &easyprivacy, &leaks),
-        evaluate_joined(r, "Combined", &combined, &leaks),
+        evaluate_joined("EasyList", &easylist, &leaks),
+        evaluate_joined("EasyPrivacy", &easyprivacy, &leaks),
+        evaluate_joined("Combined", &combined, &leaks),
     ]
 }
 
@@ -408,7 +451,7 @@ pub fn missed_tracking_providers(r: &StudyResults) -> Vec<String> {
         .collect();
     let mut missed: BTreeSet<String> = BTreeSet::new();
     for leak in &leaks {
-        if !blocked_by(r, &set, leak) {
+        if !blocked_by(&set, leak) {
             for receiver in &leak.receivers {
                 if confirmed.contains(receiver) {
                     missed.insert(r.receiver_label(receiver));
@@ -433,6 +476,7 @@ mod tests {
     fn per_leak_join<'a>(
         dataset: &'a CrawlDataset,
         zones: &ZoneStore,
+        psl: &PublicSuffixList,
         events: &'a [LeakEvent],
     ) -> Vec<LeakRequest<'a>> {
         let mut grouped: BTreeMap<(&str, usize), Group> = BTreeMap::new();
@@ -479,20 +523,48 @@ mod tests {
             } else {
                 None
             };
+            // The per-check lookup `blocked_by` formatted, per list.
+            let mut checks = vec![reference_check(psl, sender, request, None)];
+            if let Some(unmasked) = &unmasked_host {
+                checks.push(reference_check(psl, sender, request, Some(unmasked)));
+            }
+            checks.extend(
+                chain
+                    .iter()
+                    .map(|req| reference_check(psl, sender, req, None)),
+            );
             out.push(LeakRequest {
                 sender,
                 receivers,
                 methods,
-                request,
-                chain,
-                unmasked_host,
+                checks,
             });
         }
         out
     }
 
-    /// Rows as comparable values: requests and chain links by address, so
-    /// "the same request" means the same record of the same crawl.
+    /// One check as `blocked_by` built it before the join computed it.
+    fn reference_check<'a>(
+        psl: &PublicSuffixList,
+        site: &str,
+        req: &'a Request,
+        host_override: Option<&str>,
+    ) -> Check<'a> {
+        let host = host_override.unwrap_or(&req.url.host);
+        let url = match host_override {
+            Some(h) => req.url.to_string().replacen(&req.url.host, h, 1),
+            None => req.url.to_string(),
+        };
+        Check {
+            request: req,
+            url: url.to_ascii_lowercase(),
+            host: Cow::Owned(host.to_string()),
+            third_party: !psl.same_site(host, site) || host_override.is_some(),
+        }
+    }
+
+    /// Rows as comparable values: checked requests by address, so "the
+    /// same request" means the same record of the same crawl.
     #[allow(clippy::type_complexity)]
     fn rows<'a>(
         leaks: &[LeakRequest<'a>],
@@ -500,9 +572,7 @@ mod tests {
         &'a str,
         Vec<&'a str>,
         Vec<LeakMethod>,
-        *const Request,
-        Vec<*const Request>,
-        Option<String>,
+        Vec<(*const Request, String, String, bool)>,
     )> {
         leaks
             .iter()
@@ -511,28 +581,41 @@ mod tests {
                     l.sender,
                     l.receivers.iter().copied().collect(),
                     l.methods.iter().copied().collect(),
-                    l.request as *const Request,
-                    l.chain.iter().map(|r| *r as *const Request).collect(),
-                    l.unmasked_host.clone(),
+                    l.checks
+                        .iter()
+                        .map(|c| {
+                            (
+                                c.request as *const Request,
+                                c.url.clone(),
+                                c.host.to_string(),
+                                c.third_party,
+                            )
+                        })
+                        .collect(),
                 )
             })
             .collect()
+    }
+
+    /// Whether a leak request is matched through an unmasked form.
+    fn unmasked(leak: &LeakRequest) -> bool {
+        leak.checks.iter().any(|c| matches!(c.host, Cow::Owned(_)))
     }
 
     #[test]
     fn per_sender_join_equals_per_leak_join_on_the_study() {
         let r = shared();
         let leaks = collect(r);
-        let reference = per_leak_join(&r.dataset, &r.universe.zones, &r.report.events);
+        let reference = per_leak_join(&r.dataset, &r.universe.zones, &r.psl, &r.report.events);
         assert!(leaks.len() > 1000, "{} leak requests", leaks.len());
-        assert!(leaks.iter().any(|l| !l.chain.is_empty()));
-        assert!(leaks.iter().any(|l| l.unmasked_host.is_some()));
+        assert!(leaks.iter().any(|l| l.checks.len() > 1 && !unmasked(l)));
+        assert!(leaks.iter().any(unmasked));
         assert_eq!(rows(&leaks), rows(&reference));
     }
 
     fn record(url: &str, initiator: Option<&str>) -> FetchRecord {
         let mut request = Request::new(Method::Get, Url::parse(url).unwrap(), ResourceKind::Script);
-        request.initiator = initiator.map(|u| Url::parse(u).unwrap());
+        request.initiator = initiator.map(|u| std::sync::Arc::new(Url::parse(u).unwrap()));
         FetchRecord {
             request,
             response: Response::ok(),
@@ -601,15 +684,24 @@ mod tests {
             event("a.com", 99, "leak.net", false),
             event("c.com", 0, "leak.net", false),
         ];
-        let zones = &shared().universe.zones;
-        let leaks = join(&dataset, zones, &events);
-        assert_eq!(rows(&leaks), rows(&per_leak_join(&dataset, zones, &events)));
+        let (zones, psl) = (&shared().universe.zones, &shared().psl);
+        let leaks = join(&dataset, zones, psl, &events);
+        assert_eq!(
+            rows(&leaks),
+            rows(&per_leak_join(&dataset, zones, psl, &events))
+        );
+        assert!(!leaks.iter().any(unmasked));
+        // Without unmasked forms, a leak's checks are its request and then
+        // its chain.
         let chain_of = |sender: &str, url: &str| -> Vec<String> {
             let leak = leaks
                 .iter()
-                .find(|l| l.sender == sender && l.request.url.to_string() == url)
+                .find(|l| l.sender == sender && l.checks[0].request.url.to_string() == url)
                 .unwrap();
-            leak.chain.iter().map(|r| r.url.to_string()).collect()
+            leak.checks[1..]
+                .iter()
+                .map(|c| c.request.url.to_string())
+                .collect()
         };
         assert_eq!(leaks.len(), 5);
         // Capped at five hops, nearest initiator first.

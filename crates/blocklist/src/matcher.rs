@@ -11,6 +11,7 @@
 
 use crate::filter::{Anchor, Filter, ParseOutcome, TypeMask};
 use pii_net::http::ResourceKind;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// The request-side facts a filter decision needs.
@@ -150,13 +151,35 @@ impl FilterSet {
 
     /// Indexed lookup: would this request be blocked?
     pub fn matches(&self, req: &RequestInfo) -> MatchResult {
-        let url_lower = req.url.to_ascii_lowercase();
+        let url_lower = lowercase(req.url);
+        let Some(block) = self.block_rule(req, &url_lower) else {
+            return MatchResult::NotBlocked;
+        };
+        if let Some(exc) = self.exception_rule(req, &url_lower) {
+            return MatchResult::Excepted {
+                block: block.raw.clone(),
+                exception: exc.raw.clone(),
+            };
+        }
+        MatchResult::Blocked(block.raw.clone())
+    }
+
+    /// [`FilterSet::matches`]`(req).is_blocked()`, without copying the
+    /// rules' text. A URL that is already lowercase is not copied either.
+    pub fn is_blocked(&self, req: &RequestInfo) -> bool {
+        let url_lower = lowercase(req.url);
+        self.block_rule(req, &url_lower).is_some() && self.exception_rule(req, &url_lower).is_none()
+    }
+
+    /// The block rule the indexed lookup finds for `req`, whose URL
+    /// lowercased is `url_lower`.
+    fn block_rule(&self, req: &RequestInfo, url_lower: &str) -> Option<&Filter> {
         let mut hit: Option<&Filter> = None;
         // Walk the host's label suffixes: a.b.c.com → a.b.c.com, b.c.com, …
         let mut suffix = req.host;
         loop {
             if let Some(bucket) = self.indexed.get(suffix) {
-                if let Some(f) = bucket.iter().find(|f| filter_matches(f, &url_lower, req)) {
+                if let Some(f) = bucket.iter().find(|f| filter_matches(f, url_lower, req)) {
                     hit = Some(f);
                     break;
                 }
@@ -166,26 +189,18 @@ impl FilterSet {
                 _ => break,
             }
         }
-        if hit.is_none() {
-            hit = self
-                .general
+        hit.or_else(|| {
+            self.general
                 .iter()
-                .find(|f| filter_matches(f, &url_lower, req));
-        }
-        let Some(block) = hit else {
-            return MatchResult::NotBlocked;
-        };
-        if let Some(exc) = self
-            .exceptions
+                .find(|f| filter_matches(f, url_lower, req))
+        })
+    }
+
+    /// The exception rule that overrides a block of `req`, if any.
+    fn exception_rule(&self, req: &RequestInfo, url_lower: &str) -> Option<&Filter> {
+        self.exceptions
             .iter()
-            .find(|f| filter_matches(f, &url_lower, req))
-        {
-            return MatchResult::Excepted {
-                block: block.raw.clone(),
-                exception: exc.raw.clone(),
-            };
-        }
-        MatchResult::Blocked(block.raw.clone())
+            .find(|f| filter_matches(f, url_lower, req))
     }
 
     /// Naive lookup scanning every rule — ablation baseline; must agree with
@@ -212,6 +227,15 @@ impl FilterSet {
             };
         }
         MatchResult::Blocked(block.raw.clone())
+    }
+}
+
+/// `s` ASCII-lowercased, borrowed when it holds no uppercase byte.
+fn lowercase(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
     }
 }
 
@@ -271,13 +295,14 @@ fn pattern_matches(f: &Filter, url: &str) -> bool {
                 .find(['/', '?', '#'])
                 .map(|i| host_start + i)
                 .unwrap_or(url.len());
-            let mut starts = vec![host_start];
-            for (i, b) in url[host_start..host_end].bytes().enumerate() {
-                if b == b'.' {
-                    starts.push(host_start + i + 1);
-                }
-            }
-            starts.into_iter().any(|s| match_segments_at(f, url, s))
+            let label_starts = url.as_bytes()[host_start..host_end]
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| **b == b'.')
+                .map(|(i, _)| host_start + i + 1);
+            std::iter::once(host_start)
+                .chain(label_starts)
+                .any(|s| match_segments_at(f, url, s))
         }
         Anchor::None => {
             if f.segments.len() == 1 && !f.segments[0].contains('^') {
@@ -372,6 +397,57 @@ mod tests {
 
     fn set(rules: &str) -> FilterSet {
         FilterSet::parse(rules)
+    }
+
+    /// `is_blocked` is `matches(..).is_blocked()` on both lists and a set
+    /// with an exception, for URLs of any case, either party, every kind.
+    #[test]
+    fn is_blocked_agrees_with_matches() {
+        let with_exception = set("||t.net^\n@@||t.net/ok^\n/pixel*\n|https://x.com^$third-party");
+        let sets = [
+            crate::lists::easylist(),
+            crate::lists::easyprivacy(),
+            with_exception,
+        ];
+        let urls = [
+            ("https://t.net/ok", "t.net"),
+            ("https://T.net/OK", "t.net"),
+            (
+                "https://www.google-analytics.com/collect?v=1",
+                "www.google-analytics.com",
+            ),
+            (
+                "https://connect.facebook.net/en_US/fbevents.js",
+                "connect.facebook.net",
+            ),
+            ("https://shop.com/pixel/a.gif", "shop.com"),
+            ("https://x.com/a", "x.com"),
+            ("https://metrics.shop.com/b/ss?AQB=1", "metrics.shop.com"),
+        ];
+        let kinds = [
+            ResourceKind::Script,
+            ResourceKind::Image,
+            ResourceKind::Xhr,
+            ResourceKind::Beacon,
+            ResourceKind::Document,
+        ];
+        let mut blocked = 0;
+        for s in &sets {
+            for (url, host) in urls {
+                for third in [false, true] {
+                    for kind in kinds {
+                        let r = req(url, host, "shop.com", third, kind);
+                        assert_eq!(
+                            s.is_blocked(&r),
+                            s.matches(&r).is_blocked(),
+                            "{url} {kind:?}"
+                        );
+                        blocked += usize::from(s.is_blocked(&r));
+                    }
+                }
+            }
+        }
+        assert!(blocked > 0);
     }
 
     #[test]

@@ -98,7 +98,8 @@ fn find_tag_ignore_case(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 /// uppercase or a value holding an entity is copied.
 pub fn parse(html: &str) -> Vec<Element<'_>> {
     let bytes = html.as_bytes();
-    let mut out = Vec::new();
+    // Every element starts at a `<`, so their count bounds the elements.
+    let mut out = Vec::with_capacity(bytes.iter().filter(|&&b| b == b'<').count());
     let mut i = 0usize;
     while i < bytes.len() {
         if bytes[i] != b'<' {
@@ -251,7 +252,12 @@ impl Default for DiscoveredForm {
 /// Walk the element stream and resolve all fetchable references against
 /// `base`.
 pub fn discover(base: &Url, elements: &[Element<'_>]) -> Discovery {
-    let mut d = Discovery::default();
+    // At most one resource per element.
+    let mut d = Discovery {
+        resources: Vec::with_capacity(elements.len()),
+        resource_order: Vec::with_capacity(elements.len()),
+        ..Discovery::default()
+    };
     let mut order = 0usize;
     let mut current_form: Option<DiscoveredForm> = None;
     for el in elements {

@@ -31,6 +31,7 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// One fetch as the capture pipeline sees it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -106,11 +107,12 @@ impl PageContext {
     }
 }
 
-/// The document a page load's subresources are fetched for: its URL, and
-/// that URL formatted once for every subresource's `Referer` and every leak
-/// call's `dl=` parameter.
+/// The document a page load's subresources are fetched for: its URL, that
+/// URL shared as every subresource's initiator, and formatted once for every
+/// subresource's `Referer` and every leak call's `dl=` parameter.
 struct PageUrl<'p> {
     url: &'p Url,
+    shared: Arc<Url>,
     text: String,
 }
 
@@ -123,7 +125,7 @@ pub struct Browser<'a> {
     resolver: pii_dns::CachingResolver<'a>,
     persona: &'a Persona,
     /// Known tracker domains (for ETP's tracker-scoped cookie blocking).
-    known_trackers: HashSet<String>,
+    known_trackers: HashSet<&'static str>,
     /// Fault plan consulted on every fetch (None = perfect transport).
     faults: Option<&'a FaultPlan>,
     /// 1-based attempt number the crawler's retry loop is currently on;
@@ -202,9 +204,9 @@ impl<'a> Browser<'a> {
     ) -> Browser<'a> {
         let mut jar = CookieJar::new();
         jar.partition_third_party = profile.partition_third_party_storage;
-        let known_trackers = pii_web::tracker::full_catalog()
+        let known_trackers = pii_web::tracker::catalog()
             .iter()
-            .map(|p| p.domain.to_string())
+            .map(|p| p.domain)
             .collect();
         let storage = crate::storage::WebStorage::new(profile.partition_third_party_storage);
         Browser {
@@ -298,7 +300,7 @@ impl<'a> Browser<'a> {
 
     /// The document URL a form submission navigates to.
     pub fn form_submit_url(&self, site: &Site) -> Url {
-        let base = Url::parse(&format!("https://{}/welcome", site.domain)).unwrap();
+        let base = Url::https(&site.domain, "/welcome").unwrap();
         if site.form.method == Method::Get {
             // GET forms serialise every field into the URL — the
             // precondition for the Figure 1.a referer leak.
@@ -317,19 +319,16 @@ impl<'a> Browser<'a> {
         if site.form.method != Method::Post {
             return None;
         }
-        let body = site
-            .form
-            .fields
-            .iter()
-            .map(|kind| {
-                format!(
-                    "{}={}",
-                    kind.name(),
-                    pii_encodings_form(self.persona.value(*kind).as_bytes())
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("&");
+        let mut body = String::new();
+        for kind in &site.form.fields {
+            if !body.is_empty() {
+                body.push('&');
+            }
+            body.push_str(kind.name());
+            body.push('=');
+            encode_form_into(&mut body, self.persona.value(*kind).as_bytes());
+        }
+        body.shrink_to_fit();
         Some(body.into_bytes())
     }
 
@@ -354,7 +353,6 @@ impl<'a> Browser<'a> {
         let mut span = pii_telemetry::span("browser.page");
         span.add_arg("site", &site.domain);
         span.add_arg("path", &ctx.path);
-        let mut out = Vec::new();
         let doc_url = &ctx.document_url;
 
         // 1. Document fetch (always first-party). POST form submissions
@@ -424,16 +422,19 @@ impl<'a> Browser<'a> {
         let mut doc_resp = Response::ok()
             .with_header("Content-Type", "text/html")
             .with_header("Cache-Control", "no-store");
-        let session = Cookie::parse_set_cookie(&format!(
-            "session={}-sess; Path=/; SameSite=Lax",
-            site.domain.replace('.', "-")
-        ))
-        .unwrap();
-        doc_resp
-            .headers
-            .insert("Set-Cookie", session.to_set_cookie());
+        let (session, set_cookie) = session_cookie(&site.domain);
+        doc_resp.headers.insert("Set-Cookie", set_cookie);
         self.jar.set(session, doc_url, &site.domain);
         doc_resp.body = Some(html.into_bytes());
+        // The document, each resource, and at most one leak call per
+        // script-loaded edge (cache revalidations, when a cache strategy is
+        // set, grow it further).
+        let leak_edges = site
+            .edges
+            .iter()
+            .filter(|e| e.method != LeakMethod::Referer)
+            .count();
+        let mut out = Vec::with_capacity(1 + resources.len() + leak_edges);
         out.push(FetchRecord {
             request: doc_req,
             response: doc_resp,
@@ -448,16 +449,12 @@ impl<'a> Browser<'a> {
         // carries the same document URL, formatted once here.
         let page = PageUrl {
             url: doc_url,
-            text: doc_url.to_string(),
+            shared: Arc::new(doc_url.clone()),
+            text: doc_url.text(),
         };
-        // Map tracker-script URLs back to their leak edges.
-        let mut edge_by_script: std::collections::HashMap<String, &LeakEdge> = site
-            .edges
-            .iter()
-            .filter(|e| e.method != LeakMethod::Referer)
-            .map(|e| (pii_web::html::edge_script_url(e), e))
-            .collect();
-        let mut script_key = String::new();
+        // Indices of the edges whose tracker script already loaded on this
+        // page.
+        let mut fired: Vec<usize> = Vec::new();
         // Merge inline scripts and resources by document order.
         let mut inline_iter = inline_scripts.iter().peekable();
         for (pos, resource) in resource_order.iter().zip(resources) {
@@ -477,17 +474,15 @@ impl<'a> Browser<'a> {
             );
             // A tracker library that loaded — from the network *or* the
             // cache — issues its identify call once the user's PII exists.
-            let edge = if edge_by_script.is_empty() {
-                None
-            } else {
-                script_key.clear();
-                // Formatting into a `String` cannot fail.
-                let _ = write!(script_key, "{}", record.request.url);
-                edge_by_script.remove(script_key.as_str())
-            };
+            let edge = script_edge(site, &record.request.url)
+                .filter(|(index, _)| !fired.contains(index))
+                .map(|(index, edge)| {
+                    fired.push(index);
+                    edge
+                });
             let leak_from = edge
                 .filter(|_| ctx.pii_known && record.served())
-                .map(|edge| (edge, record.request.url.clone()));
+                .map(|edge| (edge, Arc::new(record.request.url.clone())));
             out.push(record);
             // Async SWR revalidations emitted by the fetch follow it in the
             // capture, exactly where the network saw them.
@@ -521,7 +516,7 @@ impl<'a> Browser<'a> {
         site: &Site,
         page: &PageUrl<'_>,
         edge: &LeakEdge,
-        script_url: &Url,
+        script_url: &Arc<Url>,
         path: &str,
     ) -> FetchRecord {
         // The primary identifier is the email when the edge carries it;
@@ -533,8 +528,7 @@ impl<'a> Browser<'a> {
             *edge.pii.first().expect("edge leaks at least one PII kind")
         };
         let primary_token = edge.chain.apply(&self.persona.value(primary));
-        let mut url =
-            Url::parse(&format!("https://{}{}", edge.request_host, edge.endpoint)).unwrap();
+        let mut url = Url::https(&edge.request_host, &edge.endpoint).unwrap();
         let mut body: Option<Vec<u8>> = None;
         let method;
         match edge.method {
@@ -554,18 +548,22 @@ impl<'a> Browser<'a> {
             }
             LeakMethod::Payload => {
                 method = Method::Post;
-                let mut form =
-                    format!("ev=identify&{}={}", edge.param, encode_form(&primary_token));
+                let mut form = String::from("ev=identify&");
+                form.push_str(&edge.param);
+                form.push('=');
+                encode_form_into(&mut form, primary_token.as_bytes());
                 for extra in &edge.pii {
                     if *extra != primary {
-                        form.push_str(&format!(
-                            "&{}={}",
-                            extra_param(*extra),
-                            encode_form(&edge.chain.apply(&self.persona.value(*extra)))
-                        ));
+                        form.push('&');
+                        form.push_str(extra_param(*extra));
+                        form.push('=');
+                        let token = edge.chain.apply(&self.persona.value(*extra));
+                        encode_form_into(&mut form, token.as_bytes());
                     }
                 }
-                form.push_str(&format!("&page={}", encode_form(path)));
+                form.push_str("&page=");
+                encode_form_into(&mut form, path.as_bytes());
+                form.shrink_to_fit();
                 body = Some(form.into_bytes());
             }
             LeakMethod::Cookie => {
@@ -592,26 +590,26 @@ impl<'a> Browser<'a> {
         site: &Site,
         page: &PageUrl<'_>,
         mut req: Request,
-        initiator: Option<&Url>,
+        initiator: Option<&Arc<Url>>,
         edge: Option<&LeakEdge>,
     ) -> FetchRecord {
-        let host = req.url.host.clone();
+        let host = &req.url.host;
         pii_telemetry::counter("browser.requests", 1);
-        let resolution = self.resolver.resolve(&host);
-        let facts = self.host_facts.get(&site.domain, &host, || {
+        let resolution = self.resolver.resolve(host);
+        let facts = self.host_facts.get(&site.domain, host, || {
             let tracker_domain = self
                 .psl
-                .registrable_domain_cow(&host)
-                .unwrap_or(Cow::Borrowed(&host))
+                .registrable_domain_cow(host)
+                .unwrap_or(Cow::Borrowed(host))
                 .into_owned();
-            let known_tracker = self.known_trackers.contains(&tracker_domain)
+            let known_tracker = self.known_trackers.contains(tracker_domain.as_str())
                 || resolution
                     .cname_chain
                     .iter()
                     .filter_map(|c| self.psl.registrable_domain_cow(c))
                     .any(|rd| self.known_trackers.contains(rd.as_ref()));
             HostFacts {
-                third_party: !self.psl.same_site(&host, &site.domain),
+                third_party: !self.psl.same_site(host, &site.domain),
                 tracker_domain,
                 known_tracker,
             }
@@ -619,19 +617,20 @@ impl<'a> Browser<'a> {
         let is_third_party = facts.third_party;
         // Brave Shields: drop tracker requests before they exist on the wire.
         if let Some(shields) = &self.profile.shields {
-            if shields.blocks(self.psl, &host, &resolution.cname_chain) {
+            if shields.blocks(self.psl, host, &resolution.cname_chain) {
                 pii_telemetry::counter("browser.blocked", 1);
+                let reason = ["shields: ", host].concat();
                 req.initiator = initiator.cloned();
                 return FetchRecord {
                     request: req,
                     response: Response::new(0),
-                    blocked: Some(format!("shields: {host}")),
+                    blocked: Some(reason),
                     error: None,
                     from_cache: None,
                 };
             }
         }
-        req.initiator = Some(initiator.unwrap_or(page.url).clone());
+        req.initiator = Some(Arc::clone(initiator.unwrap_or(&page.shared)));
         req.headers.insert("Host", host.clone());
         // Referer: the 2021 capture sends the full URL (badly coded sites
         // pin `Referrer-Policy: unsafe-url`); the counterfactual profile
@@ -664,7 +663,7 @@ impl<'a> Browser<'a> {
         // HTTP cache consultation (only when a strategy is configured; the
         // paper's one-shot crawl runs cache-less and never enters this
         // block). Blocked requests return above and never reach the cache.
-        let url_key = self.cache_strategy.map(|_| req.url.to_string());
+        let url_key = self.cache_strategy.map(|_| req.url.text());
         if let (Some(strategy), Some(url_key)) = (self.cache_strategy, &url_key) {
             match pii_net::cache::decide(strategy, self.cache.get(url_key), self.cache_clock_ms) {
                 CacheDecision::Miss => {}
@@ -711,7 +710,7 @@ impl<'a> Browser<'a> {
         // Transport faults: the request was emitted (headers and all) but no
         // usable response ever arrived, so no tracker state is written.
         if let Some(plan) = self.faults {
-            if let Some(error) = plan.fault_for(&host, &req.url.path, self.fault_attempt) {
+            if let Some(error) = plan.fault_for(host, &req.url.path, self.fault_attempt) {
                 return FetchRecord {
                     request: req,
                     response: Response::new(error.http_status()),
@@ -742,7 +741,10 @@ impl<'a> Browser<'a> {
                 "max-age=3600, stale-while-revalidate=600"
             };
             response.headers.insert("Cache-Control", cache_control);
-            response.headers.insert("ETag", format!("\"{fp:016x}\""));
+            // A quoted 16-digit hex fingerprint, written into its exact size.
+            let mut etag = String::with_capacity(18);
+            let _ = write!(etag, "\"{fp:016x}\"");
+            response.headers.insert("ETag", etag);
             response
                 .headers
                 .insert("Last-Modified", "Fri, 21 May 2021 10:00:00 GMT");
@@ -750,16 +752,13 @@ impl<'a> Browser<'a> {
             response.headers.insert("Cache-Control", "no-store");
         }
         if is_third_party && edge.is_some() {
-            let uid = format!("tp-{}", facts.tracker_domain.replace('.', "-"));
-            let set = format!("uid={uid}; Path=/; SameSite=None; Secure");
-            response.headers.insert("Set-Cookie", set.clone());
+            let (cookie, set_cookie) = tracker_uid_cookie(&facts.tracker_domain);
+            response.headers.insert("Set-Cookie", set_cookie);
             if cookies_allowed {
-                if let Some(cookie) = Cookie::parse_set_cookie(&set) {
-                    self.jar.set(cookie, &req.url, &site.domain);
-                }
+                self.jar.set(cookie, &req.url, &site.domain);
             } else {
                 self.storage
-                    .set_item(&req.url.origin(), &site.domain, "uid", &uid);
+                    .set_item(&req.url.origin(), &site.domain, "uid", &cookie.value);
             }
         }
         // Store cacheable responses for later visits (cache enabled only,
@@ -845,6 +844,46 @@ impl<'a> Browser<'a> {
     }
 }
 
+/// The leak edge a script at `url` is the tracker library of: of the
+/// non-Referer edges whose script URL is `url`'s text, the last, with its
+/// index.
+fn script_edge<'s>(site: &'s Site, url: &Url) -> Option<(usize, &'s LeakEdge)> {
+    site.edges.iter().enumerate().rev().find(|(_, e)| {
+        e.method != LeakMethod::Referer && url.text_equals(&pii_web::html::edge_script_parts(e))
+    })
+}
+
+/// `domain` with its dots as dashes, between `prefix` and `suffix`.
+fn dashed(prefix: &str, domain: &str, suffix: &str) -> String {
+    let mut out = String::with_capacity(prefix.len() + domain.len() + suffix.len());
+    out.push_str(prefix);
+    out.extend(domain.chars().map(|c| if c == '.' { '-' } else { c }));
+    out.push_str(suffix);
+    out
+}
+
+/// The identifier cookie a tracker's response tries to set, and its
+/// `Set-Cookie` value: `uid=tp-<tracker domain with dots as dashes>`,
+/// `Secure`, `SameSite=None`, on path `/`.
+fn tracker_uid_cookie(tracker_domain: &str) -> (Cookie, String) {
+    let uid = dashed("tp-", tracker_domain, "");
+    let set_cookie = ["uid=", &uid, "; Path=/; SameSite=None; Secure"].concat();
+    let mut cookie = Cookie::new("uid", uid);
+    cookie.secure = true;
+    cookie.same_site = Some(pii_net::cookie::SameSite::None);
+    (cookie, set_cookie)
+}
+
+/// The session cookie a site's document response sets, and its
+/// `Set-Cookie` value: `session=<domain with dots as dashes>-sess`,
+/// `SameSite=Lax`, on path `/`.
+fn session_cookie(domain: &str) -> (Cookie, String) {
+    let mut cookie = Cookie::new("session", dashed("", domain, "-sess"));
+    cookie.same_site = Some(pii_net::cookie::SameSite::Lax);
+    let set_cookie = cookie.to_set_cookie();
+    (cookie, set_cookie)
+}
+
 /// CAPTCHA widget host for bot-detection sites (re-exported from
 /// `pii-web::site`, where the markup renderer also needs it).
 pub use pii_web::site::captcha_host;
@@ -868,24 +907,21 @@ fn user_agent(kind: BrowserKind) -> &'static str {
     }
 }
 
-fn encode_form(s: &str) -> String {
-    pii_encodings_form(s.as_bytes())
-}
-
 // Minimal local form-encoder (the full one lives in pii-encodings; this
 // avoids a dependency cycle concern and covers the same byte classes).
-fn pii_encodings_form(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len());
+fn encode_form_into(out: &mut String, data: &[u8]) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     for &b in data {
         if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~') {
             out.push(b as char);
         } else if b == b' ' {
             out.push('+');
         } else {
-            out.push_str(&format!("%{b:02X}"));
+            out.push('%');
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0x0f)]));
         }
     }
-    out
 }
 
 /// Parameter names used when an edge exfiltrates more than the email.
@@ -1258,6 +1294,102 @@ mod tests {
         };
         assert!(tracker_uid(&together[0]));
         assert!(!tracker_uid(&together[1]));
+    }
+
+    /// The session cookie and its header equal what formatting the header
+    /// and parsing it back gave, with no spare header capacity.
+    #[test]
+    fn session_cookie_equals_the_parsed_header() {
+        for domain in ["shop.com", "a.b.co.uk", "x", "shop-1.example.net"] {
+            let parsed = Cookie::parse_set_cookie(&format!(
+                "session={}-sess; Path=/; SameSite=Lax",
+                domain.replace('.', "-")
+            ))
+            .unwrap();
+            let (cookie, header) = session_cookie(domain);
+            assert_eq!(cookie, parsed);
+            assert_eq!(header, parsed.to_set_cookie());
+            assert_eq!(header.capacity(), header.len());
+        }
+    }
+
+    /// The tracker's identifier cookie and its header equal the formatted
+    /// header and what parsing it gave.
+    #[test]
+    fn tracker_uid_cookie_equals_the_parsed_header() {
+        for domain in ["facebook.com", "omtrdc.net", "pix.herokuapp.com"] {
+            let uid = format!("tp-{}", domain.replace('.', "-"));
+            let formatted = format!("uid={uid}; Path=/; SameSite=None; Secure");
+            let (cookie, header) = tracker_uid_cookie(domain);
+            assert_eq!(header, formatted);
+            assert_eq!(header.capacity(), header.len());
+            assert_eq!(Some(cookie), Cookie::parse_set_cookie(&formatted));
+        }
+    }
+
+    #[test]
+    fn form_encoding_covers_every_byte() {
+        let all: Vec<u8> = (0..=255u8).collect();
+        let mut encoded = String::new();
+        encode_form_into(&mut encoded, &all);
+        let reference: String = all
+            .iter()
+            .map(|&b| {
+                if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~') {
+                    (b as char).to_string()
+                } else if b == b' ' {
+                    "+".to_string()
+                } else {
+                    format!("%{b:02X}")
+                }
+            })
+            .collect();
+        assert_eq!(encoded, reference);
+    }
+
+    /// Two tracker edges that share one script URL: the page carries two
+    /// tags for it, and — as a map from script URL to edge collected in
+    /// edge order would have it — only the later edge fires, once.
+    #[test]
+    fn edges_sharing_a_script_url_fire_the_later_edge_once() {
+        let (u, psl) = world();
+        let mut site = find_sender(&u, "facebook.com", LeakMethod::Uri).clone();
+        let first = site
+            .edges
+            .iter()
+            .position(|e| e.receiver == "facebook.com" && e.method == LeakMethod::Uri)
+            .unwrap();
+        let mut twin = site.edges[first].clone();
+        twin.param = "twin".to_string();
+        twin.persistent = true;
+        site.edges[first].persistent = true;
+        site.edges.push(twin);
+        let url = pii_web::html::edge_script_url(&site.edges[first]);
+        let mut b = Browser::new(BrowserKind::Chrome93, &psl, &u.zones, &u.persona);
+        let records = b.load_page(&site, &ctx(&site, "/account", true));
+        let scripts = records
+            .iter()
+            .filter(|r| r.request.url.to_string() == url)
+            .count();
+        assert_eq!(scripts, 2, "one script fetch per tag");
+        let calls: Vec<&FetchRecord> = records
+            .iter()
+            .filter(|r| {
+                r.request
+                    .initiator
+                    .as_ref()
+                    .map(|i| i.to_string())
+                    .as_deref()
+                    == Some(url.as_str())
+            })
+            .collect();
+        assert_eq!(calls.len(), 1, "the shared script fires once");
+        let leak = &calls[0].request.url;
+        assert!(leak.query_param("twin").is_some(), "{leak}");
+        assert!(
+            leak.query_param(&site.edges[first].param).is_none(),
+            "{leak}"
+        );
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl Shields {
     /// the documented misses, plus the Adobe CNAME target and the strict
     /// CAPTCHA widget.
     pub fn v1_29() -> Shields {
-        let mut blocked: HashSet<String> = pii_web::tracker::full_catalog()
+        let mut blocked: HashSet<String> = pii_web::tracker::catalog()
             .iter()
             .map(|p| p.domain.to_string())
             .collect();
@@ -149,15 +149,13 @@ impl Shields {
         host: &str,
         cname_chain: &[String],
     ) -> bool {
-        let mut hosts: Vec<&str> = vec![host];
-        hosts.extend(cname_chain.iter().map(|s| s.as_str()));
-        hosts.iter().any(|h| {
-            if let Some(rd) = psl.registrable_domain(h) {
-                self.blocked_domains.contains(&rd) || self.blocked_captcha_host == rd
-            } else {
-                false
-            }
-        })
+        std::iter::once(host)
+            .chain(cname_chain.iter().map(String::as_str))
+            .any(|h| {
+                psl.registrable_domain_cow(h).is_some_and(|rd| {
+                    self.blocked_domains.contains(rd.as_ref()) || self.blocked_captcha_host == rd
+                })
+            })
     }
 
     pub fn blocked_domain_count(&self) -> usize {

@@ -307,7 +307,7 @@ impl<'a> LeakDetector<'a> {
                         sender: crawl.domain.clone(),
                         receiver_domain: receiver_domain.to_string(),
                         request_host: host.to_string(),
-                        url: request.url.to_string(),
+                        url: request.url.text(),
                         page_path: page_path.to_string(),
                         method,
                         param: param.to_string(),

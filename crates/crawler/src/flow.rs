@@ -358,7 +358,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// Build a page URL on `site`. `None` when the domain itself cannot form a
 /// valid URL — such a site is isolated, never crashed on.
 pub(crate) fn site_url(site: &Site, path: &str) -> Option<Url> {
-    Url::parse(&format!("https://{}{}", site.domain, path)).ok()
+    Url::https(&site.domain, path).ok()
 }
 
 /// Run the full §3.2 flow against one site. Without a fault plan the

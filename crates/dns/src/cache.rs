@@ -10,7 +10,9 @@
 use crate::zones::{Resolution, ZoneStore};
 use parking_lot::Mutex;
 use pii_net::fault::{FaultPlan, FetchError};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Resolver statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,10 +36,11 @@ impl ResolverStats {
     }
 }
 
-/// A thread-safe caching resolver.
+/// A thread-safe caching resolver. Cached resolutions are shared, so a
+/// cache hit costs a reference count, not a copy of the CNAME chain.
 pub struct CachingResolver<'a> {
     zones: &'a ZoneStore,
-    cache: Mutex<HashMap<String, Resolution>>,
+    cache: Mutex<HashMap<String, Arc<Resolution>>>,
     stats: Mutex<ResolverStats>,
 }
 
@@ -56,20 +59,24 @@ impl<'a> CachingResolver<'a> {
     /// but `dns.cache_hits` is not — each crawl worker's resolver cache
     /// persists across whichever sites that worker happens to claim, so the
     /// hit pattern depends on scheduling (`pii_telemetry::is_scheduling_dependent`).
-    pub fn resolve(&self, name: &str) -> Resolution {
-        let key = name.to_ascii_lowercase();
+    pub fn resolve(&self, name: &str) -> Arc<Resolution> {
+        let key = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(name.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(name)
+        };
         pii_telemetry::counter("dns.queries", 1);
         {
             let cache = self.cache.lock();
-            if let Some(hit) = cache.get(&key) {
+            if let Some(hit) = cache.get(key.as_ref()) {
                 let mut stats = self.stats.lock();
                 stats.queries += 1;
                 stats.cache_hits += 1;
                 pii_telemetry::counter("dns.cache_hits", 1);
-                return hit.clone();
+                return Arc::clone(hit);
             }
         }
-        let resolution = self.zones.resolve(&key);
+        let resolution = Arc::new(self.zones.resolve(&key));
         let mut stats = self.stats.lock();
         stats.queries += 1;
         if resolution.is_aliased() {
@@ -77,7 +84,9 @@ impl<'a> CachingResolver<'a> {
             pii_telemetry::counter("dns.aliased", 1);
         }
         drop(stats);
-        self.cache.lock().insert(key, resolution.clone());
+        self.cache
+            .lock()
+            .insert(key.into_owned(), Arc::clone(&resolution));
         resolution
     }
 
@@ -90,7 +99,7 @@ impl<'a> CachingResolver<'a> {
         name: &str,
         plan: &FaultPlan,
         attempt: u32,
-    ) -> Result<Resolution, FetchError> {
+    ) -> Result<Arc<Resolution>, FetchError> {
         if let Some(error) = plan.dns_fault_for(name, attempt) {
             return Err(error);
         }

@@ -7,6 +7,7 @@
 
 use crate::url::Url;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// `SameSite` attribute values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,14 +85,20 @@ impl Cookie {
         Some(cookie)
     }
 
-    /// Serialise back to a `Set-Cookie` header value.
+    /// Serialise back to a `Set-Cookie` header value, with no spare
+    /// capacity.
     pub fn to_set_cookie(&self) -> String {
-        let mut out = format!("{}={}", self.name, self.value);
+        let mut out = String::new();
+        out.push_str(&self.name);
+        out.push('=');
+        out.push_str(&self.value);
         if let Some(d) = &self.domain {
-            out.push_str(&format!("; Domain={d}"));
+            out.push_str("; Domain=");
+            out.push_str(d);
         }
         if self.path != "/" {
-            out.push_str(&format!("; Path={}", self.path));
+            out.push_str("; Path=");
+            out.push_str(&self.path);
         }
         if self.secure {
             out.push_str("; Secure");
@@ -107,8 +114,10 @@ impl Cookie {
             });
         }
         if let Some(age) = self.max_age {
-            out.push_str(&format!("; Max-Age={age}"));
+            // Formatting into a `String` cannot fail.
+            let _ = write!(out, "; Max-Age={age}");
         }
+        out.shrink_to_fit();
         out
     }
 }
@@ -128,6 +137,15 @@ pub fn path_match(request_path: &str, cookie_path: &str) -> bool {
         || (request_path.starts_with(cookie_path)
             && (cookie_path.ends_with('/')
                 || request_path.as_bytes().get(cookie_path.len()) == Some(&b'/')))
+}
+
+/// Whether `stored` equals `host` ASCII-lowercased.
+fn is_lowercase_of(stored: &str, host: &str) -> bool {
+    stored.len() == host.len()
+        && stored
+            .bytes()
+            .zip(host.bytes())
+            .all(|(s, h)| s == h.to_ascii_lowercase())
 }
 
 /// A stored cookie plus its storage key.
@@ -201,56 +219,72 @@ impl CookieJar {
         top_level_host: &str,
         is_third_party: bool,
     ) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for stored in &self.cookies {
+        self.matching(url, top_level_host, is_third_party)
+            .map(|c| (c.name.clone(), c.value.clone()))
+            .collect()
+    }
+
+    /// The stored cookies [`CookieJar::cookies_for`] sends, in jar order.
+    fn matching<'j>(
+        &'j self,
+        url: &'j Url,
+        top_level_host: &'j str,
+        is_third_party: bool,
+    ) -> impl Iterator<Item = &'j Cookie> + 'j {
+        self.cookies.iter().filter_map(move |stored| {
             let c = &stored.cookie;
             let domain_ok = match &c.domain {
                 Some(d) => domain_match(&url.host, d),
                 None => url.host == stored.origin_host,
             };
             if !domain_ok || !path_match(&url.path, &c.path) {
-                continue;
+                return None;
             }
             if c.secure && url.scheme != "https" {
-                continue;
+                return None;
             }
             if is_third_party {
                 // SameSite=Lax/Strict cookies never accompany cross-site
                 // subresource requests; only SameSite=None (or legacy
                 // unspecified, pre-2020 default) do.
                 if matches!(c.same_site, Some(SameSite::Lax) | Some(SameSite::Strict)) {
-                    continue;
+                    return None;
                 }
                 if self.partition_third_party
-                    && stored.partition.as_deref() != Some(&top_level_host.to_ascii_lowercase()[..])
+                    && !stored
+                        .partition
+                        .as_deref()
+                        .is_some_and(|p| is_lowercase_of(p, top_level_host))
                 {
-                    continue;
+                    return None;
                 }
             }
-            out.push((c.name.clone(), c.value.clone()));
-        }
-        out
+            Some(c)
+        })
     }
 
-    /// Render the `Cookie` request header value, or `None` if no cookie
-    /// matches.
+    /// Render the `Cookie` request header value, with no spare capacity,
+    /// or `None` if no cookie matches.
     pub fn cookie_header(
         &self,
         url: &Url,
         top_level_host: &str,
         is_third_party: bool,
     ) -> Option<String> {
-        let pairs = self.cookies_for(url, top_level_host, is_third_party);
-        if pairs.is_empty() {
+        let mut header = String::new();
+        for c in self.matching(url, top_level_host, is_third_party) {
+            if !header.is_empty() {
+                header.push_str("; ");
+            }
+            header.push_str(&c.name);
+            header.push('=');
+            header.push_str(&c.value);
+        }
+        if header.is_empty() {
             return None;
         }
-        Some(
-            pairs
-                .iter()
-                .map(|(n, v)| format!("{n}={v}"))
-                .collect::<Vec<_>>()
-                .join("; "),
-        )
+        header.shrink_to_fit();
+        Some(header)
     }
 
     /// Every stored cookie (for the crawler's "copy of stored browser
@@ -273,9 +307,109 @@ impl CookieJar {
     }
 }
 
+/// The header builder [`CookieJar::cookie_header`] replaced, kept as its
+/// oracle: a `(name, value)` pair per cookie, with the partition key
+/// compared against a lowercased copy of the top-level host.
+#[cfg(test)]
+mod reference {
+    use super::{domain_match, path_match, CookieJar, SameSite};
+    use crate::url::Url;
+
+    pub fn cookie_header(
+        jar: &CookieJar,
+        url: &Url,
+        top_level_host: &str,
+        is_third_party: bool,
+    ) -> Option<String> {
+        let mut pairs = Vec::new();
+        for stored in &jar.cookies {
+            let c = &stored.cookie;
+            let domain_ok = match &c.domain {
+                Some(d) => domain_match(&url.host, d),
+                None => url.host == stored.origin_host,
+            };
+            if !domain_ok || !path_match(&url.path, &c.path) {
+                continue;
+            }
+            if c.secure && url.scheme != "https" {
+                continue;
+            }
+            if is_third_party {
+                if matches!(c.same_site, Some(SameSite::Lax) | Some(SameSite::Strict)) {
+                    continue;
+                }
+                if jar.partition_third_party
+                    && stored.partition.as_deref() != Some(&top_level_host.to_ascii_lowercase()[..])
+                {
+                    continue;
+                }
+            }
+            pairs.push((c.name.clone(), c.value.clone()));
+        }
+        if pairs.is_empty() {
+            return None;
+        }
+        Some(
+            pairs
+                .iter()
+                .map(|(n, v)| format!("{n}={v}"))
+                .collect::<Vec<_>>()
+                .join("; "),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const HOSTS: [&str; 4] = ["x.com", "shop.x.com", "t.net", "Shop.X.com"];
+
+    proptest! {
+        /// Random jars, partitioned or not, queried from random hosts under
+        /// a top-level host of random case: the header equals the
+        /// reference's, with no spare capacity.
+        #[test]
+        fn cookie_header_matches_the_reference(
+            partitioned in any::<bool>(),
+            sets in proptest::collection::vec(any::<u64>(), 0..12),
+            queries in proptest::collection::vec(any::<u64>(), 1..6),
+        ) {
+            // Each draw's bits pick one field each.
+            let pick = |bits: u64, shift: u32, n: u64| ((bits >> shift) % n) as usize;
+            let mut jar = CookieJar::new();
+            jar.partition_third_party = partitioned;
+            for bits in sets {
+                let mut cookie = Cookie::new(
+                    ["a", "b", "c", "ab"][pick(bits, 0, 4)],
+                    ["", "1", "v2", "x=y"][pick(bits, 2, 4)],
+                );
+                cookie.domain = [None, Some("x.com"), Some("t.net")][pick(bits, 4, 3)].map(str::to_string);
+                cookie.path = ["/", "/a", "/a/b"][pick(bits, 6, 3)].to_string();
+                cookie.secure = bits >> 8 & 1 == 1;
+                cookie.same_site = [None, Some(SameSite::None), Some(SameSite::Lax), Some(SameSite::Strict)]
+                    [pick(bits, 9, 4)];
+                let url = Url::parse(&format!("https://{}/a/b", HOSTS[pick(bits, 11, 4)])).unwrap();
+                jar.set(cookie, &url, HOSTS[pick(bits, 13, 4)]);
+            }
+            for bits in queries {
+                let scheme = if bits & 1 == 1 { "https" } else { "http" };
+                let url = Url::parse(&format!(
+                    "{scheme}://{}{}",
+                    HOSTS[pick(bits, 1, 4)],
+                    ["/", "/a", "/a/b/c"][pick(bits, 3, 3)]
+                ))
+                .unwrap();
+                let (top, third_party) = (HOSTS[pick(bits, 5, 4)], bits >> 7 & 1 == 1);
+                let header = jar.cookie_header(&url, top, third_party);
+                if let Some(h) = &header {
+                    prop_assert_eq!(h.capacity(), h.len());
+                }
+                prop_assert_eq!(header, reference::cookie_header(&jar, &url, top, third_party));
+            }
+        }
+    }
 
     fn url(s: &str) -> Url {
         Url::parse(s).unwrap()

@@ -5,6 +5,7 @@ use serde::de::Error as _;
 use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// Request methods used in the simulated web.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -229,8 +230,31 @@ pub struct Request {
     pub body: Option<Vec<u8>>,
     pub kind: ResourceKind,
     /// URL of the document/script that caused this request, for initiator
-    /// chain reconstruction.
-    pub initiator: Option<Url>,
+    /// chain reconstruction. Shared: every subresource of a page carries
+    /// the same document URL. Serialized as the URL itself.
+    #[serde(with = "shared_url")]
+    pub initiator: Option<Arc<Url>>,
+}
+
+/// Serde for [`Request::initiator`]: the shared URL reads and writes as an
+/// `Option<Url>`.
+mod shared_url {
+    use super::Url;
+    use serde::{Deserialize, Serialize};
+    use std::sync::Arc;
+
+    pub fn serialize<S: serde::Serializer>(
+        url: &Option<Arc<Url>>,
+        serializer: S,
+    ) -> Result<S::Ok, S::Error> {
+        url.as_deref().serialize(serializer)
+    }
+
+    pub fn deserialize<'de, D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> Result<Option<Arc<Url>>, D::Error> {
+        Ok(Option::<Url>::deserialize(deserializer)?.map(Arc::new))
+    }
 }
 
 impl Request {

@@ -101,6 +101,31 @@ impl Url {
         })
     }
 
+    /// `https://{host}{path}`, as [`Url::parse`] reads that text. A
+    /// lowercase host of name characters and a rooted path with no `?`,
+    /// `#` or trailing whitespace are taken as they are, without formatting
+    /// and re-parsing the text; anything else goes through the parser.
+    pub fn https(host: &str, path: &str) -> Result<Url, UrlError> {
+        let plain_host = !host.is_empty()
+            && host.bytes().all(|b| {
+                b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'.' | b'-' | b'_')
+            });
+        let plain_path = path.starts_with('/')
+            && !path.contains(['?', '#'])
+            && !path.ends_with(char::is_whitespace);
+        if !(plain_host && plain_path) {
+            return Url::parse(&format!("https://{host}{path}"));
+        }
+        Ok(Url {
+            scheme: "https".to_string(),
+            host: host.to_string(),
+            port: None,
+            path: path.to_string(),
+            query: None,
+            fragment: None,
+        })
+    }
+
     /// The effective port (default 80/443 by scheme).
     pub fn effective_port(&self) -> u16 {
         self.port.unwrap_or(match self.scheme.as_str() {
@@ -140,18 +165,88 @@ impl Url {
             .map(|(_, v)| v.into_owned())
     }
 
-    /// Append a query pair (encoding both sides).
+    /// Append a query pair (encoding both sides). The query grows in place
+    /// and keeps no spare capacity.
     pub fn with_query_param(mut self, key: &str, value: &str) -> Url {
-        let pair = format!(
-            "{}={}",
-            percent_encode(key.as_bytes()),
-            percent_encode(value.as_bytes())
-        );
-        self.query = Some(match self.query {
-            Some(q) if !q.is_empty() => format!("{q}&{pair}"),
-            _ => pair,
-        });
+        // Every byte encodes to at least one character.
+        let pair_len = key.len() + 1 + value.len();
+        let query = match &mut self.query {
+            Some(q) if !q.is_empty() => {
+                q.reserve_exact(1 + pair_len);
+                q.push('&');
+                q
+            }
+            slot => slot.insert(String::with_capacity(pair_len)),
+        };
+        percent_encode_into(query, key.as_bytes());
+        query.push('=');
+        percent_encode_into(query, value.as_bytes());
+        query.shrink_to_fit();
         self
+    }
+
+    /// The pieces whose concatenation is this URL's text, which `Display`,
+    /// [`Url::text`] and [`Url::text_equals`] all read; `port` holds the
+    /// `:port` piece's bytes.
+    fn text_pieces<'u>(&'u self, port: &'u mut [u8; 6]) -> [&'u str; 9] {
+        let port = match self.port {
+            Some(p) => {
+                // `:` and up to five digits.
+                let mut at = port.len();
+                let mut n = p;
+                loop {
+                    at -= 1;
+                    port[at] = b'0' + (n % 10) as u8;
+                    n /= 10;
+                    if n == 0 {
+                        break;
+                    }
+                }
+                at -= 1;
+                port[at] = b':';
+                // ASCII digits and `:`, so always UTF-8.
+                std::str::from_utf8(&port[at..]).unwrap_or_default()
+            }
+            None => "",
+        };
+        let (query_mark, query) = match &self.query {
+            Some(q) => ("?", q.as_str()),
+            None => ("", ""),
+        };
+        let (fragment_mark, fragment) = match &self.fragment {
+            Some(f) => ("#", f.as_str()),
+            None => ("", ""),
+        };
+        [
+            &self.scheme,
+            "://",
+            &self.host,
+            port,
+            &self.path,
+            query_mark,
+            query,
+            fragment_mark,
+            fragment,
+        ]
+    }
+
+    /// This URL's text (its `Display` form), in a string of exactly its
+    /// length.
+    pub fn text(&self) -> String {
+        self.text_pieces(&mut [0; 6]).concat()
+    }
+
+    /// Whether this URL's text (its `Display` form) equals the
+    /// concatenation of `parts`, compared without formatting the URL.
+    pub fn text_equals(&self, parts: &[&str]) -> bool {
+        let mut port = [0; 6];
+        let pieces = self.text_pieces(&mut port);
+        let len = |pieces: &[&str]| pieces.iter().map(|p| p.len()).sum::<usize>();
+        len(&pieces) == len(parts)
+            && pieces
+                .iter()
+                .flat_map(|p| p.bytes())
+                .eq(parts.iter().flat_map(|p| p.bytes()))
     }
 
     /// Resolve a possibly-relative reference against this URL.
@@ -216,11 +311,15 @@ fn normalize_dots(path: &str) -> String {
 
 // Local copies of percent codec to keep pii-net dependency-light; these are
 // the exact RFC 3986 rules also implemented (with tests) in pii-encodings.
-fn percent_encode(data: &[u8]) -> String {
+fn is_unreserved(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~')
+}
+
+/// Append `data` percent-encoded to `out`.
+fn percent_encode_into(out: &mut String, data: &[u8]) {
     const HEX: &[u8; 16] = b"0123456789ABCDEF";
-    let mut out = String::with_capacity(data.len());
     for &b in data {
-        if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~') {
+        if is_unreserved(b) {
             out.push(b as char);
         } else {
             out.push('%');
@@ -228,6 +327,12 @@ fn percent_encode(data: &[u8]) -> String {
             out.push(char::from(HEX[usize::from(b & 0x0f)]));
         }
     }
+}
+
+#[cfg(test)]
+fn percent_encode(data: &[u8]) -> String {
+    let mut out = String::with_capacity(data.len());
+    percent_encode_into(&mut out, data);
     out
 }
 
@@ -264,25 +369,32 @@ fn form_decode(s: &str) -> Cow<'_, str> {
 
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}://{}", self.scheme, self.host)?;
-        if let Some(p) = self.port {
-            write!(f, ":{p}")?;
-        }
-        write!(f, "{}", self.path)?;
-        if let Some(q) = &self.query {
-            write!(f, "?{q}")?;
-        }
-        if let Some(frag) = &self.fragment {
-            write!(f, "#{frag}")?;
-        }
-        Ok(())
+        self.text_pieces(&mut [0; 6])
+            .iter()
+            .try_for_each(|p| f.write_str(p))
     }
 }
 
-/// The encoder and decoder the allocation-free forms replaced, kept as
-/// oracles for the differential tests below.
+/// The encoder, decoder and query appender the allocation-free forms
+/// replaced, kept as oracles for the differential tests below.
 #[cfg(test)]
 mod reference {
+    use super::Url;
+
+    /// A `format!`ed pair, then the query re-formatted around it.
+    pub fn with_query_param(mut url: Url, key: &str, value: &str) -> Url {
+        let pair = format!(
+            "{}={}",
+            percent_encode(key.as_bytes()),
+            percent_encode(value.as_bytes())
+        );
+        url.query = Some(match url.query {
+            Some(q) if !q.is_empty() => format!("{q}&{pair}"),
+            _ => pair,
+        });
+        url
+    }
+
     /// `format!` per escaped byte.
     pub fn percent_encode(data: &[u8]) -> String {
         let mut out = String::with_capacity(data.len());
@@ -348,6 +460,62 @@ mod tests {
             data in proptest::collection::vec(any::<u8>(), 0..64),
         ) {
             prop_assert_eq!(percent_encode(&data), reference::percent_encode(&data));
+        }
+
+        /// Appending a pair to no query, an empty one or a non-empty one
+        /// gives the reference's URL, with no spare query capacity.
+        #[test]
+        fn with_query_param_matches_the_reference(
+            query in proptest::option::of("[a-z0-9=&%]{0,12}"),
+            key in proptest::collection::vec(any::<u8>(), 0..16),
+            value in proptest::collection::vec(any::<u8>(), 0..32),
+        ) {
+            let mut url = Url::parse("https://t.net/p").unwrap();
+            url.query = query;
+            let (key, value) = (String::from_utf8_lossy(&key), String::from_utf8_lossy(&value));
+            let appended = url.clone().with_query_param(&key, &value);
+            let q = appended.query.as_ref().unwrap();
+            prop_assert_eq!(q.capacity(), q.len());
+            prop_assert_eq!(appended, reference::with_query_param(url, &key, &value));
+        }
+
+        /// `Url::https` reads a host and path exactly as `Url::parse` reads
+        /// their `https://` concatenation, plain or not.
+        #[test]
+        fn https_matches_parsing_the_formatted_text(
+            host in "([a-z0-9._-]{1,8}|[a-zA-Z0-9.:@/ -]{0,8})",
+            path in "(/[a-z0-9/._-]{0,8}|[/a-z?#=&:@ é]{0,10})",
+        ) {
+            prop_assert_eq!(Url::https(&host, &path), Url::parse(&format!("https://{host}{path}")));
+        }
+
+        /// `text_equals` agrees with comparing the formatted URL, for any
+        /// split of the text into parts.
+        #[test]
+        fn text_equals_matches_the_formatted_url(
+            url in "(http|https)://[a-z]{1,6}\\.(com|net)(:[0-9]{1,5}){0,1}(/[a-z.]{0,6}){0,3}(\\?[a-z=&]{0,8}){0,1}(#[a-z]{0,4}){0,1}",
+            other in "(http|https)://[a-z]{1,6}\\.(com|net)(/[a-z.]{0,6}){0,3}(\\?[a-z=&]{0,8}){0,1}",
+            cut in proptest::collection::vec(0usize..64, 0..4),
+        ) {
+            let Ok(url) = Url::parse(&url) else { return Ok(()) };
+            let text = url.to_string();
+            let near = [format!("{text}x"), text[..text.len() - 1].to_string(), text.replacen('/', "-", 1)];
+            for candidate in [text, other].into_iter().chain(near) {
+                let mut cuts: Vec<usize> = cut
+                    .iter()
+                    .map(|c| c % (candidate.len() + 1))
+                    .filter(|c| candidate.is_char_boundary(*c))
+                    .collect();
+                cuts.sort_unstable();
+                let mut parts = Vec::new();
+                let mut from = 0;
+                for c in cuts {
+                    parts.push(&candidate[from..c]);
+                    from = c;
+                }
+                parts.push(&candidate[from..]);
+                prop_assert_eq!(url.text_equals(&parts), url.to_string() == candidate);
+            }
         }
 
         #[test]

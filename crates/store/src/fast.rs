@@ -31,6 +31,7 @@ use pii_net::cookie::{Cookie, SameSite};
 use pii_net::fault::FetchError;
 use pii_net::http::{HeaderMap, Method, Request, ResourceKind, Response};
 use pii_net::url::Url;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------- encoding
 
@@ -502,7 +503,32 @@ fn r_resource_kind(r: &mut Reader<'_>) -> Result<ResourceKind, VbinError> {
     }
 }
 
-fn r_request(r: &mut Reader<'_>) -> Result<Request, VbinError> {
+/// The last initiator a segment decoded: its encoded bytes and the URL.
+type LastInitiator<'a> = Option<(&'a [u8], Arc<Url>)>;
+
+/// A request's initiator. When its encoding is the same bytes as the last
+/// one decoded — a page's subresources all name the page — the record
+/// shares that URL instead of decoding a copy.
+fn r_initiator<'a>(
+    r: &mut Reader<'a>,
+    last: &mut LastInitiator<'a>,
+) -> Result<Option<Arc<Url>>, VbinError> {
+    if let Some((raw, url)) = last {
+        if r.bytes[r.pos..].starts_with(raw) {
+            r.pos += raw.len();
+            return Ok(Some(Arc::clone(url)));
+        }
+    }
+    let start = r.pos;
+    let Some(url) = r_opt_url(r)? else {
+        return Ok(None);
+    };
+    let url = Arc::new(url);
+    *last = Some((&r.bytes[start..r.pos], Arc::clone(&url)));
+    Ok(Some(url))
+}
+
+fn r_request<'a>(r: &mut Reader<'a>, last: &mut LastInitiator<'a>) -> Result<Request, VbinError> {
     let count = r.r_obj()?;
     let mut method = None;
     let mut url = None;
@@ -517,7 +543,7 @@ fn r_request(r: &mut Reader<'_>) -> Result<Request, VbinError> {
             b"headers" => headers = Some(r_headers(r)?),
             b"body" => body = r.r_opt_bytes()?,
             b"kind" => kind = Some(r_resource_kind(r)?),
-            b"initiator" => initiator = r_opt_url(r)?,
+            b"initiator" => initiator = r_initiator(r, last)?,
             _ => return Err(ERR),
         }
     }
@@ -571,7 +597,10 @@ fn r_fetch_error(r: &mut Reader<'_>) -> Result<FetchError, VbinError> {
     }
 }
 
-fn r_fetch_record(r: &mut Reader<'_>) -> Result<FetchRecord, VbinError> {
+fn r_fetch_record<'a>(
+    r: &mut Reader<'a>,
+    last: &mut LastInitiator<'a>,
+) -> Result<FetchRecord, VbinError> {
     let count = r.r_obj()?;
     let mut request = None;
     let mut response = None;
@@ -580,7 +609,7 @@ fn r_fetch_record(r: &mut Reader<'_>) -> Result<FetchRecord, VbinError> {
     let mut from_cache = None;
     for _ in 0..count {
         match r.r_key()? {
-            b"request" => request = Some(r_request(r)?),
+            b"request" => request = Some(r_request(r, last)?),
             b"response" => response = Some(r_response(r)?),
             b"blocked" => blocked = r.r_opt_str()?,
             b"error" => error = Some(r_fetch_error(r)?),
@@ -736,8 +765,9 @@ pub fn decode_site_crawl(bytes: &[u8]) -> Result<SiteCrawl, VbinError> {
             b"records" => {
                 let count = r.r_arr()?;
                 let mut recs = Vec::with_capacity(count);
+                let mut last = None;
                 for _ in 0..count {
-                    recs.push(r_fetch_record(&mut r)?);
+                    recs.push(r_fetch_record(&mut r, &mut last)?);
                 }
                 records = Some(recs);
             }
@@ -800,7 +830,7 @@ pub(crate) mod tests {
                 headers: headers.clone(),
                 body: body.clone(),
                 kind: ResourceKind::Xhr,
-                initiator: Some(bare_url.clone()),
+                initiator: Some(Arc::new(bare_url.clone())),
             },
             response: Response {
                 status: 503,
@@ -957,6 +987,51 @@ pub(crate) mod tests {
     #[test]
     fn fast_codec_matches_the_generic_path_on_an_exhaustive_crawl() {
         assert_codec_agrees(&exhaustive_crawl());
+    }
+
+    /// A run of records with the same initiator decodes to one shared URL;
+    /// a different initiator, or none, between them decodes as written.
+    #[test]
+    fn repeated_initiators_decode_shared_and_equal() {
+        let mut crawl = exhaustive_crawl();
+        let record = crawl.records[0].clone();
+        let a = Arc::new(Url::parse("https://shop0001.com/account").unwrap());
+        let b = Arc::new(Url::parse("https://shop0001.com:8443/account?x=1#f").unwrap());
+        let initiators = [
+            Some(&a),
+            Some(&a),
+            None,
+            Some(&a),
+            Some(&b),
+            Some(&a),
+            Some(&a),
+        ];
+        crawl.records = initiators
+            .iter()
+            .map(|initiator| {
+                let mut r = record.clone();
+                r.request.initiator = initiator.map(|u| Arc::new(Url::clone(u)));
+                r
+            })
+            .collect();
+        assert_codec_agrees(&crawl);
+        let mut bytes = Vec::new();
+        encode_site_crawl(&crawl, &mut bytes);
+        let decoded = decode_site_crawl(&bytes).unwrap();
+        let got: Vec<Option<&Arc<Url>>> = decoded
+            .records
+            .iter()
+            .map(|r| r.request.initiator.as_ref())
+            .collect();
+        for (g, want) in got.iter().zip(initiators) {
+            assert_eq!(g.map(|u| &**u), want.map(|u| &**u));
+        }
+        let shared = |i: usize, j: usize| Arc::ptr_eq(got[i].unwrap(), got[j].unwrap());
+        assert!(shared(0, 1) && shared(1, 3) && shared(5, 6));
+        assert!(
+            !shared(3, 5),
+            "a different initiator in between is decoded afresh"
+        );
     }
 
     #[test]

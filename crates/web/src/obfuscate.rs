@@ -122,11 +122,15 @@ impl Obfuscation {
     /// Apply the whole chain to a PII string; the result is the token that
     /// appears on the wire.
     pub fn apply(&self, pii: &str) -> String {
-        let mut bytes = pii.as_bytes().to_vec();
-        for step in &self.steps {
+        let Some((first, rest)) = self.steps.split_first() else {
+            return pii.to_string();
+        };
+        let mut bytes = first.apply(pii.as_bytes());
+        for step in rest {
             bytes = step.apply(&bytes);
         }
-        String::from_utf8_lossy(&bytes).into_owned()
+        String::from_utf8(bytes)
+            .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
     }
 
     /// Report label: `plaintext`, `sha256`, `sha256(md5)`, `base64+sha1`…

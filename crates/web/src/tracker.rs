@@ -761,6 +761,13 @@ pub fn full_catalog() -> Vec<TrackerProvider> {
     all
 }
 
+/// [`full_catalog`], built once per process: the catalog is a constant,
+/// and browsers, blocklists and report labels read it without owning it.
+pub fn catalog() -> &'static [TrackerProvider] {
+    static CATALOG: std::sync::OnceLock<Vec<TrackerProvider>> = std::sync::OnceLock::new();
+    CATALOG.get_or_init(full_catalog)
+}
+
 /// Reporting label for a wire-level receiver domain, derived from the
 /// catalog. For CNAME-cloaked providers the detector sees the unmasked
 /// provider domain (`omtrdc.net`) while the paper's tables report the
@@ -768,7 +775,7 @@ pub fn full_catalog() -> Vec<TrackerProvider> {
 /// coincide. This is the single source of truth for that mapping — both
 /// report rendering and the end-to-end ground-truth comparison use it.
 pub fn reporting_label(domain: &str) -> String {
-    full_catalog()
+    catalog()
         .iter()
         .find(|p| p.domain == domain)
         .map(|p| p.label.to_string())
@@ -778,7 +785,7 @@ pub fn reporting_label(domain: &str) -> String {
 /// Inverse of [`reporting_label`]: the registrable domain the detector
 /// attributes to a catalog receiver label.
 pub fn detector_domain(label: &str) -> String {
-    full_catalog()
+    catalog()
         .iter()
         .find(|p| p.label == label)
         .map(|p| p.domain.to_string())

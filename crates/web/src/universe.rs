@@ -21,7 +21,7 @@ use crate::site::{
     AuthForm, BenignResource, BlockReason, LeakEdge, LeakMethod, PolicyDisclosure, Site,
     SiteOutcome,
 };
-use crate::tracker::{full_catalog, ProviderClass, TrackerProvider};
+use crate::tracker::{catalog, ProviderClass, TrackerProvider};
 use pii_dns::{Record, ZoneStore};
 use pii_net::fault::{self, DomainSchedule, FaultPlan, FaultProfile, FetchError};
 use pii_net::http::ResourceKind;
@@ -156,7 +156,8 @@ pub struct Universe {
     pub sites: Vec<Site>,
     pub zones: ZoneStore,
     pub mailbox: Mailbox,
-    pub catalog: Vec<TrackerProvider>,
+    /// The tracker catalog the universe was generated from.
+    pub catalog: &'static [TrackerProvider],
 }
 
 impl Universe {
@@ -498,14 +499,14 @@ impl Generator {
             sites,
             zones,
             mailbox,
-            catalog: full_catalog(),
+            catalog: catalog(),
         }
     }
 
     /// Assign every catalog edge slot to a sender index. Returns, per
     /// sender, a list of (catalog index, variant index).
     fn assign_edges(&mut self, sender_count: usize) -> Vec<Vec<(usize, usize)>> {
-        let catalog = full_catalog();
+        let catalog = catalog();
         let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); sender_count];
         // Per-provider sender sets to keep a provider's senders distinct.
         let mut used: Vec<std::collections::HashSet<usize>> =
@@ -746,7 +747,7 @@ impl Generator {
         zones: &mut ZoneStore,
     ) -> Vec<LeakEdge> {
         const REFERER: usize = usize::MAX;
-        let catalog = full_catalog();
+        let catalog = catalog();
         let mut out = Vec::with_capacity(assigned.len());
         for &(pi, vi) in assigned {
             let provider = &catalog[pi];

@@ -113,7 +113,13 @@ fn main() {
         fail("usage: validate_trace <trace-a.json> [trace-b.json]");
     };
     let counters = load(first);
-    for key in ["browser.pages", "detect.requests", "dns.queries"] {
+    for key in [
+        "browser.pages",
+        "browser.records",
+        "browser.requests",
+        "detect.requests",
+        "dns.queries",
+    ] {
         if counters.get(key).copied().unwrap_or(0) == 0 {
             fail(&format!("{first}: counter {key} missing or zero"));
         }

@@ -121,7 +121,8 @@ fn configure_study(args: &StudyArgs) -> Study {
 /// The study the subcommand runs, announced on stderr. Each subcommand then
 /// picks the pipeline: `Study::run` keeps the crawls for the passes that read
 /// raw records (Table 4, the ablations, `export`), `Study::run_streaming`
-/// drops each site once it is folded. Both print the same bytes.
+/// drops each site once it is folded. Both print the same bytes. `stats`
+/// reads only the universe (`Study::universe`) and runs neither.
 fn study(args: &StudyArgs) -> Study {
     let mut study = configure_study(args);
     if let Some(path) = &args.from {
@@ -340,8 +341,8 @@ fn main() {
             }
         }
         "stats" => {
-            let r = study(&study_args).run_streaming();
-            println!("{}", pii_suite::web::stats::compute(&r.universe).render());
+            let universe = study(&study_args).universe();
+            println!("{}", pii_suite::web::stats::compute(&universe).render());
         }
         "sweep" => {
             let n: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(5);

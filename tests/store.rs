@@ -71,6 +71,35 @@ fn archive_meta_overrides_the_replaying_study() {
     assert!(replay.degradation.should_render());
 }
 
+/// `Study::universe` (what `stats` prints) is the universe the study would
+/// measure — from the study's spec live, from the archive's recorded spec
+/// under `--from` — without crawling or replaying it.
+#[test]
+fn study_universe_is_the_measured_universe() {
+    let spec = UniverseSpec {
+        seed: 11,
+        ..UniverseSpec::default()
+    };
+    let live = Study {
+        spec: spec.clone(),
+        workers: 1,
+        ..Study::paper()
+    };
+    let path = temp_path("universe-seed-11.store");
+    let fingerprint = |u: &Universe| {
+        (
+            pii_suite::web::stats::compute(u).render(),
+            serde_json::to_string(&u.sites).expect("sites serialize"),
+        )
+    };
+    let expected = fingerprint(&live.universe());
+    live.crawl_to_archive(&path).expect("write capture archive");
+    let replay = Study::from_archive(&path); // paper() defaults to seed 7
+    assert_eq!(fingerprint(&replay.universe()), expected);
+    assert_eq!(fingerprint(&replay.run_streaming().universe), expected);
+    assert_ne!(fingerprint(&Study::paper().universe()), expected);
+}
+
 /// `export` shares the archive writer: the `study.store` it drops next to
 /// the CSV/HAR artifacts replays to the same dataset.
 #[test]
