@@ -91,11 +91,12 @@ full-smoke:
 	$(call full_slices,--from target/full-hostile.store,full-hostile-replay)
 
 # Every pass that re-crawls runs on the study's `--workers`: the
-# strict-referrer counterfactual and the crowdsourced contributors print
-# the same bytes at one worker and at four, and at one worker `full`,
+# strict-referrer counterfactual, the crowdsourced contributors and the
+# ablations (which build the depth-1 and depth-2 token sets) print the same
+# bytes at one worker and at four, and at one worker `full`,
 # `counterfactual` and `crowdsource` crawl on worker 0 alone.
 workers-smoke:
-	for cmd in counterfactual "crowdsource 3"; do \
+	for cmd in counterfactual "crowdsource 3" ablations; do \
 		cargo run --release -q -- --seed 7 --workers 1 $$cmd > target/workers-w1.txt || exit 1; \
 		cargo run --release -q -- --seed 7 --workers 4 $$cmd > target/workers-w4.txt || exit 1; \
 		cmp target/workers-w1.txt target/workers-w4.txt || exit 1; \

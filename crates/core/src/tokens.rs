@@ -15,6 +15,7 @@ use pii_encodings::EncodingKind;
 use pii_hashes::HashAlgorithm;
 use pii_web::obfuscate::{Obfuscation, Step};
 use pii_web::persona::{Persona, PiiKind};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// What a matched token means.
@@ -177,54 +178,49 @@ impl TokenSetBuilder {
         }
     }
 
-    /// The encoding chain steps this builder considers. Hash steps are not
-    /// listed here: [`TokenSetBuilder::build`] runs all of
-    /// [`HashAlgorithm::ALL`] over each frontier entry before these.
-    fn encoding_steps(&self) -> Vec<Step> {
-        let mut steps: Vec<Step> = EncodingKind::TEXTUAL
-            .iter()
-            .map(|&kind| Step::Encode(kind))
-            .collect();
+    /// The chain steps this builder considers, in collision order: all of
+    /// [`HashAlgorithm::ALL`] in order, then the textual encodings, then
+    /// (if included) the compressions. The first chain of a given length
+    /// to render a token keeps it, so this order decides ties.
+    fn steps(&self) -> Vec<Step> {
+        let mut steps: Vec<Step> = HashAlgorithm::ALL.map(Step::Hash).into();
+        steps.extend(EncodingKind::TEXTUAL.map(Step::Encode));
         if self.include_compression {
-            for kind in EncodingKind::COMPRESSION {
-                steps.push(Step::Encode(kind));
-            }
+            steps.extend(EncodingKind::COMPRESSION.map(Step::Encode));
         }
         steps
     }
 
     /// Build the candidate set for `persona`.
     pub fn build(&self, persona: &Persona) -> TokenSet {
+        let steps = self.steps();
         let mut map = HashMap::new();
-        let encodings = self.encoding_steps();
-        let step_count = HashAlgorithm::ALL.len().saturating_add(encodings.len());
         for (kind, value) in persona.all_values() {
             // Depth 0: plaintext.
-            self.insert(&mut map, kind, Obfuscation::plaintext(), value.clone());
+            self.offer(&mut map, kind, value.clone(), &[], None);
             // Depths 1..=max: breadth-first over chains. Each frontier entry
             // carries the bytes after the chain so far, so each step is
             // applied incrementally rather than re-running whole chains.
-            let mut frontier: Vec<(Vec<Step>, Vec<u8>)> =
-                vec![(Vec::new(), value.clone().into_bytes())];
-            for _depth in 0..self.max_depth {
-                let mut next = Vec::with_capacity(frontier.len().saturating_mul(step_count));
+            // The last depth's outputs only become tokens, so it builds no
+            // frontier.
+            let mut frontier: Vec<(Vec<Step>, Vec<u8>)> = vec![(Vec::new(), value.into_bytes())];
+            for depth in 1..=self.max_depth {
+                let last = depth == self.max_depth;
+                let mut next = Vec::with_capacity(if last {
+                    0
+                } else {
+                    frontier.len().saturating_mul(steps.len())
+                });
                 for (chain, bytes) in &frontier {
-                    // Hashes in `HashAlgorithm::ALL` order, then encodings:
-                    // collision resolution (first equal-length chain wins)
-                    // depends on this order.
-                    for alg in HashAlgorithm::ALL {
-                        let hex = pii_hashes::hex_digest(alg, bytes);
-                        self.extend(
-                            &mut map,
-                            &mut next,
-                            kind,
-                            chain,
-                            Step::Hash(alg),
-                            hex.into_bytes(),
-                        );
-                    }
-                    for &step in &encodings {
-                        self.extend(&mut map, &mut next, kind, chain, step, step.apply(bytes));
+                    for &step in &steps {
+                        let out = step.apply(bytes);
+                        if !last {
+                            next.push(([&chain[..], &[step]].concat(), out.clone()));
+                        }
+                        let token = String::from_utf8(out).unwrap_or_else(|invalid| {
+                            String::from_utf8_lossy(invalid.as_bytes()).into_owned()
+                        });
+                        self.offer(&mut map, kind, token, chain, Some(step));
                     }
                 }
                 frontier = next;
@@ -233,47 +229,40 @@ impl TokenSetBuilder {
         TokenSet { map }
     }
 
-    /// Record one `chain + step` expansion: insert the rendered token and
-    /// push the new frontier entry.
-    fn extend(
-        &self,
-        map: &mut HashMap<String, TokenInfo>,
-        next: &mut Vec<(Vec<Step>, Vec<u8>)>,
-        kind: PiiKind,
-        chain: &[Step],
-        step: Step,
-        out: Vec<u8>,
-    ) {
-        let mut new_chain = chain.to_vec();
-        new_chain.push(step);
-        let rendered = String::from_utf8_lossy(&out).into_owned();
-        self.insert(
-            map,
-            kind,
-            Obfuscation {
-                steps: new_chain.clone(),
-            },
-            rendered,
-        );
-        next.push((new_chain, out));
-    }
-
-    fn insert(
+    /// Offer `token`, rendered by `chain` (plus `step`, if any), as a
+    /// candidate for `pii`. Tokens below the length floor are dropped, and
+    /// shorter chains win collisions: a plaintext match must never be
+    /// reported as some exotic chain that happens to collide. The chain is
+    /// allocated only when the token is kept.
+    fn offer(
         &self,
         map: &mut HashMap<String, TokenInfo>,
         pii: PiiKind,
-        chain: Obfuscation,
-        token: String,
+        mut token: String,
+        chain: &[Step],
+        step: Option<Step>,
     ) {
         if token.len() < self.min_token_len {
             return;
         }
-        // Shorter chains win collisions: a plaintext match must never be
-        // reported as some exotic chain that happens to collide.
-        match map.get(&token) {
-            Some(existing) if existing.chain.steps.len() <= chain.steps.len() => {}
-            _ => {
-                map.insert(token, TokenInfo { pii, chain });
+        // The set keeps its keys for the whole study, so none may carry an
+        // encoder's spare capacity.
+        token.shrink_to_fit();
+        let len = chain.len() + usize::from(step.is_some());
+        let info = || TokenInfo {
+            pii,
+            chain: Obfuscation {
+                steps: chain.iter().copied().chain(step).collect(),
+            },
+        };
+        match map.entry(token) {
+            Entry::Occupied(mut existing) => {
+                if existing.get().chain.steps.len() > len {
+                    existing.insert(info());
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(info());
             }
         }
     }
@@ -351,6 +340,13 @@ mod tests {
         deep.include_compression = false; // keep the test fast
         let deep = deep.build(&p);
         assert!(deep.lookup(&token).is_some(), "depth 3 must find it");
+        // Pinned like the default set: the depth-3 chains and their
+        // collisions are the ones only this build reaches.
+        assert_eq!(deep.len(), 207_247);
+        assert_eq!(
+            pii_hashes::hex_digest(HashAlgorithm::Sha256, deep.to_text().as_bytes()),
+            "bde2247da8603addada072261ba4346bcd850ee48ebf65c3e9106003274d25cf"
+        );
     }
 
     #[test]
@@ -464,6 +460,24 @@ mod tests {
         assert_eq!(
             pii_hashes::hex_digest(HashAlgorithm::Sha256, set.to_text().as_bytes()),
             "06bb75478e8e6adbfb9b9fadc83bdb1e0a1183672fe1d6f38a4d0dc385d59562"
+        );
+    }
+
+    /// The default set plus the compression steps (deflate, gzip, bzip2 and
+    /// every encoding of their binary output), pinned the same way: this is
+    /// the only pin that runs the compressors on the builder's inputs.
+    #[test]
+    fn compression_token_set_is_pinned() {
+        let universe = pii_web::Universe::generate();
+        let set = TokenSetBuilder {
+            include_compression: true,
+            ..Default::default()
+        }
+        .build(&universe.persona);
+        assert_eq!(set.len(), 8_431);
+        assert_eq!(
+            pii_hashes::hex_digest(HashAlgorithm::Sha256, set.to_text().as_bytes()),
+            "cd2b30737b9caccca2622c772ae4c9c95d519896339dff4aaa3da33b608a7cd2"
         );
     }
 

@@ -99,8 +99,9 @@ impl Md2 {
     fn finalize_bytes(mut self) -> Vec<u8> {
         // Pad with N bytes of value N so the message is a multiple of 16.
         let pad = 16 - self.buf_len;
-        let padding = vec![pad as u8; pad];
-        self.update_bytes(&padding);
+        self.buf[self.buf_len..].fill(pad as u8);
+        let block = self.buf;
+        self.process_block(&block);
         // Append the checksum as a final block.
         let checksum = self.checksum;
         self.process_block(&checksum);
@@ -117,6 +118,25 @@ impl Hasher for Md2 {
     }
     fn output_len(&self) -> usize {
         16
+    }
+}
+
+/// The padding this module used before it padded the buffer in place: an
+/// allocated `vec![pad; pad]` fed through `update_bytes`. Kept as the
+/// oracle for `md2_equals_reference`.
+#[cfg(test)]
+mod reference {
+    use super::Md2;
+
+    pub fn md2(data: &[u8]) -> Vec<u8> {
+        let mut h = Md2::new();
+        h.update_bytes(data);
+        let pad = 16 - h.buf_len;
+        let padding = vec![pad as u8; pad];
+        h.update_bytes(&padding);
+        let checksum = h.checksum;
+        h.process_block(&checksum);
+        h.x[..16].to_vec()
     }
 }
 
@@ -155,5 +175,23 @@ mod tests {
         h.update_bytes(&data[..5]);
         h.update_bytes(&data[5..]);
         assert_eq!(hex::encode(&h.finalize_bytes()), md2_hex(&data));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// In-place padding equals the allocated padding on arbitrary
+        /// bytes fed in two arbitrary pieces.
+        #[test]
+        fn md2_equals_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..201),
+            split in 0usize..201,
+        ) {
+            let split = split.min(data.len());
+            let mut h = Md2::new();
+            h.update_bytes(&data[..split]);
+            h.update_bytes(&data[split..]);
+            prop_assert_eq!(h.finalize_bytes(), reference::md2(&data));
+        }
     }
 }

@@ -51,11 +51,17 @@ fn sboxes() -> &'static Vec<[u32; 256]> {
 /// Rotation schedule inside each pass (from the reference implementation).
 const SHIFTS: [u32; 4] = [16, 8, 16, 24];
 
+/// Largest chaining value (Snefru-256), in words.
+const MAX_OUT_WORDS: usize = 8;
+/// Most message bytes one block carries (Snefru-128).
+const MAX_DATA_BYTES: usize = (BLOCK_WORDS - 4) * 4;
+
 /// The Snefru 512-bit one-way function: mixes the 16-word buffer in place
 /// and returns the first `out_words` words XORed with the original input tail
-/// per the reference "output = input XOR last words reversed" rule.
+/// per the reference "output = input XOR last words reversed" rule (the
+/// words past `out_words` are zero).
 #[allow(clippy::needless_range_loop)] // word indices mirror the reference implementation
-fn snefru_512(block: &mut [u32; BLOCK_WORDS], out_words: usize) -> Vec<u32> {
+fn snefru_512(block: &mut [u32; BLOCK_WORDS], out_words: usize) -> [u32; MAX_OUT_WORDS] {
     let original = *block;
     let boxes = sboxes();
     for pass in 0..PASSES {
@@ -72,17 +78,20 @@ fn snefru_512(block: &mut [u32; BLOCK_WORDS], out_words: usize) -> Vec<u32> {
             }
         }
     }
-    (0..out_words)
-        .map(|i| original[i] ^ block[BLOCK_WORDS - 1 - i])
-        .collect()
+    let mut out = [0u32; MAX_OUT_WORDS];
+    for i in 0..out_words {
+        out[i] = original[i] ^ block[BLOCK_WORDS - 1 - i];
+    }
+    out
 }
 
 /// Streaming Snefru state for 128- or 256-bit output.
 pub struct Snefru {
-    /// Chaining value, `out_words` words.
-    h: Vec<u32>,
-    /// Bytes awaiting a full block.
-    buf: Vec<u8>,
+    /// Chaining value; the first `out_words` words are live.
+    h: [u32; MAX_OUT_WORDS],
+    /// Bytes awaiting a full block; the first `buf_len` are live.
+    buf: [u8; MAX_DATA_BYTES],
+    buf_len: usize,
     total_len: u64,
     out_words: usize,
 }
@@ -97,12 +106,14 @@ impl Snefru {
         let out_words = out_len / 4;
         // Domain-separate the two output widths: an all-zero IV would make
         // Snefru-128 a prefix of Snefru-256 on zero-padded final blocks.
-        let iv = (0..out_words as u32)
-            .map(|i| i ^ (out_words as u32) << 8)
-            .collect();
+        let mut h = [0u32; MAX_OUT_WORDS];
+        for (i, word) in h.iter_mut().take(out_words).enumerate() {
+            *word = i as u32 ^ (out_words as u32) << 8;
+        }
         Snefru {
-            h: iv,
-            buf: Vec::new(),
+            h,
+            buf: [0; MAX_DATA_BYTES],
+            buf_len: 0,
             total_len: 0,
             out_words,
         }
@@ -117,20 +128,34 @@ impl Snefru {
     fn compress_chunk(&mut self, chunk: &[u8]) {
         debug_assert_eq!(chunk.len(), self.data_bytes_per_block());
         let mut block = [0u32; BLOCK_WORDS];
-        block[..self.out_words].copy_from_slice(&self.h);
+        block[..self.out_words].copy_from_slice(&self.h[..self.out_words]);
         for (i, word_bytes) in chunk.chunks_exact(4).enumerate() {
             block[self.out_words + i] = u32::from_be_bytes(word_bytes.try_into().unwrap());
         }
         self.h = snefru_512(&mut block, self.out_words);
     }
 
-    fn update_bytes(&mut self, data: &[u8]) {
+    fn update_bytes(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        self.buf.extend_from_slice(data);
         let n = self.data_bytes_per_block();
-        while self.buf.len() >= n {
-            let chunk: Vec<u8> = self.buf.drain(..n).collect();
-            self.compress_chunk(&chunk);
+        if self.buf_len > 0 {
+            let take = (n - self.buf_len).min(data.len());
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+            self.buf_len += take;
+            data = &data[take..];
+            if self.buf_len == n {
+                let block = self.buf;
+                self.compress_chunk(&block[..n]);
+                self.buf_len = 0;
+            }
+        }
+        while data.len() >= n {
+            self.compress_chunk(&data[..n]);
+            data = &data[n..];
+        }
+        if !data.is_empty() {
+            self.buf[..data.len()].copy_from_slice(data);
+            self.buf_len = data.len();
         }
     }
 
@@ -140,15 +165,18 @@ impl Snefru {
         // Zero-pad the tail block (if any), then a final block carrying the
         // 64-bit big-endian bit length in its last words, as the reference
         // implementation does.
-        if !self.buf.is_empty() {
-            let mut tail = std::mem::take(&mut self.buf);
-            tail.resize(n, 0);
-            self.compress_chunk(&tail);
+        if self.buf_len > 0 {
+            self.buf[self.buf_len..n].fill(0);
+            let block = self.buf;
+            self.compress_chunk(&block[..n]);
         }
-        let mut last = vec![0u8; n];
-        last[n - 8..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress_chunk(&last);
-        self.h.iter().flat_map(|w| w.to_be_bytes()).collect()
+        let mut last = [0u8; MAX_DATA_BYTES];
+        last[n - 8..n].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress_chunk(&last[..n]);
+        self.h[..self.out_words]
+            .iter()
+            .flat_map(|w| w.to_be_bytes())
+            .collect()
     }
 }
 
@@ -161,6 +189,47 @@ impl Hasher for Snefru {
     }
     fn output_len(&self) -> usize {
         self.out_words * 4
+    }
+}
+
+/// The streaming state this module used before its buffers were fixed
+/// arrays (a `Vec` chaining value, a `Vec` buffer drained per block), kept
+/// as the oracle for `snefru_equals_reference`. The mixing function is
+/// shared: only the buffering changed.
+#[cfg(test)]
+mod reference {
+    use super::{snefru_512, BLOCK_WORDS};
+
+    fn compress_chunk(h: &mut Vec<u32>, chunk: &[u8]) {
+        let out_words = h.len();
+        let mut block = [0u32; BLOCK_WORDS];
+        block[..out_words].copy_from_slice(h);
+        for (i, word_bytes) in chunk.chunks_exact(4).enumerate() {
+            block[out_words + i] = u32::from_be_bytes(word_bytes.try_into().unwrap());
+        }
+        *h = snefru_512(&mut block, out_words)[..out_words].to_vec();
+    }
+
+    /// One-shot Snefru with `out_len` (16 or 32) output bytes.
+    pub fn snefru(out_len: usize, data: &[u8]) -> Vec<u8> {
+        let out_words = out_len / 4;
+        let mut h: Vec<u32> = (0..out_words as u32)
+            .map(|i| i ^ (out_words as u32) << 8)
+            .collect();
+        let n = (BLOCK_WORDS - out_words) * 4;
+        let mut buf = data.to_vec();
+        while buf.len() >= n {
+            let chunk: Vec<u8> = buf.drain(..n).collect();
+            compress_chunk(&mut h, &chunk);
+        }
+        if !buf.is_empty() {
+            buf.resize(n, 0);
+            compress_chunk(&mut h, &buf);
+        }
+        let mut last = vec![0u8; n];
+        last[n - 8..].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        compress_chunk(&mut h, &last);
+        h.iter().flat_map(|w| w.to_be_bytes()).collect()
     }
 }
 
@@ -187,6 +256,19 @@ mod tests {
         assert_ne!(empty128, empty256[..32]);
         assert_eq!(empty128.len(), 32);
         assert_eq!(empty256.len(), 64);
+        assert_eq!(empty128, "bf16bf8fbda7ef2bca6d248a4666b8f0");
+        assert_eq!(
+            empty256,
+            "4bb4dd251a307ef161e0148c359af54602f0f4928486498ecba82a88a815124c"
+        );
+        assert_eq!(
+            snefru_hex(16, b"foo@mydom.com"),
+            "d6c85ef6607d56cd9fee3932846fa264"
+        );
+        assert_eq!(
+            snefru_hex(32, b"foo@mydom.com"),
+            "72973f8a0966b4528a984f2dd141a096d1df865d707595bc59b22c99f9b7c36e"
+        );
     }
 
     #[test]
@@ -212,6 +294,26 @@ mod tests {
             h.update_bytes(chunk);
         }
         assert_eq!(hex::encode(&h.finalize_bytes()), oneshot);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The fixed-array state equals the `Vec` one for both widths on
+        /// arbitrary bytes fed in two arbitrary pieces.
+        #[test]
+        fn snefru_equals_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..201),
+            split in 0usize..201,
+            wide in any::<bool>(),
+        ) {
+            let out_len = if wide { 32 } else { 16 };
+            let split = split.min(data.len());
+            let mut h = Snefru::new(out_len);
+            h.update_bytes(&data[..split]);
+            h.update_bytes(&data[split..]);
+            prop_assert_eq!(h.finalize_bytes(), reference::snefru(out_len, &data));
+        }
     }
 
     #[test]

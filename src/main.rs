@@ -308,14 +308,13 @@ fn main() {
         }
         "crowdsource" => {
             let k: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(3);
-            let r = study(&study_args).run_streaming();
+            // Contributor 0 is the study persona, so the study's own crawl
+            // would only repeat its crawl: take the universe alone.
+            let study = study(&study_args);
             eprintln!("running {k} contributor crawls…");
             let personas = crowdsource::contributor_personas(k);
-            let reports = crowdsource::run_contributors(
-                &r.universe,
-                &personas,
-                r.degradation.capture.workers,
-            );
+            let reports =
+                crowdsource::run_contributors(&study.universe(), &personas, study.workers.max(1));
             let confirmed = crowdsource::confirm(&reports, 2);
             let crowd_only = confirmed
                 .iter()
