@@ -1,4 +1,4 @@
-.PHONY: ci build test clippy bench fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke workers-smoke chaos-smoke lint-invariants bench-trajectory perfbench-selftest
+.PHONY: ci build test clippy fmt-check fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke workers-smoke chaos-smoke lint-invariants perfbench-selftest
 
 ci: build test fault-matrix telemetry-smoke store-smoke stream-smoke full-smoke workers-smoke chaos-smoke perfbench-selftest lint-invariants clippy fmt-check
 
@@ -94,14 +94,14 @@ full-smoke:
 # strict-referrer counterfactual, the crowdsourced contributors and the
 # ablations (which build the depth-1 and depth-2 token sets) print the same
 # bytes at one worker and at four, and at one worker `full`,
-# `counterfactual` and `crowdsource` crawl on worker 0 alone.
+# `counterfactual`, `crowdsource` and `sweep` crawl on worker 0 alone.
 workers-smoke:
 	for cmd in counterfactual "crowdsource 3" ablations; do \
 		cargo run --release -q -- --seed 7 --workers 1 $$cmd > target/workers-w1.txt || exit 1; \
 		cargo run --release -q -- --seed 7 --workers 4 $$cmd > target/workers-w4.txt || exit 1; \
 		cmp target/workers-w1.txt target/workers-w4.txt || exit 1; \
 	done
-	for cmd in full counterfactual "crowdsource 2"; do \
+	for cmd in full counterfactual "crowdsource 2" "sweep 2"; do \
 		cargo run --release -q -- --seed 7 --workers 1 --metrics $$cmd > target/workers-metrics.txt || exit 1; \
 		grep -q "crawler.worker.0.sites" target/workers-metrics.txt || exit 1; \
 		! grep -q "crawler.worker.1.sites" target/workers-metrics.txt || { echo "$$cmd: --workers 1 crawled on a second worker"; exit 1; }; \
@@ -135,11 +135,6 @@ chaos-smoke:
 	cargo run --release -q -- store repair target/chaos-corrupt.store > /dev/null
 	cargo run --release -q -- store verify target/chaos-corrupt.store > /dev/null
 
-# Scale trajectory for the streaming pipeline: crawl + replay at 1x/10x/100x
-# universe scale, refreshing BENCH_streaming.json at the workspace root.
-bench-trajectory:
-	cargo bench -p pii-bench --bench streaming
-
 # The end-to-end benchmark harness is a workspace of its own (perfbench/),
 # so the workspace build never compiles it: build it and run its
 # self-tests, so an API change it depends on fails here.
@@ -156,9 +151,6 @@ lint-invariants:
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
-
-bench:
-	cargo bench -p pii-bench
 
 fmt-check:
 	cargo fmt --all --check

@@ -8,7 +8,6 @@
 
 use crate::aggregates;
 use crate::study::{Study, StudyResults};
-use pii_web::UniverseSpec;
 use serde::{Deserialize, Serialize};
 
 /// Headline metrics of one seeded run.
@@ -32,16 +31,12 @@ pub struct Spread {
     pub max: f64,
 }
 
-fn run_one(seed: u64) -> SeedRun {
-    let study = Study {
-        spec: UniverseSpec {
-            seed,
-            ..UniverseSpec::default()
-        },
-        ..Study::paper()
-    };
-    let r = study.run();
-    summarise(seed, &r)
+/// `study` on the universe of `seed`. The headline metrics read only the
+/// report, so the study's crawls are dropped as they are folded.
+fn run_one(study: &Study, seed: u64) -> SeedRun {
+    let mut study = study.clone();
+    study.spec.seed = seed;
+    summarise(seed, &study.run_streaming())
 }
 
 fn summarise(seed: u64, r: &StudyResults) -> SeedRun {
@@ -57,9 +52,11 @@ fn summarise(seed: u64, r: &StudyResults) -> SeedRun {
     }
 }
 
-/// Run the study on `seeds` and collect the runs.
-pub fn sweep(seeds: &[u64]) -> Vec<SeedRun> {
-    seeds.iter().map(|&s| run_one(s)).collect()
+/// Run the live `study` once per seed in `seeds`, changing only its
+/// universe seed (workers, faults, retries, cache and revisits stay as
+/// configured), and collect the runs.
+pub fn sweep(study: &Study, seeds: &[u64]) -> Vec<SeedRun> {
+    seeds.iter().map(|&s| run_one(study, s)).collect()
 }
 
 /// Compute the spread of each metric over the runs.
@@ -97,7 +94,7 @@ mod tests {
 
     fn runs() -> &'static Vec<SeedRun> {
         static R: OnceLock<Vec<SeedRun>> = OnceLock::new();
-        R.get_or_init(|| sweep(&[1, 2, 3]))
+        R.get_or_init(|| sweep(&Study::paper(), &[1, 2, 3]))
     }
 
     #[test]

@@ -215,10 +215,10 @@ fn decode_batch(
         .map(|_| parking_lot::Mutex::new(None))
         .collect();
     let next = AtomicUsize::new(0);
-    let _ = crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
                     let (Some(slot), Some(item)) = (slots.get(index), batch.get(index)) else {
                         break;

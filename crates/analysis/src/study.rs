@@ -36,6 +36,7 @@ pub enum CaptureSource {
 }
 
 /// Study configuration.
+#[derive(Clone)]
 pub struct Study {
     pub spec: UniverseSpec,
     pub tokens: TokenSetBuilder,

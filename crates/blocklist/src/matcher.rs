@@ -1,13 +1,12 @@
 //! Filter matching engine.
 //!
-//! Two strategies, benchmarked against each other in `pii-bench`
-//! (`bench_blocklist`):
+//! Two strategies that report the same rule:
 //!
 //! * the **indexed** path buckets `||domain^`-style rules by their host key
 //!   and only scans the buckets reachable from the request host's label
-//!   suffixes — the way production content blockers work;
+//!   suffixes — the way production content blockers work; Table 4 uses it;
 //! * the **naive** path scans every rule (what `adblockparser` does), kept
-//!   as the ablation baseline.
+//!   as the tests' reference for the indexed path.
 
 use crate::filter::{Anchor, Filter, ParseOutcome, TypeMask};
 use pii_net::http::ResourceKind;
@@ -203,16 +202,28 @@ impl FilterSet {
             .find(|f| filter_matches(f, url_lower, req))
     }
 
-    /// Naive lookup scanning every rule — ablation baseline; must agree with
-    /// [`FilterSet::matches`] (property-tested in the integration suite).
+    /// Naive lookup scanning every rule — the tests' reference; must agree
+    /// with [`FilterSet::matches`], rule for rule (tested in the integration
+    /// suite). Like the indexed walk from the full host down, it reports the
+    /// matching host-anchored rule with the longest key (the first in list
+    /// order under that key), else the first matching general rule. Keys
+    /// are unique, so the answer does not depend on the index's order.
     pub fn matches_naive(&self, req: &RequestInfo) -> MatchResult {
         let url_lower = req.url.to_ascii_lowercase();
         let hit = self
             .indexed
-            .values()
-            .flatten()
-            .chain(self.general.iter())
-            .find(|f| filter_matches(f, &url_lower, req));
+            .iter()
+            .filter_map(|(key, bucket)| {
+                let f = bucket.iter().find(|f| filter_matches(f, &url_lower, req))?;
+                Some((key, f))
+            })
+            .max_by(|(a, _), (b, _)| a.len().cmp(&b.len()).then_with(|| b.cmp(a)))
+            .map(|(_, f)| f)
+            .or_else(|| {
+                self.general
+                    .iter()
+                    .find(|f| filter_matches(f, &url_lower, req))
+            });
         let Some(block) = hit else {
             return MatchResult::NotBlocked;
         };

@@ -232,11 +232,6 @@ impl<'a> Browser<'a> {
         self.cache_strategy = strategy;
     }
 
-    /// The HTTP cache contents (inspected by repeat-visit tests).
-    pub fn http_cache(&self) -> &crate::cache::HttpCache {
-        &self.cache
-    }
-
     /// Move the cache clock forward to the next visit: cookies, storage,
     /// and cache entries persist, but freshness is re-judged against the
     /// later timestamp.

@@ -157,10 +157,6 @@ impl Shields {
                 })
             })
     }
-
-    pub fn blocked_domain_count(&self) -> usize {
-        self.blocked_domains.len()
-    }
 }
 
 /// A browser's privacy behaviour.

@@ -191,19 +191,25 @@ impl<'a> LeakDetector<'a> {
         let fragments: parking_lot::Mutex<Vec<(usize, DetectionReport)>> =
             parking_lot::Mutex::new(Vec::with_capacity(crawls.len()));
         let next = std::sync::atomic::AtomicUsize::new(0);
-        // Every per-site panic is caught inside the worker loop, so the
-        // scope result carries no information; sites a lost worker never
-        // delivered surface through the gap-fill below instead.
-        let _ = crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if index >= crawls.len() {
-                        break;
-                    }
-                    let fragment = self.detect_site_guarded(crawls[index]);
-                    fragments.lock().push((index, fragment));
-                });
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if index >= crawls.len() {
+                            break;
+                        }
+                        let fragment = self.detect_site_guarded(crawls[index]);
+                        fragments.lock().push((index, fragment));
+                    })
+                })
+                .collect();
+            // Join each worker, as `Crawler::run_pool` does: its thread has
+            // then exited and released its allocator arena. A join error is
+            // a worker lost outside the per-site panic guard (unjoined, it
+            // would panic the scope); the gap-fill below covers its sites.
+            for handle in handles {
+                let _ = handle.join();
             }
         });
         let mut by_index: Vec<Option<DetectionReport>> = crawls.iter().map(|_| None).collect();

@@ -5,7 +5,8 @@
 //! map resolves in O(1) per value. The alternative — scanning raw bytes for
 //! any of ~100k candidate substrings — needs a multi-pattern automaton;
 //! [`AhoCorasick`] is a from-scratch implementation used for the exhaustive
-//! ablation (`bench_scan`) and for haystacks with no structure to exploit.
+//! sweep of the scanning ablation (`pii_analysis::ablations`) and for
+//! haystacks with no structure to exploit.
 
 use std::collections::VecDeque;
 
@@ -207,7 +208,7 @@ impl AhoCorasick {
     }
 }
 
-/// Naive multi-pattern scan: the ablation baseline.
+/// Naive multi-pattern scan: the automaton's test reference.
 pub fn naive_find_all(patterns: &[&[u8]], haystack: &[u8]) -> Vec<Match> {
     let mut out = Vec::new();
     for (pi, pat) in patterns.iter().enumerate() {

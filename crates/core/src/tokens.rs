@@ -148,7 +148,7 @@ impl TokenSet {
 pub struct TokenSetBuilder {
     /// Maximum chain length (the paper uses 3; the default here is 2, which
     /// already covers every form observed in Table 1b/2 — the chain-depth
-    /// cost/recall trade-off is an explicit ablation, `bench_chain_depth`).
+    /// cost/recall trade-off is an explicit ablation, `pii-study ablations`).
     pub max_depth: usize,
     /// Minimum rendered token length.
     pub min_token_len: usize,

@@ -155,16 +155,16 @@ impl<'a> Crawler<'a> {
         // Sites whose worker panicked, tagged with the panicking worker so a
         // *different* worker retries them when possible.
         let requeued: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
-        // Every panic is caught inside the worker loop, so the scope result
-        // carries no information; if a worker still died, the affected sites
-        // surface as quarantined through the gap-fill below instead of
-        // aborting the crawl.
-        let _ = crossbeam::thread::scope(|scope| {
+        // Every panic is caught inside the worker loop; if a worker still
+        // died, its join below reports it instead of the scope panicking,
+        // and the affected sites surface as quarantined through the
+        // gap-fill instead of aborting the crawl.
+        std::thread::scope(|scope| {
             let mut workers = Vec::with_capacity(self.workers.max(1));
             for worker_id in 0..self.workers.max(1) {
                 let (next, requeued, ledger) = (&next, &requeued, &ledger);
                 let (sites, board, profile) = (&sites, &board, &profile);
-                workers.push(scope.spawn(move |_| {
+                workers.push(scope.spawn(move || {
                     let mut browser = self.fresh_browser(profile, plan);
                     loop {
                         // Requeued sites take priority; a worker skips its

@@ -16,7 +16,7 @@
 //! 6. reload the site logged-in,
 //! 7. click through to a product subpage.
 //!
-//! [`Crawler::run`] fans sites out over worker threads (crossbeam scoped
+//! [`Crawler::run`] fans sites out over worker threads (std scoped
 //! threads + a parking_lot-protected sink); everything is deterministic
 //! because the browser engine is.
 //!

@@ -204,21 +204,6 @@ pub enum ResourceKind {
     Beacon,
 }
 
-impl ResourceKind {
-    /// The Adblock Plus option name this kind matches.
-    pub fn abp_option(self) -> &'static str {
-        match self {
-            ResourceKind::Document => "document",
-            ResourceKind::Script => "script",
-            ResourceKind::Image => "image",
-            ResourceKind::Stylesheet => "stylesheet",
-            ResourceKind::Xhr => "xmlhttprequest",
-            ResourceKind::Subdocument => "subdocument",
-            ResourceKind::Beacon => "ping",
-        }
-    }
-}
-
 /// A captured HTTP request — exactly the fields the paper records (§3.2:
 /// "URLs, headers, and payload body").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -334,11 +319,6 @@ impl Response {
     ) -> Self {
         self.headers.insert(name, value);
         self
-    }
-
-    /// All `Set-Cookie` header values.
-    pub fn set_cookie_headers(&self) -> Vec<&str> {
-        self.headers.get_all("Set-Cookie")
     }
 }
 

@@ -419,17 +419,6 @@ pub fn read_trailer(bytes: &[u8]) -> Result<(u64, u32), FrameError> {
     Ok((read_u64(bytes, at)?, read_u32(bytes, at + 8)?))
 }
 
-/// Byte offset of the first segment's payload, parsed from the framing —
-/// used by tooling (e.g. `examples/corrupt_store.rs`) that wants to damage
-/// a segment *body* specifically.
-pub fn first_payload_offset(bytes: &[u8]) -> Result<usize, FrameError> {
-    if bytes.len() < FILE_MAGIC.len() || &bytes[..FILE_MAGIC.len()] != FILE_MAGIC {
-        return Err(FrameError::Corrupt("file magic"));
-    }
-    let header = read_segment_header(bytes, FILE_MAGIC.len())?;
-    Ok(FILE_MAGIC.len() + header.encoded_len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,7 +36,7 @@
 //! pii-study --from <store> <cmd>       replay a capture archive instead of crawling
 //! pii-study --workers <n> <subcommand> size of the crawl/detect worker pool, for the study
 //!                                      and for every pass that re-crawls (browsers,
-//!                                      counterfactual, crowdsource)
+//!                                      counterfactual, crowdsource, sweep)
 //! pii-study --faults <profile> <cmd>   inject transport faults (none|paper-may-2021|hostile)
 //! pii-study --retries <n> <cmd>        max page-load attempts for the fault-injected crawl
 //! pii-study --watchdog-ms <n> <cmd>    per-site virtual-time deadline: a site whose retry
@@ -345,9 +345,17 @@ fn main() {
         }
         "sweep" => {
             let n: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(5);
-            eprintln!("running {n} seeded studies…");
+            if study_args.from.is_some() {
+                eprintln!("sweep crawls a universe per seed; --from does not apply");
+                usage();
+            }
+            let study = configure_study(&study_args);
+            eprintln!(
+                "running {n} seeded studies ({} workers, fault profile {})…",
+                study.workers, study.faults
+            );
             let seeds: Vec<u64> = (1..=n as u64).collect();
-            let runs = pii_suite::analysis::robustness::sweep(&seeds);
+            let runs = pii_suite::analysis::robustness::sweep(&study, &seeds);
             for run in &runs {
                 println!(
                     "seed {:>3}: senders {} receivers {} trackers {} requests {}",

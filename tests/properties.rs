@@ -291,3 +291,59 @@ proptest! {
         }
     }
 }
+
+/// The linear matcher reports the rule the indexed one reports on real
+/// traffic: every distinct request of the seed-7 capture, with its own
+/// kind and third-party flag, against each list. Each parse hashes the host
+/// index under a fresh random state, so the lists are parsed several times:
+/// a reference whose answer follows the index's iteration order disagrees
+/// on some parse where one host has rules under two of its suffixes
+/// (`||analytics.yahoo.com^` and `||ups.analytics.yahoo.com^`).
+#[test]
+fn blocklist_naive_reports_the_indexed_rule_on_the_seed_7_capture() {
+    use pii_suite::blocklist::lists;
+    use pii_suite::prelude::*;
+    use std::collections::HashSet;
+
+    let universe = Universe::generate_with(UniverseSpec {
+        seed: 7,
+        ..UniverseSpec::default()
+    });
+    let psl = PublicSuffixList::embedded();
+    let dataset = Crawler::new(&universe).run(BrowserKind::Firefox88Vanilla);
+    let requests: HashSet<(String, &str, &str, bool, ResourceKind)> = dataset
+        .crawls
+        .iter()
+        .flat_map(|crawl| {
+            crawl.records.iter().map(|rec| {
+                let host = rec.request.url.host.as_str();
+                (
+                    rec.request.url.text(),
+                    host,
+                    crawl.domain.as_str(),
+                    !psl.same_site(host, &crawl.domain),
+                    rec.request.kind,
+                )
+            })
+        })
+        .collect();
+    assert!(requests.len() > 1_000, "{} requests", requests.len());
+    let mut blocked = 0;
+    for _ in 0..4 {
+        for set in [lists::easylist(), lists::easyprivacy(), lists::combined()] {
+            for (url, host, top, third, kind) in &requests {
+                let info = RequestInfo {
+                    url,
+                    host,
+                    top_level_host: top,
+                    is_third_party: *third,
+                    kind: *kind,
+                };
+                let indexed = set.matches(&info);
+                assert_eq!(indexed, set.matches_naive(&info), "{url}");
+                blocked += usize::from(indexed.is_blocked());
+            }
+        }
+    }
+    assert!(blocked > 0);
+}
