@@ -55,9 +55,9 @@ endef
 
 # Constant-memory pipeline: the crawl-dropping subcommands must print their
 # slice of the crawl-keeping `full`, replayed from an archive and live —
-# at the default pool, at one worker (in-order delivery), and at two
-# workers under hostile faults (out-of-order delivery through the live
-# fold's reorder buffer).
+# at the default pool, at one worker (inline on the caller's thread), and
+# at two workers under hostile faults (sites finishing out of order, held
+# by the pool until their turn).
 stream-smoke:
 	cargo run --release -q -- --seed 7 crawl --out target/stream-smoke.store > /dev/null
 	$(call full_slices,--from target/stream-smoke.store,stream-replay)
@@ -110,7 +110,8 @@ workers-smoke:
 # Crash-consistency smoke: kill the archive writer at a segment boundary,
 # confirm `store verify` flags the torn file, resume the crawl, and require
 # the finished archive to be byte-identical to an uninterrupted run and to
-# verify clean. Re-capture over the uncut archive and require the same
+# verify clean. At four workers, an uncut capture and a killed-and-resumed
+# one must both be byte-identical to the one-worker archive. Re-capture over the uncut archive and require the same
 # bytes; repair it onto itself and require it to verify clean and replay
 # `tables` as the live run prints them. Then flip a byte, and require
 # verify → repair → verify to go dirty → fixed → clean.
@@ -122,6 +123,12 @@ chaos-smoke:
 	cargo run --release -q -- store verify target/chaos.store > /dev/null
 	cargo run --release -q -- --seed 7 --workers 1 crawl --out target/chaos-uncut.store > /dev/null
 	cmp target/chaos.store target/chaos-uncut.store
+	cargo run --release -q -- --seed 7 --workers 4 crawl --out target/chaos-w4.store > /dev/null
+	cmp target/chaos-w4.store target/chaos-uncut.store
+	rm -f target/chaos-w4.store
+	! cargo run --release -q -- --seed 7 --workers 4 crawl --out target/chaos-w4.store --kill after-segment:100 2> /dev/null
+	cargo run --release -q -- --seed 7 --workers 4 crawl --out target/chaos-w4.store --resume > /dev/null
+	cmp target/chaos-w4.store target/chaos-uncut.store
 	cp target/chaos-uncut.store target/chaos-first.store
 	cargo run --release -q -- --seed 7 --workers 1 crawl --out target/chaos-uncut.store > /dev/null
 	cmp target/chaos-first.store target/chaos-uncut.store

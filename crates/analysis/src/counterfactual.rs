@@ -113,18 +113,14 @@ mod tests {
     /// dataset, then detected one site after another.
     fn crawl_then_detect(r: &StudyResults) -> DetectionReport {
         let senders: Vec<String> = r.report.senders().iter().map(|s| s.to_string()).collect();
-        let crawls: std::sync::Mutex<Vec<(usize, SiteCrawl)>> = Default::default();
+        let mut crawls: Vec<SiteCrawl> = Vec::new();
         let browser = Crawler::new(&r.universe).run_pool(
             strict_profile(),
             Some(&senders),
-            &|index, crawl| crawls.lock().unwrap().push((index, crawl)),
+            |crawl| crawl,
+            |_, crawl| crawls.push(crawl),
         );
-        let mut crawls = crawls.into_inner().unwrap();
-        crawls.sort_by_key(|(index, _)| *index);
-        let dataset = CrawlDataset {
-            browser,
-            crawls: crawls.into_iter().map(|(_, crawl)| crawl).collect(),
-        };
+        let dataset = CrawlDataset { browser, crawls };
         LeakDetector::new(&r.tokens, &r.psl, &r.universe.zones).detect(&dataset)
     }
 

@@ -3,8 +3,7 @@
 //! The authors published "the lists of PII leakage URLs, first-party
 //! senders, and third-party receivers" at github.com/fukuda-lab/PII_leakage.
 //! This module produces the same three artifacts from a study run — as CSV
-//! (the published format) and as machine-readable JSON — plus a loader so a
-//! downstream consumer can re-import them.
+//! (the published format) and as machine-readable JSON.
 
 use crate::study::StudyResults;
 use serde::{Deserialize, Serialize};
@@ -94,7 +93,8 @@ fn csv_quote(field: &str) -> String {
     }
 }
 
-/// Parse one CSV line (RFC 4180 quoting).
+/// Parse one CSV line (RFC 4180 quoting); the writer's test oracle.
+#[cfg(test)]
 fn csv_parse_line(line: &str) -> Vec<String> {
     let mut fields = Vec::new();
     let mut cur = String::new();
@@ -142,31 +142,6 @@ impl PublishedDataset {
         out
     }
 
-    /// Parse `pii_leakage_urls.csv` back. A row with fewer than the seven
-    /// columns keeps its missing fields empty and is counted in
-    /// `analysis.dataset.short_rows`.
-    pub fn from_leak_urls_csv(csv: &str) -> Vec<LeakUrlRow> {
-        csv.lines()
-            .skip(1)
-            .filter(|l| !l.is_empty())
-            .map(|line| {
-                let f = csv_parse_line(line);
-                if f.len() < 7 {
-                    pii_telemetry::counter("analysis.dataset.short_rows", 1);
-                }
-                LeakUrlRow {
-                    sender: f.first().cloned().unwrap_or_default(),
-                    receiver: f.get(1).cloned().unwrap_or_default(),
-                    method: f.get(2).cloned().unwrap_or_default(),
-                    encoding: f.get(3).cloned().unwrap_or_default(),
-                    pii_type: f.get(4).cloned().unwrap_or_default(),
-                    param: f.get(5).cloned().unwrap_or_default(),
-                    url: f.get(6).cloned().unwrap_or_default(),
-                }
-            })
-            .collect()
-    }
-
     /// The `first_party_senders.txt` artifact.
     pub fn senders_list(&self) -> String {
         self.senders.join("\n") + "\n"
@@ -189,6 +164,30 @@ impl PublishedDataset {
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?,
         )?;
         Ok(())
+    }
+}
+
+/// Reads the CSV artifact back, so `csv_roundtrip` can hold the writer to
+/// it. No program reads the artifact.
+#[cfg(test)]
+impl PublishedDataset {
+    fn from_leak_urls_csv(csv: &str) -> Vec<LeakUrlRow> {
+        csv.lines()
+            .skip(1)
+            .filter(|l| !l.is_empty())
+            .map(|line| match <[String; 7]>::try_from(csv_parse_line(line)) {
+                Ok([sender, receiver, method, encoding, pii_type, param, url]) => LeakUrlRow {
+                    sender,
+                    receiver,
+                    method,
+                    encoding,
+                    pii_type,
+                    param,
+                    url,
+                },
+                Err(fields) => panic!("row has {} columns, not 7: {line}", fields.len()),
+            })
+            .collect()
     }
 }
 
@@ -217,27 +216,6 @@ mod tests {
         let back = PublishedDataset::from_leak_urls_csv(&csv);
         assert_eq!(back.len(), ds.leak_urls.len());
         assert_eq!(back, ds.leak_urls);
-    }
-
-    #[test]
-    fn short_csv_rows_are_counted() {
-        let csv = "header\n\
-                   a.com,fb,uri,md5,email,em,https://fb.com/tr\n\
-                   b.com,fb,uri\n\
-                   c.com\n";
-        // The counter is process-global; no other test in this crate parses
-        // a short row, so its change here is this test's own.
-        pii_telemetry::enable();
-        let count = || pii_telemetry::snapshot().counter("analysis.dataset.short_rows");
-        let before = count();
-        let rows = PublishedDataset::from_leak_urls_csv(csv);
-        let after = count();
-        pii_telemetry::disable();
-        assert_eq!(after, before + 2);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[1].method, "uri");
-        assert_eq!(rows[1].url, "");
-        assert_eq!(rows[2].receiver, "");
     }
 
     #[test]

@@ -10,30 +10,28 @@
 //! is byte-identical for any source, worker count and mode;
 //! `tests/streaming.rs` pins this across worker counts and fault profiles.
 //!
-//! There are two sources:
+//! There are two sources. Both run on `pii_crawler::pool`, which delivers
+//! in index order, so neither keeps a reorder buffer of its own:
 //!
 //! - **Archive** ([`replay`]): the footer index is read in
-//!   [`STREAM_BATCH`]-sized batches; each batch's segments are decoded and
-//!   detected in parallel, then folded in index order. Peak residency is
+//!   [`STREAM_BATCH`]-sized batches, one pool call per batch; each
+//!   segment is decoded and detected on a worker and folded in index
+//!   order. Peak residency is
 //!   one batch of segments, tracked as the deterministic
 //!   `study.stream.peak_resident_bytes` gauge (max over batches of the
 //!   batch's summed segment bytes) — a pure function of the archive, so it
 //!   can be asserted flat across universe scales.
 //! - **Live crawl** ([`crawl`]): each site is detected on the crawl worker
-//!   that finished it. The pool delivers in completion order, so the site
-//!   is parked in a reorder buffer that drains while the next canonical
-//!   index is present. A site that is late — requeued after a worker
-//!   panic, or gap-filled once the pool drains — holds every later site in
-//!   the buffer until it arrives.
+//!   that finished it and folded in site order. A site whose crawl
+//!   panics is retried on the same worker before anything later is folded,
+//!   so it is never late.
 
 use crate::degradation::DegradationBuilder;
 use pii_browser::profiles::BrowserProfile;
 use pii_core::detect::{DetectionReport, LeakDetector};
 use pii_crawler::{CrawlOutcome, Crawler, FunnelStats, SiteCrawl};
-use pii_store::format::{FrameError, IndexEntry};
+use pii_store::format::FrameError;
 use pii_store::reader::{ArchiveReader, ReplayReport, SkippedSegment};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Sites decoded + detected per batch. Large enough to keep a worker pool
 /// busy, small enough that a batch of even record-heavy sites stays far
@@ -89,10 +87,10 @@ impl StudyFold {
 
 /// Fold a live crawl of `crawler`'s universe — or of the `filter` subset,
 /// in universe order — under `profile`. Each site is detected on the worker
-/// that crawled it, then parked until every site before it has been folded.
-/// This is the only code that crawls and detects: the study itself and
-/// every re-crawling pass (the §7.1 browsers, the strict-referrer
-/// counterfactual, the crowdsourced contributors) go through it.
+/// that crawled it and folded in site order. This is the only code that
+/// crawls and detects: the study itself and every re-crawling pass (the
+/// §7.1 browsers, the strict-referrer counterfactual, the crowdsourced
+/// contributors) go through it.
 pub(crate) fn crawl(
     crawler: &Crawler<'_>,
     profile: BrowserProfile,
@@ -100,42 +98,25 @@ pub(crate) fn crawl(
     detector: &LeakDetector,
     fold: &mut StudyFold,
 ) {
-    struct Reorder<'f> {
-        next: usize,
-        parked: BTreeMap<usize, (SiteCrawl, DetectionReport)>,
-        fold: &'f mut StudyFold,
-    }
-    let reorder = parking_lot::Mutex::new(Reorder {
-        next: 0,
-        parked: BTreeMap::new(),
-        fold,
-    });
-    crawler.run_pool(profile, filter, &|index, crawl| {
-        let fragment = detector.detect_site_guarded(&crawl);
-        let mut guard = reorder.lock();
-        let buffer = &mut *guard;
-        buffer.parked.insert(index, (crawl, fragment));
-        while let Some((crawl, fragment)) = buffer.parked.remove(&buffer.next) {
-            buffer.fold.observe(crawl, fragment);
-            buffer.next += 1;
-        }
-    });
-    // The pool delivers every index exactly once, so the buffer is empty
-    // here. Should a worker die between marking a site delivered and
-    // delivering it, the sites behind that gap are still folded, in order.
-    let Reorder { parked, fold, .. } = reorder.into_inner();
-    for (crawl, fragment) in parked.into_values() {
-        fold.observe(crawl, fragment);
-    }
+    crawler.run_pool(
+        profile,
+        filter,
+        |crawl| {
+            let fragment = detector.detect_site_guarded(&crawl);
+            (crawl, fragment)
+        },
+        |_, (crawl, fragment)| fold.observe(crawl, fragment),
+    );
 }
 
 /// Fold `reader`'s indexed segments batch by batch through `detector`.
 ///
-/// Per batch: parallel decode + guarded per-site detection, then a
-/// sequential fold in index order. Damaged segments become the same
-/// `Quarantined` placeholder rows and [`SkippedSegment`] notes as
+/// Per batch: decode + guarded per-site detection on the worker pool,
+/// folded in index order. Damaged segments become the same `Quarantined`
+/// placeholder rows and [`SkippedSegment`] notes as
 /// [`ArchiveReader::read_dataset`], so the degradation accounting cannot
-/// drift between a replay and the archive's own reader.
+/// drift between a replay and the archive's own reader; a segment whose
+/// worker was lost degrades the same way.
 pub(crate) fn replay(
     reader: &ArchiveReader,
     detector: &LeakDetector,
@@ -159,17 +140,25 @@ pub(crate) fn replay(
         stats.batches += 1;
         let resident: u64 = batch.iter().map(|e| u64::from(e.segment_len)).sum();
         stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
-        for (entry, slot) in batch
-            .iter()
-            .zip(decode_batch(reader, detector, workers, batch))
-        {
-            match slot {
+        pii_crawler::pool(
+            workers,
+            batch.len(),
+            |_| (),
+            |(), index| {
+                // lint:allow(W04) -- the pool passes only indices below its len, `batch.len()`
+                let crawl = reader.read_entry(&batch[index])?;
+                let fragment = detector.detect_site_guarded(&crawl);
+                Ok((crawl, fragment))
+            },
+            |_| Err(FrameError::Corrupt("replay worker lost")),
+            |index, slot| match slot {
                 Ok((crawl, fragment)) => {
                     replay.segments_verified += 1;
                     pii_telemetry::counter("store.segments_verified", 1);
                     fold.observe(crawl, fragment);
                 }
                 Err(e) => {
+                    let entry = &batch[index]; // lint:allow(W04) -- as in `work`, index < batch.len()
                     pii_telemetry::counter("store.segments_skipped", 1);
                     replay.skipped.push(SkippedSegment {
                         label: Some(entry.label.clone()),
@@ -180,72 +169,14 @@ pub(crate) fn replay(
                     let placeholder = ArchiveReader::quarantine_placeholder(entry, &e);
                     fold.observe(placeholder, DetectionReport::default());
                 }
-            }
-        }
+            },
+        );
     }
     pii_telemetry::gauge(
         "study.stream.peak_resident_bytes",
         stats.peak_resident_bytes as i64,
     );
     (replay, stats)
-}
-
-/// One batch slot: the decoded crawl plus its detection fragment, or the
-/// frame error that cost the segment.
-type Slot = Result<(SiteCrawl, DetectionReport), FrameError>;
-
-/// Decode and detect a batch in parallel, returning slots in batch order.
-fn decode_batch(
-    reader: &ArchiveReader,
-    detector: &LeakDetector,
-    workers: usize,
-    batch: &[IndexEntry],
-) -> Vec<Slot> {
-    let fill = |entry: &IndexEntry| -> Slot {
-        let crawl = reader.read_entry(entry)?;
-        let fragment = detector.detect_site_guarded(&crawl);
-        Ok((crawl, fragment))
-    };
-    let workers = workers.max(1).min(batch.len().max(1));
-    if workers <= 1 {
-        return batch.iter().map(fill).collect();
-    }
-    let slots: Vec<parking_lot::Mutex<Option<Slot>>> = batch
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let (Some(slot), Some(item)) = (slots.get(index), batch.get(index)) else {
-                        break;
-                    };
-                    *slot.lock() = Some(fill(item));
-                })
-            })
-            .collect();
-        // Join each worker, as `Crawler::run_pool` does: the scope waits
-        // only for the closures, and a thread not yet exited can keep its
-        // allocator arena attached when the next batch spawns its workers.
-        // A join error is a worker lost outside the panic guard; its
-        // unfilled slots degrade below.
-        for handle in handles {
-            let _ = handle.join();
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().unwrap_or(Err(
-                // A worker lost outside the panic guard never filled its
-                // slot; the segment degrades like a damaged one.
-                FrameError::Corrupt("replay worker lost"),
-            ))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -257,9 +188,10 @@ mod tests {
     use pii_net::fault::{DomainSchedule, FaultProfile};
     use pii_web::Universe;
 
-    /// A site whose crawl panics is requeued and quarantined late, after
-    /// later sites were delivered; the reorder buffer must hold those sites
-    /// back so the live fold still equals crawl-then-detect in site order.
+    /// A site whose crawl panics is retried in place and quarantined while
+    /// the other workers crawl on ahead; the pool must still hand it to the
+    /// fold in its place, so the live fold equals crawl-then-detect in site
+    /// order.
     #[test]
     fn live_fold_restores_site_order_around_a_late_site() {
         let universe = Universe::generate();

@@ -299,8 +299,7 @@ impl Study {
     }
 
     /// Run only §3 (the crawl), streaming each site's capture into the
-    /// archive at `path` as its shard completes — and dropping it once
-    /// written, so the crawl is constant-memory in the site count. Returns
+    /// archive at `path` in site order — and dropping it once written, so the crawl is constant-memory in the site count. Returns
     /// the sealed archive's summary plus the funnel accounting (for the
     /// `crawl` subcommand's printout); replay the archive later with
     /// [`Study::from_archive`].
@@ -344,7 +343,7 @@ impl Study {
             faults: self.faults,
         };
         let crawler = self.crawler(&universe);
-        let (writer, kept) = if resume {
+        let (mut writer, kept) = if resume {
             let (writer, state) = ArchiveWriter::open_append_with_failpoint(path, &meta, kill)?;
             (writer, state.kept)
         } else {
@@ -392,31 +391,36 @@ impl Study {
                 .map(|site| site.domain.clone())
                 .collect()
         });
-        let writer = parking_lot::Mutex::new(writer);
-        let write_error: parking_lot::Mutex<Option<std::io::Error>> = parking_lot::Mutex::new(None);
-        let crawl_summary = {
+        let mut write_error: Option<std::io::Error> = None;
+        let mut crawled = FunnelStats::default();
+        {
             let mut span = pii_telemetry::span("study.crawl");
             span.add_arg("browser", self.capture_browser.name());
-            crawler.run_streaming_on(self.capture_browser, filter.as_deref(), &|k, crawl| {
-                let Some(&site_index) = missing.get(k) else {
-                    return; // filtered index beyond the requeued set: drop, not panic
-                };
-                let mut w = writer.lock();
-                if let Err(e) = w.append_site(site_index, crawl) {
-                    write_error.lock().get_or_insert(e);
-                }
-            })
-        };
-        if let Some(e) = write_error.into_inner() {
+            crawler.run_pool(
+                self.capture_browser.profile(),
+                filter.as_deref(),
+                |crawl| crawl,
+                |k, crawl| {
+                    crawled.observe(&crawl.outcome);
+                    let Some(&site_index) = missing.get(k) else {
+                        return; // filtered index beyond the requeued set: drop, not panic
+                    };
+                    if let Err(e) = writer.append_site(site_index, &crawl) {
+                        write_error.get_or_insert(e);
+                    }
+                },
+            );
+        }
+        if let Some(e) = write_error {
             return Err(e);
         }
-        let summary = writer.into_inner().finish()?;
+        let summary = writer.finish()?;
         let mut funnel = kept_funnel;
-        funnel.merge(&crawl_summary.funnel);
+        funnel.merge(&crawled);
         Ok((
             summary,
             CrawlSummary {
-                browser: crawl_summary.browser,
+                browser: self.capture_browser,
                 funnel,
             },
         ))

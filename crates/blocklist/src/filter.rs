@@ -180,18 +180,21 @@ impl Filter {
         })
     }
 
-    /// The literal host prefix of a `||` rule (up to the first `^`, `*`,
-    /// or `/`), used by the matcher's domain index.
+    /// The host of a `||` rule, used by the matcher's domain index: the
+    /// text before the `^` or `/` that ends it inside the first segment.
+    /// The index only looks a rule up under the request host's own
+    /// suffixes, so a rule is indexed only when its key must be one: a key
+    /// that no terminator ends (`||example.com*foo` also matches
+    /// `example.com.evil.net`), that ends in `.` (`||ads.example.` matches
+    /// `ads.example.org`) or that holds no dot (`||ads` matches mid-label)
+    /// stays in the linear scan.
     pub fn domain_key(&self) -> Option<String> {
         if self.anchor != Anchor::Domain {
             return None;
         }
         let first = self.segments.first()?;
-        let end = first.find(['^', '/']).unwrap_or(first.len());
-        let key = first[..end].trim_end_matches('.');
-        // Only index full registrable-looking keys: `||ads` (no dot) must
-        // stay in the slow path because it can match mid-label.
-        if key.is_empty() || !key.contains('.') {
+        let key = &first[..first.find(['^', '/'])?];
+        if key.ends_with('.') || !key.contains('.') {
             return None;
         }
         Some(key.to_string())

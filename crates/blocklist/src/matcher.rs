@@ -635,7 +635,8 @@ mod tests {
     #[test]
     fn naive_agrees_with_indexed() {
         let s = set(
-            "||tracker.net^$third-party\n/pixel?\n@@||tracker.net/safe^\n||ads.shop.com^$image",
+            "||tracker.net^$third-party\n/pixel?\n@@||tracker.net/safe^\n||ads.shop.com^$image\n\
+             ||example.com*foo\n||ads.example.",
         );
         let cases = [
             (
@@ -672,6 +673,22 @@ mod tests {
                 "clean.com",
                 false,
                 ResourceKind::Document,
+            ),
+            // Keys that need not be a suffix of the host: no terminator
+            // ends `example.com`, and `ads.example.` ends in a dot.
+            (
+                "https://example.com.evil.net/foo",
+                "example.com.evil.net",
+                "shop.com",
+                true,
+                ResourceKind::Image,
+            ),
+            (
+                "https://ads.example.org/x",
+                "ads.example.org",
+                "shop.com",
+                true,
+                ResourceKind::Image,
             ),
         ];
         for (url, host, top, third, kind) in cases {

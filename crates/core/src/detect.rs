@@ -160,12 +160,12 @@ impl<'a> LeakDetector<'a> {
         report
     }
 
-    /// Run detection sharded per-site over a fixed worker pool.
+    /// Run detection sharded per-site on [`pii_crawler::pool`].
     ///
     /// Workers pull sites off a shared index counter (work-stealing by
     /// construction: a worker stuck on a large site simply claims fewer
     /// sites), produce one [`DetectionReport`] fragment per site, and the
-    /// fragments are merged in canonical site order. Because
+    /// pool hands the fragments to the merge in canonical site order. Because
     /// [`detect_site`](Self::detect_site) is a pure function of one crawl,
     /// the merged report is byte-identical to [`detect`](Self::detect) —
     /// event order, counters, everything (the `parallel_equals_sequential`
@@ -182,45 +182,14 @@ impl<'a> LeakDetector<'a> {
     pub fn detect_parallel(&self, dataset: &CrawlDataset, workers: usize) -> DetectionReport {
         let crawls: Vec<&SiteCrawl> = dataset.completed().collect();
         let mut report = DetectionReport::default();
-        if workers <= 1 || crawls.len() <= 1 {
-            for crawl in crawls {
-                report.merge(self.detect_site_guarded(crawl));
-            }
-            return report;
-        }
-        let fragments: parking_lot::Mutex<Vec<(usize, DetectionReport)>> =
-            parking_lot::Mutex::new(Vec::with_capacity(crawls.len()));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if index >= crawls.len() {
-                            break;
-                        }
-                        let fragment = self.detect_site_guarded(crawls[index]);
-                        fragments.lock().push((index, fragment));
-                    })
-                })
-                .collect();
-            // Join each worker, as `Crawler::run_pool` does: its thread has
-            // then exited and released its allocator arena. A join error is
-            // a worker lost outside the per-site panic guard (unjoined, it
-            // would panic the scope); the gap-fill below covers its sites.
-            for handle in handles {
-                let _ = handle.join();
-            }
-        });
-        let mut by_index: Vec<Option<DetectionReport>> = crawls.iter().map(|_| None).collect();
-        for (index, fragment) in fragments.into_inner() {
-            if index < by_index.len() {
-                by_index[index] = Some(fragment);
-            }
-        }
-        for (index, slot) in by_index.into_iter().enumerate() {
-            report.merge(slot.unwrap_or_else(|| skipped_site(crawls[index])));
-        }
+        pii_crawler::pool(
+            workers,
+            crawls.len(),
+            |_| (),
+            |(), index| self.detect_site_guarded(crawls[index]),
+            |index| skipped_site(crawls[index]),
+            |_, fragment| report.merge(fragment),
+        );
         report
     }
 

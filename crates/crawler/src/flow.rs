@@ -1,23 +1,20 @@
 //! The authentication-flow driver.
 
 use crate::capture::{CrawlDataset, CrawlOutcome, SiteCrawl};
-use crate::pool::{DeliveryBoard, PanicLedger};
 use crate::retry::RetryPolicy;
 use crate::steps::{walk, PageRun};
-use parking_lot::Mutex;
 use pii_browser::engine::Browser;
-use pii_browser::profiles::BrowserKind;
+use pii_browser::profiles::{BrowserKind, BrowserProfile};
 use pii_dns::PublicSuffixList;
 use pii_net::cache::CacheStrategy;
 use pii_net::fault::FaultPlan;
 use pii_net::Url;
 use pii_web::site::Site;
 use pii_web::Universe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Observer for [`Crawler::run_streaming`]: called with the site's
-/// canonical index and its finished crawl, from whichever worker thread
-/// completed the shard (hence `Sync`).
+/// canonical index and its finished crawl, in site order, on whichever
+/// worker thread drains the pool's queue (hence `Sync`).
 pub type CrawlSink<'a> = &'a (dyn Fn(usize, &SiteCrawl) + Sync);
 
 /// What a streaming crawl returns instead of a materialized dataset: the
@@ -85,192 +82,115 @@ impl<'a> Crawler<'a> {
     /// study fold instead; this collector serves [`Crawler::run`], tests and
     /// examples.
     pub fn run_on(&self, kind: BrowserKind, filter: Option<&[String]>) -> CrawlDataset {
-        // The materialized view is itself just a consumer of the streaming
-        // pool: collect the shards, then restore canonical site order.
-        let results: Mutex<Vec<(usize, SiteCrawl)>> = Mutex::new(Vec::new());
-        let browser = self.run_pool(kind.profile(), filter, &|index, crawl| {
-            results.lock().push((index, crawl));
-        });
-        let mut results = results.into_inner();
-        results.sort_by_key(|(i, _)| *i);
-        CrawlDataset {
-            browser,
-            crawls: results.into_iter().map(|(_, crawl)| crawl).collect(),
-        }
+        let mut crawls = Vec::new();
+        let browser = self.run_pool(
+            kind.profile(),
+            filter,
+            |crawl| crawl,
+            |_, crawl| crawls.push(crawl),
+        );
+        CrawlDataset { browser, crawls }
     }
 
-    /// Streaming crawl: hands each site's finished crawl to `sink` the
-    /// moment its shard completes (from whichever worker thread crawled it —
-    /// completion order, not site order) and then **drops it**, returning
-    /// only the accumulated funnel. Peak memory is bounded by the shards in
-    /// flight, not the universe size; the streaming archive writer hangs off
-    /// this hook so a capture is persisted as it happens. The `usize` is the
-    /// site's canonical index, which lets consumers restore universe order.
+    /// Streaming crawl: hands each site's finished crawl to `sink` in site
+    /// order and then **drops it**, returning only the accumulated funnel.
+    /// Peak memory is bounded by the sites in flight, not the universe
+    /// size; the streaming archive writer hangs off this hook so a capture
+    /// is persisted as it happens. The `usize` is the site's canonical
+    /// index.
     pub fn run_streaming(&self, kind: BrowserKind, sink: CrawlSink<'_>) -> CrawlSummary {
-        self.run_streaming_on(kind, None, sink)
-    }
-
-    /// [`Crawler::run_streaming`] over a subset of sites — the resume path
-    /// recrawls only the sites missing from a partial archive. With a
-    /// filter, the index handed to `sink` is the site's position within the
-    /// filtered subset (which preserves universe order); the caller maps it
-    /// back to the canonical index, since only the caller knows which sites
-    /// it asked for.
-    pub fn run_streaming_on(
-        &self,
-        kind: BrowserKind,
-        filter: Option<&[String]>,
-        sink: CrawlSink<'_>,
-    ) -> CrawlSummary {
-        let funnel = Mutex::new(crate::capture::FunnelStats::default());
-        self.run_pool(kind.profile(), filter, &|index, crawl| {
-            sink(index, &crawl);
-            funnel.lock().observe(&crawl.outcome);
-        });
+        let mut funnel = crate::capture::FunnelStats::default();
+        self.run_pool(
+            kind.profile(),
+            None,
+            |crawl| crawl,
+            |index, crawl| {
+                sink(index, &crawl);
+                funnel.observe(&crawl.outcome);
+            },
+        );
         CrawlSummary {
             browser: kind,
-            funnel: funnel.into_inner(),
+            funnel,
         }
     }
 
-    /// The worker pool underneath every crawl: one OS thread per worker,
-    /// sites claimed from a shared queue. `deliver` receives every site
-    /// exactly once, by value, with its index into the (filtered) site
-    /// list: completed shards in completion order from the worker threads,
-    /// then — after the pool drains — a quarantined placeholder in index
-    /// order for any site nobody delivered (worker lost outside the panic
-    /// guard), so no site is silently dropped. The pool itself holds no
-    /// results; a consumer that needs site order restores it.
-    pub fn run_pool(
+    /// The crawl on [`crate::pool`]: each worker drives its own browser
+    /// through the sites it claims, `finish` runs on that worker (the study
+    /// fold detects there), and `deliver` receives every site exactly once,
+    /// in index order, with its index into the (filtered) site list. With a
+    /// filter, that index is the site's position within the filtered subset,
+    /// which preserves universe order; the caller maps it back to the
+    /// canonical index, since only the caller knows which sites it asked
+    /// for.
+    ///
+    /// A site whose crawl panics is retried once, in place, on a fresh
+    /// browser, and quarantined if it panics again. A site whose worker
+    /// thread was lost outside that guard is quarantined in its place.
+    pub fn run_pool<T: Send>(
         &self,
-        profile: pii_browser::profiles::BrowserProfile,
+        profile: BrowserProfile,
         filter: Option<&[String]>,
-        deliver: &(dyn Fn(usize, SiteCrawl) + Sync),
+        finish: impl Fn(SiteCrawl) -> T + Sync,
+        deliver: impl FnMut(usize, T) + Send,
     ) -> BrowserKind {
         let sites = self.site_list(filter);
         let plan = (!self.faults.is_inert()).then_some(&self.faults);
-        let board = DeliveryBoard::new(sites.len());
-        let ledger = PanicLedger::new(sites.len());
-        let next = AtomicUsize::new(0);
-        // Sites whose worker panicked, tagged with the panicking worker so a
-        // *different* worker retries them when possible.
-        let requeued: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
-        // Every panic is caught inside the worker loop; if a worker still
-        // died, its join below reports it instead of the scope panicking,
-        // and the affected sites surface as quarantined through the
-        // gap-fill instead of aborting the crawl.
-        std::thread::scope(|scope| {
-            let mut workers = Vec::with_capacity(self.workers.max(1));
-            for worker_id in 0..self.workers.max(1) {
-                let (next, requeued, ledger) = (&next, &requeued, &ledger);
-                let (sites, board, profile) = (&sites, &board, &profile);
-                workers.push(scope.spawn(move || {
-                    let mut browser = self.fresh_browser(profile, plan);
-                    loop {
-                        // Requeued sites take priority; a worker skips its
-                        // own casualties until the fresh queue is drained,
-                        // after which anyone may take them (no deadlock when
-                        // only the panicking worker is left).
-                        let fresh_done = next.load(Ordering::Relaxed) >= sites.len();
-                        let retried = {
-                            let mut queue = requeued.lock();
-                            queue
-                                .iter()
-                                .position(|&(_, from)| from != worker_id)
-                                .or_else(|| (fresh_done && !queue.is_empty()).then_some(0))
-                                .map(|pos| queue.remove(pos))
-                        };
-                        let index = match retried {
-                            Some((index, _)) => index,
-                            None => {
-                                let index = next.fetch_add(1, Ordering::Relaxed);
-                                if index >= sites.len() {
-                                    if requeued.lock().is_empty() {
-                                        break;
-                                    }
-                                    continue;
-                                }
-                                index
-                            }
-                        };
-                        let attempt = {
-                            let mut span = pii_telemetry::span("crawl.site");
-                            span.add_arg("site", &sites[index].domain);
-                            let browser = &mut browser;
-                            let attempt =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                                    let crawl = crawl_site(
-                                        browser,
-                                        sites[index],
-                                        plan,
-                                        &self.retry,
-                                        self.repeat,
-                                    );
-                                    apply_watchdog(crawl, self.watchdog_ms)
-                                }));
-                            if let Ok(crawl) = &attempt {
-                                if let Some(res) = &crawl.resilience {
-                                    span.set_virtual_ms(res.virtual_ms);
-                                }
-                            }
-                            attempt
-                        };
-                        match attempt {
-                            Ok(crawl) => {
-                                pii_telemetry::counter("crawler.sites", 1);
-                                // Per-worker site claims are a scheduling
-                                // artifact, not a seed artifact; the name is
-                                // dynamic, so skip even the format when off.
-                                if pii_telemetry::enabled() {
-                                    pii_telemetry::counter(
-                                        &format!("crawler.worker.{worker_id}.sites"),
-                                        1,
-                                    );
-                                }
-                                board.mark(index);
-                                deliver(index, crawl);
-                            }
-                            Err(payload) => {
-                                pii_telemetry::counter("crawler.panics", 1);
-                                // State of an unwound browser is suspect:
-                                // rebuild before the next site.
-                                browser = self.fresh_browser(profile, plan);
-                                let reason = panic_reason(payload.as_ref());
-                                if ledger.first_panic(index) {
-                                    requeued.lock().push((index, worker_id));
-                                } else {
-                                    let crawl = quarantined(
-                                        sites[index],
-                                        format!("crawl worker panicked twice: {reason}"),
-                                    );
-                                    board.mark(index);
-                                    deliver(index, crawl);
-                                }
-                            }
-                        }
-                    }
-                }));
-            }
-            // The scope itself waits only for the workers' closures to
-            // return. Joining waits for each thread to exit, which is when
-            // the allocator releases the thread's arena. Unjoined, the next
-            // pool's worker can find that arena still attached and start
-            // another, and the resident memory of back-to-back crawls then
-            // varies from run to run. A join error is a worker lost outside
-            // the panic guard; the gap-fill covers it.
-            for worker in workers {
-                let _ = worker.join();
-            }
-        });
-        // Gap-fill: a site nobody delivered (worker lost outside the panic
-        // guard) is quarantined rather than silently dropped.
-        board.fill_gaps(|index| {
-            deliver(
-                index,
-                quarantined(sites[index], "crawl worker lost".to_string()),
-            );
-        });
+        crate::pool(
+            self.workers,
+            sites.len(),
+            |worker| (worker, self.fresh_browser(&profile, plan)),
+            |(worker, browser), index| {
+                finish(self.crawl_guarded(browser, &profile, plan, *worker, sites[index]))
+            },
+            |index| finish(quarantined(sites[index], "crawl worker lost".to_string())),
+            deliver,
+        );
         profile.kind
+    }
+
+    /// Crawl one site under the panic guard: a panic rebuilds the browser,
+    /// whose state is suspect after an unwind, and retries the site once;
+    /// a second panic quarantines it. The panic is a pure function of the
+    /// site, so retrying on another worker would gain nothing.
+    fn crawl_guarded<'b>(
+        &'b self,
+        browser: &mut Browser<'b>,
+        profile: &BrowserProfile,
+        plan: Option<&'b FaultPlan>,
+        worker: usize,
+        site: &Site,
+    ) -> SiteCrawl {
+        let mut reason = String::new();
+        for _ in 0..2 {
+            let mut span = pii_telemetry::span("crawl.site");
+            span.add_arg("site", &site.domain);
+            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let crawl = crawl_site(browser, site, plan, &self.retry, self.repeat);
+                apply_watchdog(crawl, self.watchdog_ms)
+            }));
+            match attempt {
+                Ok(crawl) => {
+                    if let Some(res) = &crawl.resilience {
+                        span.set_virtual_ms(res.virtual_ms);
+                    }
+                    pii_telemetry::counter("crawler.sites", 1);
+                    // Per-worker site claims are a scheduling artifact, not
+                    // a seed artifact; the name is dynamic, so skip even the
+                    // format when off.
+                    if pii_telemetry::enabled() {
+                        pii_telemetry::counter(&format!("crawler.worker.{worker}.sites"), 1);
+                    }
+                    return crawl;
+                }
+                Err(payload) => {
+                    pii_telemetry::counter("crawler.panics", 1);
+                    *browser = self.fresh_browser(profile, plan);
+                    reason = panic_reason(payload.as_ref());
+                }
+            }
+        }
+        quarantined(site, format!("crawl worker panicked twice: {reason}"))
     }
 
     /// Resolve the optional domain filter against the universe, preserving
@@ -293,7 +213,7 @@ impl<'a> Crawler<'a> {
 
     fn fresh_browser<'b>(
         &'b self,
-        profile: &pii_browser::profiles::BrowserProfile,
+        profile: &BrowserProfile,
         plan: Option<&'b FaultPlan>,
     ) -> Browser<'b> {
         let mut browser = Browser::with_profile(

@@ -16,15 +16,16 @@
 //! 6. reload the site logged-in,
 //! 7. click through to a product subpage.
 //!
-//! [`Crawler::run`] fans sites out over worker threads (std scoped
-//! threads + a parking_lot-protected sink); everything is deterministic
-//! because the browser engine is.
+//! [`Crawler::run`] fans sites out over [`pool`], the worker pool that
+//! archive replay and sharded detection run on too. The pool hands results
+//! on in site order, and the browser engine is deterministic, so a crawl's
+//! output depends only on the seed and flags, never on the worker count.
 //!
 //! Under a non-inert [`pii_net::fault::FaultPlan`] the crawler switches from
 //! the config-driven happy path to a *measured* crawl: every page load is
 //! retried per [`retry::RetryPolicy`], sites are classified from the faults
-//! they actually exhibited, and a worker that panics has its site requeued
-//! once and then quarantined — the crawl itself never aborts.
+//! they actually exhibited, and a site whose crawl panics is retried once
+//! on a fresh browser and then quarantined — the crawl itself never aborts.
 
 #![forbid(unsafe_code)]
 
@@ -37,4 +38,5 @@ mod steps;
 
 pub use capture::{CrawlDataset, CrawlOutcome, FunnelStats, SiteCrawl, SiteResilience};
 pub use flow::{CrawlSink, CrawlSummary, Crawler};
+pub use pool::pool;
 pub use retry::{RetryPolicy, SimClock};

@@ -1,10 +1,11 @@
 //! HTTP/1.1 wire format: serialize [`Request`]/[`Response`] to message text
 //! and parse them back.
 //!
-//! The crawler's capture is structured, but interoperability needs the wire
-//! form: the dataset exporter writes raw messages next to the HAR file, and
-//! the parser lets a user feed externally captured HTTP/1.1 traffic through
-//! the same leak detector.
+//! The crawler's capture is structured; the parser lets a user feed
+//! externally captured HTTP/1.1 traffic through the same leak detector
+//! (`pii_core::wire_input`). The writers produce that wire form, and the
+//! tests hold the parser to them by round trip; no exporter writes raw
+//! messages.
 
 use crate::http::{HeaderMap, Method, Request, ResourceKind, Response};
 use crate::url::Url;

@@ -244,9 +244,9 @@ struct PinnedCapture {
     sha256: &'static str,
 }
 
-/// SHA-256s of seed-7 1x archives written by one worker. Every other test
-/// here compares archives with each other or with the live pipeline; these
-/// notice a change to the bytes a capture produces (compressor output, vbin
+/// SHA-256s of seed-7 1x archives, the same at any worker count. Every
+/// other test here compares archives with each other or with the live
+/// pipeline; these notice a change to the bytes a capture produces (compressor output, vbin
 /// layout, framing, and — through the measured cells — the crawl's retry,
 /// revisit and watchdog paths). Re-pin only on a deliberate format or
 /// capture change.
@@ -280,7 +280,9 @@ const PINNED_CAPTURES: [PinnedCapture; 3] = [
     },
 ];
 
-/// Each pinned capture, written in memory.
+/// Each pinned capture, written in memory at one worker and at four: the
+/// crawl pool delivers in site order, so the bytes do not depend on the
+/// worker count.
 #[test]
 fn seed_7_archive_bytes_are_pinned() {
     let universe = Universe::generate_with(UniverseSpec {
@@ -288,45 +290,48 @@ fn seed_7_archive_bytes_are_pinned() {
         ..UniverseSpec::default()
     });
     for pinned in &PINNED_CAPTURES {
-        let meta = ArchiveMeta {
-            spec: universe.spec.clone(),
-            browser: BrowserKind::Firefox88Vanilla,
-            faults: pinned.faults,
-        };
-        let mut crawler = Crawler::new(&universe);
-        crawler.workers = 1;
-        crawler.faults = universe.fault_plan(pinned.faults);
-        crawler.cache = pinned.cache;
-        crawler.repeat = pinned.repeat;
-        crawler.watchdog_ms = pinned.watchdog_ms;
-        let writer = std::sync::Mutex::new(ArchiveWriter::new(Vec::new(), &meta).expect("writer"));
-        let watchdogged = std::sync::atomic::AtomicUsize::new(0);
-        crawler.run_streaming_on(meta.browser, None, &|index, crawl| {
-            if matches!(&crawl.outcome, CrawlOutcome::Quarantined(r) if r.starts_with("watchdog:"))
-            {
-                watchdogged.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            writer
-                .lock()
-                .expect("writer lock")
-                .append_site(index, crawl)
-                .expect("append");
-        });
-        assert_eq!(
-            watchdogged.into_inner(),
-            pinned.watchdogged,
-            "watchdog trips with flags {:?}",
-            pinned.flags
-        );
-        let writer = writer.into_inner().expect("writer lock");
-        let bytes = writer.finish_with_sink().expect("finish").1;
-        assert_eq!(
-            hex_digest(HashAlgorithm::Sha256, &bytes),
-            pinned.sha256,
-            "archive bytes changed with flags {:?} ({} bytes)",
-            pinned.flags,
-            bytes.len()
-        );
+        for workers in [1, 4] {
+            let meta = ArchiveMeta {
+                spec: universe.spec.clone(),
+                browser: BrowserKind::Firefox88Vanilla,
+                faults: pinned.faults,
+            };
+            let mut crawler = Crawler::new(&universe);
+            crawler.workers = workers;
+            crawler.faults = universe.fault_plan(pinned.faults);
+            crawler.cache = pinned.cache;
+            crawler.repeat = pinned.repeat;
+            crawler.watchdog_ms = pinned.watchdog_ms;
+            let writer =
+                std::sync::Mutex::new(ArchiveWriter::new(Vec::new(), &meta).expect("writer"));
+            let watchdogged = std::sync::atomic::AtomicUsize::new(0);
+            crawler.run_streaming(meta.browser, &|index, crawl| {
+                if matches!(&crawl.outcome, CrawlOutcome::Quarantined(r) if r.starts_with("watchdog:"))
+                {
+                    watchdogged.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+                writer
+                    .lock()
+                    .expect("writer lock")
+                    .append_site(index, crawl)
+                    .expect("append");
+            });
+            assert_eq!(
+                watchdogged.into_inner(),
+                pinned.watchdogged,
+                "watchdog trips with flags {:?} at {workers} workers",
+                pinned.flags
+            );
+            let writer = writer.into_inner().expect("writer lock");
+            let bytes = writer.finish_with_sink().expect("finish").1;
+            assert_eq!(
+                hex_digest(HashAlgorithm::Sha256, &bytes),
+                pinned.sha256,
+                "archive bytes changed with flags {:?} at {workers} workers ({} bytes)",
+                pinned.flags,
+                bytes.len()
+            );
+        }
     }
 }
 
