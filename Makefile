@@ -28,8 +28,9 @@ telemetry-smoke:
 	cargo run --release -q --example validate_trace target/trace-full-a.json target/trace-full-b.json
 
 # Capture-once/analyze-many: a seeded crawl persisted to an archive must
-# replay byte-identically to the live pipeline, and a deliberately damaged
-# copy must replay with the loss reported instead of crashing.
+# replay byte-identically to the live pipeline, a deliberately damaged
+# copy must replay with the loss reported instead of crashing, and a copy
+# under the format-v1 magic must be refused by its version.
 store-smoke:
 	cargo run --release -q -- --seed 7 crawl --out target/smoke.store > /dev/null
 	cargo run --release -q -- --seed 7 tables > target/smoke-live.txt
@@ -39,6 +40,9 @@ store-smoke:
 	cargo run --release -q -- --from target/smoke-corrupt.store tables > target/smoke-corrupt.txt
 	grep -q "archive segments skipped" target/smoke-corrupt.txt
 	! cmp -s target/smoke-live.txt target/smoke-corrupt.txt
+	{ printf PIISTOR1; tail -c +9 target/smoke.store; } > target/smoke-v1.store
+	! cargo run --release -q -- --from target/smoke-v1.store tables > /dev/null 2> target/smoke-v1.err
+	grep -q "archive format v1 is no longer supported; re-run \`crawl --out\`" target/smoke-v1.err
 
 # `full` prints `tables`, then `blocklists`, a blank line, `browsers` and
 # the comparison tally. `full` and `blocklists` keep the study's crawls;

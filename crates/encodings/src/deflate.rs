@@ -2177,7 +2177,8 @@ mod tests {
     }
 
     /// Every site segment of a seed-7 1x crawl, as the archive writer
-    /// encodes it before compressing.
+    /// encodes it before compressing: format-v2 site records, whose string
+    /// table has already removed most of the repeats LZ77 used to find.
     fn seed_7_segments() -> &'static [Vec<u8>] {
         static SEGMENTS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
         SEGMENTS.get_or_init(|| {
@@ -2202,6 +2203,8 @@ mod tests {
         })
     }
 
+    /// The archive's real input: every v2 site record of a seed-7 crawl
+    /// compresses to the reference's bytes.
     #[test]
     fn compress_matches_reference_on_every_seed_7_segment() {
         for raw in seed_7_segments() {

@@ -1,29 +1,61 @@
-//! Direct [`SiteCrawl`] ⇄ vbin codec — the archive's hot path.
+//! The site record codec (archive format v2): [`SiteCrawl`] ⇄ positional
+//! bytes with a per-segment string table.
 //!
-//! The generic route (`to_value` / `from_value`) materialises an owned
-//! [`serde::Value`] tree per segment: one heap node per header, body byte,
-//! and object key. On a 10×-universe replay that intermediate tree cost
-//! more than re-running the crawl. This module walks the capture graph
-//! directly — struct fields stream straight to vbin bytes on encode, and
-//! decode reads into the final structs with no tree, matching object keys
-//! as borrowed byte slices.
+//! A site segment is the capture's bulk, and most of it repeats: every
+//! request carries the same `User-Agent`, the same header names, the same
+//! hosts and initiator URLs. Format v1 wrote keyed vbin — every struct field
+//! name and every repeated string spelled out in every record — and left
+//! DEFLATE to rediscover that redundancy. v2 removes it before compression:
 //!
-//! Both directions are *exact* mirrors of the generic path: the encoder
-//! emits byte-for-byte what `vbin::encode_value(&to_value(crawl))` would
-//! (enum variants externally tagged, `None` as null, `skip_serializing_if`
-//! fields omitted, bodies packed as `TAG_BYTES`), and the decoder accepts
-//! any field order plus the unpacked body form. The unit tests pin this
-//! equivalence on every variant of every type in the graph; `tests/store.rs`
-//! proptests it on whole datasets. A payload the decoder does not
-//! recognise (e.g. one with a field this build does not know) is an `Err`,
-//! and [`crate::format::decode_site`] reports the segment corrupt. The
-//! generic route survives only in this module's tests, as the reference
-//! the codec is held to.
+//! - **Positional records.** The codec fixes the order of every field, so
+//!   records carry no keys and no type tags. Enums are one byte; an
+//!   `Option` is a presence bit in its struct's flag byte, a `0 = None`
+//!   enum byte, or a `+1` varint.
+//! - **A string table.** Every string (header names and values, URL parts,
+//!   cookies, reasons and error labels) is one varint `x`: an even `x` is a
+//!   literal of `x / 2` UTF-8 bytes that becomes the segment's next table
+//!   entry, an odd `x` is a back-reference to entry `x / 2`.
+//! - **A URL table.** Initiator URLs are `0` (none), `1` followed by a new
+//!   URL, or `i + 2` for the `i`-th URL the segment introduced; every
+//!   reference decodes to the one shared `Arc<Url>`.
+//! - **Bodies** are `+1`-length-prefixed raw bytes.
+//!
+//! ```text
+//! site       := str(domain) outcome count:uvar record* count:uvar cookie*
+//!               has_resilience:u8 [resilience]
+//! outcome    := 0 flags:u8 (email_confirmed, bot_detection_passed)
+//!             | 1 (Unreachable) | 2 (NoAuthFlow)
+//!             | 3 str (SignupBlocked) | 4 str (SignupFailed) | 5 str (Quarantined)
+//! record     := flags:u8 (blocked) request response [str(blocked)]
+//!               error:u8 [status:uvar if error = 6] from_cache:u8
+//! request    := method:u8 kind:u8 url headers body initiator:uvar
+//! response   := status:uvar headers body
+//! url        := flags:u8 (query, fragment) str(scheme) str(host) port:uvar(+1)
+//!               str(path) [str(query)] [str(fragment)]
+//! headers    := count:uvar (str(name) str(value))*
+//! body       := len:uvar(+1) byte*
+//! cookie     := flags:u8 (domain, secure, http_only, max_age) str(name)
+//!               str(value) [str(domain)] str(path) same_site:u8
+//!               [max_age:zigzag uvar]
+//! resilience := attempts:uvar retries:uvar rescued:u8 virtual_ms:uvar
+//!               count:uvar str*
+//! ```
+//!
+//! The decoder trusts nothing. Every table index is looked up with `get`,
+//! every count is bounded by the smallest encoding its element can have,
+//! every flag byte must have only its defined bits set, and a segment whose
+//! strings would decode to more than [`STRING_AMPLIFICATION`] times its
+//! inflated size is refused: back-references let a few bytes stand for many
+//! copies of one long string, and that bound keeps a crafted segment from
+//! allocating gigabytes. Any failure is an `Err`, which
+//! [`crate::format::decode_site`] reports as a corrupt segment.
+//!
+//! The codec is lossless, not canonical: a decoded crawl re-encodes to an
+//! equal crawl. The generic serde route is its reference — unit tests and
+//! `tests/store.rs` compare `decode(encode(c))` with `c` through
+//! `serde_json`, on every variant and on seed-7 captures.
 
-use crate::vbin::{
-    unzigzag, write_str, write_uvar, Reader, VbinError, TAG_ARR, TAG_BYTES, TAG_FALSE, TAG_I64,
-    TAG_NULL, TAG_OBJ, TAG_STR, TAG_TRUE, TAG_U64,
-};
+use crate::vbin::{unzigzag, write_uvar, zigzag, Reader, VbinError};
 use pii_browser::engine::FetchRecord;
 use pii_crawler::{CrawlOutcome, SiteCrawl, SiteResilience};
 use pii_net::cache::CacheDisposition;
@@ -31,768 +63,653 @@ use pii_net::cookie::{Cookie, SameSite};
 use pii_net::fault::FetchError;
 use pii_net::http::{HeaderMap, Method, Request, ResourceKind, Response};
 use pii_net::url::Url;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
+
+/// A segment may decode to at most this many string bytes per inflated
+/// byte. No honest seed-7 segment passes 2.7 (DESIGN §9); a crafted run of
+/// back-references to one long literal hits it and is refused.
+pub const STRING_AMPLIFICATION: usize = 16;
+
+/// The smallest encodings of a counted element, which bound every declared
+/// count by the bytes left: a record is 16 bytes (flags, method, kind, a
+/// five-byte URL, an empty header list and body on each side, the
+/// initiator, status, error and cache bytes), a header two strings, a
+/// cookie five bytes, a resilience error one string.
+const MIN_RECORD: usize = 16;
+const MIN_HEADER: usize = 2;
+const MIN_COOKIE: usize = 5;
+const MIN_STR: usize = 1;
+
+const URL_QUERY: u8 = 1;
+const URL_FRAGMENT: u8 = 2;
+const RECORD_BLOCKED: u8 = 1;
+const COOKIE_DOMAIN: u8 = 1;
+const COOKIE_SECURE: u8 = 2;
+const COOKIE_HTTP_ONLY: u8 = 4;
+const COOKIE_MAX_AGE: u8 = 8;
+const COMPLETED_EMAIL: u8 = 1;
+const COMPLETED_BOT: u8 = 2;
+
+/// The encoder's table hasher: FxHash's multiply-rotate over eight bytes at
+/// a time. The tables are never iterated, so the bytes written do not
+/// depend on it; SipHash made the encode about twice as slow. It is
+/// unkeyed, so a forged archive's strings could collide on purpose and
+/// slow down its own `store repair`, but not change what it writes.
+#[derive(Clone, Copy, Default)]
+struct FxBuild;
+
+struct FxHasher(u64);
+
+impl FxHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FxHasher::K);
+    }
+}
+
+impl BuildHasher for FxBuild {
+    type Hasher = FxHasher;
+
+    fn build_hasher(&self) -> FxHasher {
+        FxHasher(0)
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word);
+            self.add(u64::from_le_bytes(w));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 // ---------------------------------------------------------------- encoding
 
-fn w_obj(out: &mut Vec<u8>, entries: u64) {
-    out.push(TAG_OBJ);
-    write_uvar(out, entries);
+/// A flag byte: the OR of every bit whose condition holds.
+fn flag_byte(bits: &[(bool, u8)]) -> u8 {
+    bits.iter()
+        .filter(|(set, _)| *set)
+        .fold(0, |flags, (_, bit)| flags | bit)
 }
 
-fn w_key(out: &mut Vec<u8>, key: &str) {
-    write_str(out, key);
+/// One segment's encoder: the output plus the string and URL tables, both
+/// keyed by borrows of the crawl being encoded.
+struct Encoder<'c, 'o> {
+    out: &'o mut Vec<u8>,
+    strings: HashMap<&'c str, u32, FxBuild>,
+    urls: HashMap<&'c Url, u32, FxBuild>,
 }
 
-fn w_str(out: &mut Vec<u8>, s: &str) {
-    out.push(TAG_STR);
-    write_str(out, s);
-}
-
-fn w_u64(out: &mut Vec<u8>, n: u64) {
-    out.push(TAG_U64);
-    write_uvar(out, n);
-}
-
-fn w_i64(out: &mut Vec<u8>, n: i64) {
-    out.push(TAG_I64);
-    write_uvar(out, crate::vbin::zigzag(n));
-}
-
-fn w_bool(out: &mut Vec<u8>, b: bool) {
-    out.push(if b { TAG_TRUE } else { TAG_FALSE });
-}
-
-fn w_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
-    match s {
-        None => out.push(TAG_NULL),
-        Some(s) => w_str(out, s),
+impl<'c> Encoder<'c, '_> {
+    fn byte(&mut self, b: u8) {
+        self.out.push(b);
     }
-}
 
-/// `Vec<u8>` bodies: the value tree renders them as arrays of small
-/// unsigned numbers, which vbin packs as `TAG_BYTES` — except the empty
-/// array, which stays `TAG_ARR` (matching `packable_as_bytes`).
-fn w_opt_bytes(out: &mut Vec<u8>, b: &Option<Vec<u8>>) {
-    match b {
-        None => out.push(TAG_NULL),
-        Some(bytes) if bytes.is_empty() => {
-            out.push(TAG_ARR);
-            write_uvar(out, 0);
-        }
-        Some(bytes) => {
-            out.push(TAG_BYTES);
-            write_uvar(out, bytes.len() as u64);
-            out.extend_from_slice(bytes);
+    fn uvar(&mut self, n: u64) {
+        write_uvar(self.out, n);
+    }
+
+    fn str(&mut self, s: &'c str) {
+        let next = self.strings.len() as u32;
+        match self.strings.entry(s) {
+            Entry::Occupied(seen) => {
+                write_uvar(self.out, (u64::from(*seen.get()) << 1) | 1);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(next);
+                write_uvar(self.out, (s.len() as u64) << 1);
+                self.out.extend_from_slice(s.as_bytes());
+            }
         }
     }
-}
 
-/// Externally-tagged unit variant: just the variant name as a string.
-fn w_unit_variant(out: &mut Vec<u8>, name: &str) {
-    w_str(out, name);
-}
-
-/// Externally-tagged newtype/struct variant header: `{ "Name": … }`.
-fn w_variant_obj(out: &mut Vec<u8>, name: &str) {
-    w_obj(out, 1);
-    w_key(out, name);
-}
-
-fn w_url(out: &mut Vec<u8>, url: &Url) {
-    w_obj(out, 6);
-    w_key(out, "scheme");
-    w_str(out, &url.scheme);
-    w_key(out, "host");
-    w_str(out, &url.host);
-    w_key(out, "port");
-    match url.port {
-        None => out.push(TAG_NULL),
-        Some(p) => w_u64(out, u64::from(p)),
-    }
-    w_key(out, "path");
-    w_str(out, &url.path);
-    w_key(out, "query");
-    w_opt_str(out, &url.query);
-    w_key(out, "fragment");
-    w_opt_str(out, &url.fragment);
-}
-
-fn w_headers(out: &mut Vec<u8>, headers: &HeaderMap) {
-    w_obj(out, 1);
-    w_key(out, "entries");
-    out.push(TAG_ARR);
-    write_uvar(out, headers.len() as u64);
-    for (name, value) in headers.iter() {
-        out.push(TAG_ARR);
-        write_uvar(out, 2);
-        w_str(out, name);
-        w_str(out, value);
-    }
-}
-
-fn w_method(out: &mut Vec<u8>, m: Method) {
-    w_unit_variant(
-        out,
-        match m {
-            Method::Get => "Get",
-            Method::Post => "Post",
-            Method::Head => "Head",
-            Method::Put => "Put",
-            Method::Delete => "Delete",
-            Method::Options => "Options",
-        },
-    );
-}
-
-fn w_resource_kind(out: &mut Vec<u8>, k: ResourceKind) {
-    w_unit_variant(
-        out,
-        match k {
-            ResourceKind::Document => "Document",
-            ResourceKind::Script => "Script",
-            ResourceKind::Image => "Image",
-            ResourceKind::Stylesheet => "Stylesheet",
-            ResourceKind::Xhr => "Xhr",
-            ResourceKind::Subdocument => "Subdocument",
-            ResourceKind::Beacon => "Beacon",
-        },
-    );
-}
-
-fn w_request(out: &mut Vec<u8>, req: &Request) {
-    w_obj(out, 6);
-    w_key(out, "method");
-    w_method(out, req.method);
-    w_key(out, "url");
-    w_url(out, &req.url);
-    w_key(out, "headers");
-    w_headers(out, &req.headers);
-    w_key(out, "body");
-    w_opt_bytes(out, &req.body);
-    w_key(out, "kind");
-    w_resource_kind(out, req.kind);
-    w_key(out, "initiator");
-    match &req.initiator {
-        None => out.push(TAG_NULL),
-        Some(url) => w_url(out, url),
-    }
-}
-
-fn w_response(out: &mut Vec<u8>, resp: &Response) {
-    w_obj(out, 3);
-    w_key(out, "status");
-    w_u64(out, u64::from(resp.status));
-    w_key(out, "headers");
-    w_headers(out, &resp.headers);
-    w_key(out, "body");
-    w_opt_bytes(out, &resp.body);
-}
-
-fn w_fetch_error(out: &mut Vec<u8>, e: &FetchError) {
-    match e {
-        FetchError::DnsFailure => w_unit_variant(out, "DnsFailure"),
-        FetchError::ConnectTimeout => w_unit_variant(out, "ConnectTimeout"),
-        FetchError::Reset => w_unit_variant(out, "Reset"),
-        FetchError::TruncatedBody => w_unit_variant(out, "TruncatedBody"),
-        FetchError::SlowResponse => w_unit_variant(out, "SlowResponse"),
-        FetchError::Http5xx(status) => {
-            w_variant_obj(out, "Http5xx");
-            w_u64(out, u64::from(*status));
+    fn body(&mut self, body: &Option<Vec<u8>>) {
+        match body {
+            None => self.uvar(0),
+            Some(bytes) => {
+                self.uvar(bytes.len() as u64 + 1);
+                self.out.extend_from_slice(bytes);
+            }
         }
     }
-}
 
-fn w_fetch_record(out: &mut Vec<u8>, rec: &FetchRecord) {
-    let count = 3 + u64::from(rec.error.is_some()) + u64::from(rec.from_cache.is_some());
-    w_obj(out, count);
-    w_key(out, "request");
-    w_request(out, &rec.request);
-    w_key(out, "response");
-    w_response(out, &rec.response);
-    w_key(out, "blocked");
-    w_opt_str(out, &rec.blocked);
-    if let Some(e) = &rec.error {
-        w_key(out, "error");
-        w_fetch_error(out, e);
-    }
-    if let Some(d) = rec.from_cache {
-        w_key(out, "from_cache");
-        match d {
-            CacheDisposition::Hit => w_unit_variant(out, "Hit"),
-            CacheDisposition::Stale => w_unit_variant(out, "Stale"),
-            CacheDisposition::Revalidated => w_unit_variant(out, "Revalidated"),
+    fn url(&mut self, url: &'c Url) {
+        self.byte(flag_byte(&[
+            (url.query.is_some(), URL_QUERY),
+            (url.fragment.is_some(), URL_FRAGMENT),
+        ]));
+        self.str(&url.scheme);
+        self.str(&url.host);
+        self.uvar(url.port.map_or(0, |p| u64::from(p) + 1));
+        self.str(&url.path);
+        if let Some(query) = &url.query {
+            self.str(query);
+        }
+        if let Some(fragment) = &url.fragment {
+            self.str(fragment);
         }
     }
-}
 
-fn w_cookie(out: &mut Vec<u8>, c: &Cookie) {
-    w_obj(out, 8);
-    w_key(out, "name");
-    w_str(out, &c.name);
-    w_key(out, "value");
-    w_str(out, &c.value);
-    w_key(out, "domain");
-    w_opt_str(out, &c.domain);
-    w_key(out, "path");
-    w_str(out, &c.path);
-    w_key(out, "secure");
-    w_bool(out, c.secure);
-    w_key(out, "http_only");
-    w_bool(out, c.http_only);
-    w_key(out, "same_site");
-    match c.same_site {
-        None => out.push(TAG_NULL),
-        Some(SameSite::Strict) => w_unit_variant(out, "Strict"),
-        Some(SameSite::Lax) => w_unit_variant(out, "Lax"),
-        Some(SameSite::None) => w_unit_variant(out, "None"),
+    fn initiator(&mut self, initiator: &'c Option<Arc<Url>>) {
+        let Some(url) = initiator else {
+            return self.uvar(0);
+        };
+        let next = self.urls.len() as u32;
+        match self.urls.entry(url) {
+            Entry::Occupied(seen) => {
+                write_uvar(self.out, u64::from(*seen.get()) + 2);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(next);
+                self.uvar(1);
+                self.url(url);
+            }
+        }
     }
-    w_key(out, "max_age");
-    match c.max_age {
-        None => out.push(TAG_NULL),
-        Some(age) => w_i64(out, age),
-    }
-}
 
-fn w_outcome(out: &mut Vec<u8>, outcome: &CrawlOutcome) {
-    match outcome {
-        CrawlOutcome::Completed {
-            email_confirmed,
-            bot_detection_passed,
-        } => {
-            w_variant_obj(out, "Completed");
-            w_obj(out, 2);
-            w_key(out, "email_confirmed");
-            w_bool(out, *email_confirmed);
-            w_key(out, "bot_detection_passed");
-            w_bool(out, *bot_detection_passed);
+    fn headers(&mut self, headers: &'c HeaderMap) {
+        self.uvar(headers.len() as u64);
+        for (name, value) in headers.iter() {
+            self.str(name);
+            self.str(value);
         }
-        CrawlOutcome::Unreachable => w_unit_variant(out, "Unreachable"),
-        CrawlOutcome::NoAuthFlow => w_unit_variant(out, "NoAuthFlow"),
-        CrawlOutcome::SignupBlocked(reason) => {
-            w_variant_obj(out, "SignupBlocked");
-            w_str(out, reason);
+    }
+
+    fn record(&mut self, rec: &'c FetchRecord) {
+        self.byte(flag_byte(&[(rec.blocked.is_some(), RECORD_BLOCKED)]));
+        let req = &rec.request;
+        self.byte(match req.method {
+            Method::Get => 0,
+            Method::Post => 1,
+            Method::Head => 2,
+            Method::Put => 3,
+            Method::Delete => 4,
+            Method::Options => 5,
+        });
+        self.byte(match req.kind {
+            ResourceKind::Document => 0,
+            ResourceKind::Script => 1,
+            ResourceKind::Image => 2,
+            ResourceKind::Stylesheet => 3,
+            ResourceKind::Xhr => 4,
+            ResourceKind::Subdocument => 5,
+            ResourceKind::Beacon => 6,
+        });
+        self.url(&req.url);
+        self.headers(&req.headers);
+        self.body(&req.body);
+        self.initiator(&req.initiator);
+        let resp = &rec.response;
+        self.uvar(u64::from(resp.status));
+        self.headers(&resp.headers);
+        self.body(&resp.body);
+        if let Some(blocked) = &rec.blocked {
+            self.str(blocked);
         }
-        CrawlOutcome::SignupFailed(reason) => {
-            w_variant_obj(out, "SignupFailed");
-            w_str(out, reason);
+        match rec.error {
+            None => self.byte(0),
+            Some(FetchError::DnsFailure) => self.byte(1),
+            Some(FetchError::ConnectTimeout) => self.byte(2),
+            Some(FetchError::Reset) => self.byte(3),
+            Some(FetchError::TruncatedBody) => self.byte(4),
+            Some(FetchError::SlowResponse) => self.byte(5),
+            Some(FetchError::Http5xx(status)) => {
+                self.byte(6);
+                self.uvar(u64::from(status));
+            }
         }
-        CrawlOutcome::Quarantined(reason) => {
-            w_variant_obj(out, "Quarantined");
-            w_str(out, reason);
+        self.byte(match rec.from_cache {
+            None => 0,
+            Some(CacheDisposition::Hit) => 1,
+            Some(CacheDisposition::Stale) => 2,
+            Some(CacheDisposition::Revalidated) => 3,
+        });
+    }
+
+    fn cookie(&mut self, c: &'c Cookie) {
+        self.byte(flag_byte(&[
+            (c.domain.is_some(), COOKIE_DOMAIN),
+            (c.secure, COOKIE_SECURE),
+            (c.http_only, COOKIE_HTTP_ONLY),
+            (c.max_age.is_some(), COOKIE_MAX_AGE),
+        ]));
+        self.str(&c.name);
+        self.str(&c.value);
+        if let Some(domain) = &c.domain {
+            self.str(domain);
+        }
+        self.str(&c.path);
+        self.byte(match c.same_site {
+            None => 0,
+            Some(SameSite::Strict) => 1,
+            Some(SameSite::Lax) => 2,
+            Some(SameSite::None) => 3,
+        });
+        if let Some(age) = c.max_age {
+            self.uvar(zigzag(age));
+        }
+    }
+
+    fn outcome(&mut self, outcome: &'c CrawlOutcome) {
+        match outcome {
+            CrawlOutcome::Completed {
+                email_confirmed,
+                bot_detection_passed,
+            } => {
+                self.byte(0);
+                self.byte(flag_byte(&[
+                    (*email_confirmed, COMPLETED_EMAIL),
+                    (*bot_detection_passed, COMPLETED_BOT),
+                ]));
+            }
+            CrawlOutcome::Unreachable => self.byte(1),
+            CrawlOutcome::NoAuthFlow => self.byte(2),
+            CrawlOutcome::SignupBlocked(reason) => {
+                self.byte(3);
+                self.str(reason);
+            }
+            CrawlOutcome::SignupFailed(reason) => {
+                self.byte(4);
+                self.str(reason);
+            }
+            CrawlOutcome::Quarantined(reason) => {
+                self.byte(5);
+                self.str(reason);
+            }
+        }
+    }
+
+    fn resilience(&mut self, r: &'c SiteResilience) {
+        self.uvar(u64::from(r.attempts));
+        self.uvar(u64::from(r.retries));
+        self.byte(u8::from(r.rescued));
+        self.uvar(r.virtual_ms);
+        self.uvar(r.errors.len() as u64);
+        for e in &r.errors {
+            self.str(e);
         }
     }
 }
 
-fn w_resilience(out: &mut Vec<u8>, r: &SiteResilience) {
-    w_obj(out, 5);
-    w_key(out, "attempts");
-    w_u64(out, u64::from(r.attempts));
-    w_key(out, "retries");
-    w_u64(out, u64::from(r.retries));
-    w_key(out, "rescued");
-    w_bool(out, r.rescued);
-    w_key(out, "virtual_ms");
-    w_u64(out, r.virtual_ms);
-    w_key(out, "errors");
-    out.push(TAG_ARR);
-    write_uvar(out, r.errors.len() as u64);
-    for e in &r.errors {
-        w_str(out, e);
-    }
-}
-
-/// Append the vbin encoding of `crawl` to `out` — byte-identical to
-/// `vbin::encode_value(&serde::value::to_value(crawl))`.
+/// Append the v2 encoding of `crawl` to `out`.
 pub fn encode_site_crawl(crawl: &SiteCrawl, out: &mut Vec<u8>) {
-    w_obj(out, if crawl.resilience.is_some() { 5 } else { 4 });
-    w_key(out, "domain");
-    w_str(out, &crawl.domain);
-    w_key(out, "outcome");
-    w_outcome(out, &crawl.outcome);
-    w_key(out, "records");
-    out.push(TAG_ARR);
-    write_uvar(out, crawl.records.len() as u64);
+    let mut enc = Encoder {
+        out,
+        strings: HashMap::with_capacity_and_hasher(256, FxBuild),
+        urls: HashMap::with_hasher(FxBuild),
+    };
+    enc.str(&crawl.domain);
+    enc.outcome(&crawl.outcome);
+    enc.uvar(crawl.records.len() as u64);
     for rec in &crawl.records {
-        w_fetch_record(out, rec);
+        enc.record(rec);
     }
-    w_key(out, "stored_cookies");
-    out.push(TAG_ARR);
-    write_uvar(out, crawl.stored_cookies.len() as u64);
+    enc.uvar(crawl.stored_cookies.len() as u64);
     for c in &crawl.stored_cookies {
-        w_cookie(out, c);
+        enc.cookie(c);
     }
-    if let Some(r) = &crawl.resilience {
-        w_key(out, "resilience");
-        w_resilience(out, r);
+    match &crawl.resilience {
+        None => enc.byte(0),
+        Some(r) => {
+            enc.byte(1);
+            enc.resilience(r);
+        }
     }
 }
 
 // ---------------------------------------------------------------- decoding
 
-const ERR: VbinError = VbinError("unexpected shape for the fast site codec");
+const ERR: VbinError = VbinError("unexpected shape for the site codec");
 
-impl<'a> Reader<'a> {
-    fn r_obj(&mut self) -> Result<usize, VbinError> {
-        if self.byte()? != TAG_OBJ {
-            return Err(ERR);
-        }
-        self.count(2)
+/// One segment's decoder: the input, both tables as built so far, and the
+/// string bytes the segment may still decode to.
+struct Decoder<'a> {
+    r: Reader<'a>,
+    strings: Vec<&'a str>,
+    urls: Vec<Arc<Url>>,
+    budget: usize,
+}
+
+impl<'a> Decoder<'a> {
+    fn byte(&mut self) -> Result<u8, VbinError> {
+        self.r.byte()
     }
 
-    fn r_arr(&mut self) -> Result<usize, VbinError> {
-        if self.byte()? != TAG_ARR {
-            return Err(ERR);
-        }
-        self.count(1)
-    }
-
-    fn r_key(&mut self) -> Result<&'a [u8], VbinError> {
-        self.str_bytes()
-    }
-
-    fn r_str(&mut self) -> Result<String, VbinError> {
-        if self.byte()? != TAG_STR {
-            return Err(ERR);
-        }
-        self.string()
-    }
-
-    fn r_str_slice(&mut self) -> Result<&'a str, VbinError> {
-        if self.byte()? != TAG_STR {
-            return Err(ERR);
-        }
-        std::str::from_utf8(self.str_bytes()?).map_err(|_| VbinError("invalid UTF-8"))
-    }
-
-    fn r_u64(&mut self) -> Result<u64, VbinError> {
-        if self.byte()? != TAG_U64 {
-            return Err(ERR);
-        }
-        self.uvar()
-    }
-
-    fn r_bool(&mut self) -> Result<bool, VbinError> {
+    /// A flag byte whose set bits must all be in `known`.
+    fn flags(&mut self, known: u8) -> Result<u8, VbinError> {
         match self.byte()? {
-            TAG_TRUE => Ok(true),
-            TAG_FALSE => Ok(false),
+            flags if flags & !known == 0 => Ok(flags),
             _ => Err(ERR),
         }
     }
 
-    fn r_opt_str(&mut self) -> Result<Option<String>, VbinError> {
+    fn uvar(&mut self) -> Result<u64, VbinError> {
+        self.r.uvar()
+    }
+
+    fn u16(&mut self) -> Result<u16, VbinError> {
+        u16::try_from(self.uvar()?).map_err(|_| ERR)
+    }
+
+    fn u32(&mut self) -> Result<u32, VbinError> {
+        u32::try_from(self.uvar()?).map_err(|_| ERR)
+    }
+
+    fn bool(&mut self) -> Result<bool, VbinError> {
         match self.byte()? {
-            TAG_NULL => Ok(None),
-            TAG_STR => Ok(Some(self.string()?)),
+            0 => Ok(false),
+            1 => Ok(true),
             _ => Err(ERR),
         }
     }
 
-    /// Bodies: null, the packed form, or a plain array of small numbers
-    /// (the shape an empty body — or a pre-packing encoder — produces).
-    fn r_opt_bytes(&mut self) -> Result<Option<Vec<u8>>, VbinError> {
+    /// A literal (entered into the table) or a back-reference, charged
+    /// against the segment's string budget either way.
+    fn str_slice(&mut self) -> Result<&'a str, VbinError> {
+        let x = self.uvar()?;
+        let half = usize::try_from(x >> 1).map_err(|_| ERR)?;
+        let s = if x & 1 == 0 {
+            // A literal of `half` bytes: the table's next entry.
+            let s =
+                std::str::from_utf8(self.r.take(half)?).map_err(|_| VbinError("invalid UTF-8"))?;
+            self.strings.push(s);
+            s
+        } else {
+            // A reference to entry `half`.
+            *self
+                .strings
+                .get(half)
+                .ok_or(VbinError("string reference"))?
+        };
+        self.budget = self
+            .budget
+            .checked_sub(s.len())
+            .ok_or(VbinError("string amplification"))?;
+        Ok(s)
+    }
+
+    fn string(&mut self) -> Result<String, VbinError> {
+        self.str_slice().map(str::to_string)
+    }
+
+    fn body(&mut self) -> Result<Option<Vec<u8>>, VbinError> {
+        match self.uvar()? {
+            0 => Ok(None),
+            n => {
+                let len = usize::try_from(n - 1).map_err(|_| ERR)?;
+                Ok(Some(self.r.take(len)?.to_vec()))
+            }
+        }
+    }
+
+    fn url(&mut self) -> Result<Url, VbinError> {
+        let flags = self.flags(URL_QUERY | URL_FRAGMENT)?;
+        let scheme = self.string()?;
+        let host = self.string()?;
+        let port = match self.uvar()? {
+            0 => None,
+            n => Some(u16::try_from(n - 1).map_err(|_| ERR)?),
+        };
+        let path = self.string()?;
+        let query = match flags & URL_QUERY {
+            0 => None,
+            _ => Some(self.string()?),
+        };
+        let fragment = match flags & URL_FRAGMENT {
+            0 => None,
+            _ => Some(self.string()?),
+        };
+        Ok(Url {
+            scheme,
+            host,
+            port,
+            path,
+            query,
+            fragment,
+        })
+    }
+
+    fn initiator(&mut self) -> Result<Option<Arc<Url>>, VbinError> {
+        match self.uvar()? {
+            0 => Ok(None),
+            1 => {
+                let url = Arc::new(self.url()?);
+                self.urls.push(Arc::clone(&url));
+                Ok(Some(url))
+            }
+            n => {
+                let at = usize::try_from(n - 2).map_err(|_| ERR)?;
+                let url = self.urls.get(at).ok_or(VbinError("URL reference"))?;
+                Ok(Some(Arc::clone(url)))
+            }
+        }
+    }
+
+    fn headers(&mut self) -> Result<HeaderMap, VbinError> {
+        let count = self.r.count(MIN_HEADER)?;
+        let mut headers = HeaderMap::new();
+        for _ in 0..count {
+            let name = pii_net::http::intern(self.str_slice()?);
+            let value = pii_net::http::intern(self.str_slice()?);
+            headers.insert(name, value);
+        }
+        Ok(headers)
+    }
+
+    fn record(&mut self) -> Result<FetchRecord, VbinError> {
+        let flags = self.flags(RECORD_BLOCKED)?;
+        let method = match self.byte()? {
+            0 => Method::Get,
+            1 => Method::Post,
+            2 => Method::Head,
+            3 => Method::Put,
+            4 => Method::Delete,
+            5 => Method::Options,
+            _ => return Err(ERR),
+        };
+        let kind = match self.byte()? {
+            0 => ResourceKind::Document,
+            1 => ResourceKind::Script,
+            2 => ResourceKind::Image,
+            3 => ResourceKind::Stylesheet,
+            4 => ResourceKind::Xhr,
+            5 => ResourceKind::Subdocument,
+            6 => ResourceKind::Beacon,
+            _ => return Err(ERR),
+        };
+        let request = Request {
+            method,
+            url: self.url()?,
+            headers: self.headers()?,
+            body: self.body()?,
+            kind,
+            initiator: self.initiator()?,
+        };
+        let response = Response {
+            status: self.u16()?,
+            headers: self.headers()?,
+            body: self.body()?,
+        };
+        let blocked = match flags & RECORD_BLOCKED {
+            0 => None,
+            _ => Some(self.string()?),
+        };
+        let error = match self.byte()? {
+            0 => None,
+            1 => Some(FetchError::DnsFailure),
+            2 => Some(FetchError::ConnectTimeout),
+            3 => Some(FetchError::Reset),
+            4 => Some(FetchError::TruncatedBody),
+            5 => Some(FetchError::SlowResponse),
+            6 => Some(FetchError::Http5xx(self.u16()?)),
+            _ => return Err(ERR),
+        };
+        let from_cache = match self.byte()? {
+            0 => None,
+            1 => Some(CacheDisposition::Hit),
+            2 => Some(CacheDisposition::Stale),
+            3 => Some(CacheDisposition::Revalidated),
+            _ => return Err(ERR),
+        };
+        Ok(FetchRecord {
+            request,
+            response,
+            blocked,
+            error,
+            from_cache,
+        })
+    }
+
+    fn cookie(&mut self) -> Result<Cookie, VbinError> {
+        let flags =
+            self.flags(COOKIE_DOMAIN | COOKIE_SECURE | COOKIE_HTTP_ONLY | COOKIE_MAX_AGE)?;
+        let name = self.string()?;
+        let value = self.string()?;
+        let domain = match flags & COOKIE_DOMAIN {
+            0 => None,
+            _ => Some(self.string()?),
+        };
+        let path = self.string()?;
+        let same_site = match self.byte()? {
+            0 => None,
+            1 => Some(SameSite::Strict),
+            2 => Some(SameSite::Lax),
+            3 => Some(SameSite::None),
+            _ => return Err(ERR),
+        };
+        let max_age = match flags & COOKIE_MAX_AGE {
+            0 => None,
+            _ => Some(unzigzag(self.uvar()?)),
+        };
+        Ok(Cookie {
+            name,
+            value,
+            domain,
+            path,
+            secure: flags & COOKIE_SECURE != 0,
+            http_only: flags & COOKIE_HTTP_ONLY != 0,
+            same_site,
+            max_age,
+        })
+    }
+
+    fn outcome(&mut self) -> Result<CrawlOutcome, VbinError> {
         match self.byte()? {
-            TAG_NULL => Ok(None),
-            TAG_BYTES => Ok(Some(self.str_bytes()?.to_vec())),
-            TAG_ARR => {
-                let count = self.count(1)?;
-                let mut bytes = Vec::with_capacity(count);
-                for _ in 0..count {
-                    match self.r_u64()? {
-                        n if n < 256 => bytes.push(n as u8),
-                        _ => return Err(ERR),
-                    }
-                }
-                Ok(Some(bytes))
+            0 => {
+                let flags = self.flags(COMPLETED_EMAIL | COMPLETED_BOT)?;
+                Ok(CrawlOutcome::Completed {
+                    email_confirmed: flags & COMPLETED_EMAIL != 0,
+                    bot_detection_passed: flags & COMPLETED_BOT != 0,
+                })
             }
+            1 => Ok(CrawlOutcome::Unreachable),
+            2 => Ok(CrawlOutcome::NoAuthFlow),
+            3 => Ok(CrawlOutcome::SignupBlocked(self.string()?)),
+            4 => Ok(CrawlOutcome::SignupFailed(self.string()?)),
+            5 => Ok(CrawlOutcome::Quarantined(self.string()?)),
             _ => Err(ERR),
         }
     }
 
-    fn r_u16(&mut self) -> Result<u16, VbinError> {
-        u16::try_from(self.r_u64()?).map_err(|_| ERR)
-    }
-
-    fn r_u32(&mut self) -> Result<u32, VbinError> {
-        u32::try_from(self.r_u64()?).map_err(|_| ERR)
-    }
-}
-
-fn r_url(r: &mut Reader<'_>) -> Result<Url, VbinError> {
-    let count = r.r_obj()?;
-    let mut scheme = None;
-    let mut host = None;
-    let mut port = None;
-    let mut path = None;
-    let mut query = None;
-    let mut fragment = None;
-    for _ in 0..count {
-        match r.r_key()? {
-            b"scheme" => scheme = Some(r.r_str()?),
-            b"host" => host = Some(r.r_str()?),
-            b"port" => {
-                port = match r.byte()? {
-                    TAG_NULL => None,
-                    TAG_U64 => Some(u16::try_from(r.uvar()?).map_err(|_| ERR)?),
-                    _ => return Err(ERR),
-                }
-            }
-            b"path" => path = Some(r.r_str()?),
-            b"query" => query = r.r_opt_str()?,
-            b"fragment" => fragment = r.r_opt_str()?,
-            _ => return Err(ERR),
+    fn resilience(&mut self) -> Result<SiteResilience, VbinError> {
+        let attempts = self.u32()?;
+        let retries = self.u32()?;
+        let rescued = self.bool()?;
+        let virtual_ms = self.uvar()?;
+        let count = self.r.count(MIN_STR)?;
+        let mut errors = Vec::with_capacity(count);
+        for _ in 0..count {
+            errors.push(self.string()?);
         }
-    }
-    Ok(Url {
-        scheme: scheme.ok_or(ERR)?,
-        host: host.ok_or(ERR)?,
-        port,
-        path: path.ok_or(ERR)?,
-        query,
-        fragment,
-    })
-}
-
-fn r_opt_url(r: &mut Reader<'_>) -> Result<Option<Url>, VbinError> {
-    if r.bytes.get(r.pos) == Some(&TAG_NULL) {
-        r.pos += 1;
-        return Ok(None);
-    }
-    Ok(Some(r_url(r)?))
-}
-
-fn r_headers(r: &mut Reader<'_>) -> Result<HeaderMap, VbinError> {
-    if r.r_obj()? != 1 || r.r_key()? != b"entries" {
-        return Err(ERR);
-    }
-    let count = r.r_arr()?;
-    let mut headers = HeaderMap::new();
-    for _ in 0..count {
-        if r.r_arr()? != 2 {
-            return Err(ERR);
-        }
-        let name = pii_net::http::intern(r.r_str_slice()?);
-        let value = pii_net::http::intern(r.r_str_slice()?);
-        headers.insert(name, value);
-    }
-    Ok(headers)
-}
-
-fn r_method(r: &mut Reader<'_>) -> Result<Method, VbinError> {
-    match r.r_str_slice()?.as_bytes() {
-        b"Get" => Ok(Method::Get),
-        b"Post" => Ok(Method::Post),
-        b"Head" => Ok(Method::Head),
-        b"Put" => Ok(Method::Put),
-        b"Delete" => Ok(Method::Delete),
-        b"Options" => Ok(Method::Options),
-        _ => Err(ERR),
+        Ok(SiteResilience {
+            attempts,
+            retries,
+            rescued,
+            virtual_ms,
+            errors,
+        })
     }
 }
 
-fn r_resource_kind(r: &mut Reader<'_>) -> Result<ResourceKind, VbinError> {
-    match r.r_str_slice()?.as_bytes() {
-        b"Document" => Ok(ResourceKind::Document),
-        b"Script" => Ok(ResourceKind::Script),
-        b"Image" => Ok(ResourceKind::Image),
-        b"Stylesheet" => Ok(ResourceKind::Stylesheet),
-        b"Xhr" => Ok(ResourceKind::Xhr),
-        b"Subdocument" => Ok(ResourceKind::Subdocument),
-        b"Beacon" => Ok(ResourceKind::Beacon),
-        _ => Err(ERR),
-    }
-}
-
-/// The last initiator a segment decoded: its encoded bytes and the URL.
-type LastInitiator<'a> = Option<(&'a [u8], Arc<Url>)>;
-
-/// A request's initiator. When its encoding is the same bytes as the last
-/// one decoded — a page's subresources all name the page — the record
-/// shares that URL instead of decoding a copy.
-fn r_initiator<'a>(
-    r: &mut Reader<'a>,
-    last: &mut LastInitiator<'a>,
-) -> Result<Option<Arc<Url>>, VbinError> {
-    if let Some((raw, url)) = last {
-        if r.bytes[r.pos..].starts_with(raw) {
-            r.pos += raw.len();
-            return Ok(Some(Arc::clone(url)));
-        }
-    }
-    let start = r.pos;
-    let Some(url) = r_opt_url(r)? else {
-        return Ok(None);
-    };
-    let url = Arc::new(url);
-    *last = Some((&r.bytes[start..r.pos], Arc::clone(&url)));
-    Ok(Some(url))
-}
-
-fn r_request<'a>(r: &mut Reader<'a>, last: &mut LastInitiator<'a>) -> Result<Request, VbinError> {
-    let count = r.r_obj()?;
-    let mut method = None;
-    let mut url = None;
-    let mut headers = None;
-    let mut body = None;
-    let mut kind = None;
-    let mut initiator = None;
-    for _ in 0..count {
-        match r.r_key()? {
-            b"method" => method = Some(r_method(r)?),
-            b"url" => url = Some(r_url(r)?),
-            b"headers" => headers = Some(r_headers(r)?),
-            b"body" => body = r.r_opt_bytes()?,
-            b"kind" => kind = Some(r_resource_kind(r)?),
-            b"initiator" => initiator = r_initiator(r, last)?,
-            _ => return Err(ERR),
-        }
-    }
-    Ok(Request {
-        method: method.ok_or(ERR)?,
-        url: url.ok_or(ERR)?,
-        headers: headers.ok_or(ERR)?,
-        body,
-        kind: kind.ok_or(ERR)?,
-        initiator,
-    })
-}
-
-fn r_response(r: &mut Reader<'_>) -> Result<Response, VbinError> {
-    let count = r.r_obj()?;
-    let mut status = None;
-    let mut headers = None;
-    let mut body = None;
-    for _ in 0..count {
-        match r.r_key()? {
-            b"status" => status = Some(r.r_u16()?),
-            b"headers" => headers = Some(r_headers(r)?),
-            b"body" => body = r.r_opt_bytes()?,
-            _ => return Err(ERR),
-        }
-    }
-    Ok(Response {
-        status: status.ok_or(ERR)?,
-        headers: headers.ok_or(ERR)?,
-        body,
-    })
-}
-
-fn r_fetch_error(r: &mut Reader<'_>) -> Result<FetchError, VbinError> {
-    match r.byte()? {
-        TAG_STR => match r.str_bytes()? {
-            b"DnsFailure" => Ok(FetchError::DnsFailure),
-            b"ConnectTimeout" => Ok(FetchError::ConnectTimeout),
-            b"Reset" => Ok(FetchError::Reset),
-            b"TruncatedBody" => Ok(FetchError::TruncatedBody),
-            b"SlowResponse" => Ok(FetchError::SlowResponse),
-            _ => Err(ERR),
-        },
-        TAG_OBJ => {
-            if r.count(2)? != 1 || r.r_key()? != b"Http5xx" {
-                return Err(ERR);
-            }
-            Ok(FetchError::Http5xx(r.r_u16()?))
-        }
-        _ => Err(ERR),
-    }
-}
-
-fn r_fetch_record<'a>(
-    r: &mut Reader<'a>,
-    last: &mut LastInitiator<'a>,
-) -> Result<FetchRecord, VbinError> {
-    let count = r.r_obj()?;
-    let mut request = None;
-    let mut response = None;
-    let mut blocked = None;
-    let mut error = None;
-    let mut from_cache = None;
-    for _ in 0..count {
-        match r.r_key()? {
-            b"request" => request = Some(r_request(r, last)?),
-            b"response" => response = Some(r_response(r)?),
-            b"blocked" => blocked = r.r_opt_str()?,
-            b"error" => error = Some(r_fetch_error(r)?),
-            b"from_cache" => {
-                if r.byte()? != TAG_STR {
-                    return Err(ERR);
-                }
-                from_cache = Some(match r.str_bytes()? {
-                    b"Hit" => CacheDisposition::Hit,
-                    b"Stale" => CacheDisposition::Stale,
-                    b"Revalidated" => CacheDisposition::Revalidated,
-                    _ => return Err(ERR),
-                });
-            }
-            _ => return Err(ERR),
-        }
-    }
-    Ok(FetchRecord {
-        request: request.ok_or(ERR)?,
-        response: response.ok_or(ERR)?,
-        blocked,
-        error,
-        from_cache,
-    })
-}
-
-fn r_cookie(r: &mut Reader<'_>) -> Result<Cookie, VbinError> {
-    let count = r.r_obj()?;
-    let mut name = None;
-    let mut value = None;
-    let mut domain = None;
-    let mut path = None;
-    let mut secure = None;
-    let mut http_only = None;
-    let mut same_site = None;
-    let mut max_age = None;
-    for _ in 0..count {
-        match r.r_key()? {
-            b"name" => name = Some(r.r_str()?),
-            b"value" => value = Some(r.r_str()?),
-            b"domain" => domain = r.r_opt_str()?,
-            b"path" => path = Some(r.r_str()?),
-            b"secure" => secure = Some(r.r_bool()?),
-            b"http_only" => http_only = Some(r.r_bool()?),
-            b"same_site" => {
-                same_site = match r.byte()? {
-                    TAG_NULL => None,
-                    TAG_STR => Some(match r.str_bytes()? {
-                        b"Strict" => SameSite::Strict,
-                        b"Lax" => SameSite::Lax,
-                        b"None" => SameSite::None,
-                        _ => return Err(ERR),
-                    }),
-                    _ => return Err(ERR),
-                }
-            }
-            b"max_age" => {
-                max_age = match r.byte()? {
-                    TAG_NULL => None,
-                    TAG_I64 => Some(unzigzag(r.uvar()?)),
-                    _ => return Err(ERR),
-                }
-            }
-            _ => return Err(ERR),
-        }
-    }
-    Ok(Cookie {
-        name: name.ok_or(ERR)?,
-        value: value.ok_or(ERR)?,
-        domain,
-        path: path.ok_or(ERR)?,
-        secure: secure.ok_or(ERR)?,
-        http_only: http_only.ok_or(ERR)?,
-        same_site,
-        max_age,
-    })
-}
-
-fn r_outcome(r: &mut Reader<'_>) -> Result<CrawlOutcome, VbinError> {
-    match r.byte()? {
-        TAG_STR => match r.str_bytes()? {
-            b"Unreachable" => Ok(CrawlOutcome::Unreachable),
-            b"NoAuthFlow" => Ok(CrawlOutcome::NoAuthFlow),
-            _ => Err(ERR),
-        },
-        TAG_OBJ => {
-            if r.count(2)? != 1 {
-                return Err(ERR);
-            }
-            match r.r_key()? {
-                b"Completed" => {
-                    let count = r.r_obj()?;
-                    let mut email_confirmed = None;
-                    let mut bot_detection_passed = None;
-                    for _ in 0..count {
-                        match r.r_key()? {
-                            b"email_confirmed" => email_confirmed = Some(r.r_bool()?),
-                            b"bot_detection_passed" => bot_detection_passed = Some(r.r_bool()?),
-                            _ => return Err(ERR),
-                        }
-                    }
-                    Ok(CrawlOutcome::Completed {
-                        email_confirmed: email_confirmed.ok_or(ERR)?,
-                        bot_detection_passed: bot_detection_passed.ok_or(ERR)?,
-                    })
-                }
-                b"SignupBlocked" => Ok(CrawlOutcome::SignupBlocked(r.r_str()?)),
-                b"SignupFailed" => Ok(CrawlOutcome::SignupFailed(r.r_str()?)),
-                b"Quarantined" => Ok(CrawlOutcome::Quarantined(r.r_str()?)),
-                _ => Err(ERR),
-            }
-        }
-        _ => Err(ERR),
-    }
-}
-
-fn r_resilience(r: &mut Reader<'_>) -> Result<SiteResilience, VbinError> {
-    let count = r.r_obj()?;
-    let mut resilience = SiteResilience::default();
-    for _ in 0..count {
-        match r.r_key()? {
-            b"attempts" => resilience.attempts = r.r_u32()?,
-            b"retries" => resilience.retries = r.r_u32()?,
-            b"rescued" => resilience.rescued = r.r_bool()?,
-            b"virtual_ms" => resilience.virtual_ms = r.r_u64()?,
-            b"errors" => {
-                let count = r.r_arr()?;
-                resilience.errors = Vec::with_capacity(count);
-                for _ in 0..count {
-                    resilience.errors.push(r.r_str()?);
-                }
-            }
-            _ => return Err(ERR),
-        }
-    }
-    Ok(resilience)
-}
-
-/// Decode a [`SiteCrawl`] spanning exactly `bytes`. `Err` means the shape
-/// was not the one [`encode_site_crawl`] produces.
+/// Decode a [`SiteCrawl`] spanning exactly `bytes`. `Err` means the bytes
+/// are not a v2 site record, or would decode past the string budget.
 pub fn decode_site_crawl(bytes: &[u8]) -> Result<SiteCrawl, VbinError> {
-    let mut r = Reader::new(bytes);
-    let count = r.r_obj()?;
-    let mut domain = None;
-    let mut outcome = None;
-    let mut records = None;
-    let mut stored_cookies = None;
-    let mut resilience = None;
+    decode(bytes).map(|(crawl, _)| crawl)
+}
+
+/// [`decode_site_crawl`], also returning the string bytes the segment
+/// decoded to (what [`STRING_AMPLIFICATION`] bounds).
+fn decode(bytes: &[u8]) -> Result<(SiteCrawl, usize), VbinError> {
+    let budget = bytes.len().saturating_mul(STRING_AMPLIFICATION);
+    let mut d = Decoder {
+        r: Reader::new(bytes),
+        strings: Vec::new(),
+        urls: Vec::new(),
+        budget,
+    };
+    let domain = d.string()?;
+    let outcome = d.outcome()?;
+    let count = d.r.count(MIN_RECORD)?;
+    let mut records = Vec::with_capacity(count);
     for _ in 0..count {
-        match r.r_key()? {
-            b"domain" => domain = Some(r.r_str()?),
-            b"outcome" => outcome = Some(r_outcome(&mut r)?),
-            b"records" => {
-                let count = r.r_arr()?;
-                let mut recs = Vec::with_capacity(count);
-                let mut last = None;
-                for _ in 0..count {
-                    recs.push(r_fetch_record(&mut r, &mut last)?);
-                }
-                records = Some(recs);
-            }
-            b"stored_cookies" => {
-                let count = r.r_arr()?;
-                let mut cookies = Vec::with_capacity(count);
-                for _ in 0..count {
-                    cookies.push(r_cookie(&mut r)?);
-                }
-                stored_cookies = Some(cookies);
-            }
-            b"resilience" => resilience = Some(r_resilience(&mut r)?),
-            _ => return Err(ERR),
-        }
+        records.push(d.record()?);
     }
-    if r.pos != bytes.len() {
+    let count = d.r.count(MIN_COOKIE)?;
+    let mut stored_cookies = Vec::with_capacity(count);
+    for _ in 0..count {
+        stored_cookies.push(d.cookie()?);
+    }
+    let resilience = match d.bool()? {
+        false => None,
+        true => Some(d.resilience()?),
+    };
+    if d.r.pos != bytes.len() {
         return Err(VbinError("trailing bytes"));
     }
-    Ok(SiteCrawl {
-        domain: domain.ok_or(ERR)?,
-        outcome: outcome.ok_or(ERR)?,
-        records: records.ok_or(ERR)?,
-        stored_cookies: stored_cookies.ok_or(ERR)?,
+    let crawl = SiteCrawl {
+        domain,
+        outcome,
+        records,
+        stored_cookies,
         resilience,
-    })
+    };
+    Ok((crawl, budget - d.budget))
 }
 
 #[cfg(test)]
@@ -802,7 +719,7 @@ pub(crate) mod tests {
 
     pub(crate) fn exhaustive_crawl() -> SiteCrawl {
         // One of everything: every outcome shape is covered by
-        // `all_outcomes_agree`, this exercises every *field* shape.
+        // `all_outcomes_round_trip`, this exercises every *field* shape.
         let url = Url {
             scheme: "https".into(),
             host: "shop0001.com".into(),
@@ -930,31 +847,138 @@ pub(crate) mod tests {
         }
     }
 
-    fn generic_bytes(crawl: &SiteCrawl) -> Vec<u8> {
-        let tree = serde::value::to_value(crawl).unwrap();
-        let mut out = Vec::new();
-        crate::vbin::encode_value(&tree, &mut out);
-        out
+    fn encode(crawl: &SiteCrawl) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_site_crawl(crawl, &mut bytes);
+        bytes
     }
 
-    fn assert_codec_agrees(crawl: &SiteCrawl) {
-        let generic = generic_bytes(crawl);
-        let mut fast = Vec::new();
-        encode_site_crawl(crawl, &mut fast);
-        assert_eq!(fast, generic, "fast encoder diverged for {}", crawl.domain);
-        let decoded = decode_site_crawl(&generic).expect("fast decode");
+    fn json<T: serde::Serialize>(value: &T) -> String {
+        serde_json::to_string(value).unwrap()
+    }
+
+    /// The oracle: the generic serde route renders `decode(encode(c))` and
+    /// `c` identically. Returns the encoding.
+    fn assert_round_trips(crawl: &SiteCrawl) -> Vec<u8> {
+        let bytes = encode(crawl);
+        let decoded = decode_site_crawl(&bytes).expect("v2 decode");
         assert_eq!(
-            serde_json::to_string(&decoded).unwrap(),
-            serde_json::to_string(crawl).unwrap(),
+            json(&decoded),
+            json(crawl),
+            "round trip of {}",
+            crawl.domain
         );
+        bytes
     }
 
-    /// Header maps hold static and owned strings side by side; the
-    /// hand-written serde impl must give both the derived
-    /// `{"entries": [[name, value], …]}` shape, so the generic route writes
-    /// the fast encoder's bytes and reads them back equal.
     #[test]
-    fn borrowed_and_owned_headers_share_one_wire_shape() {
+    fn exhaustive_crawl_round_trips() {
+        assert_round_trips(&exhaustive_crawl());
+    }
+
+    #[test]
+    fn all_outcomes_round_trip() {
+        for outcome in [
+            CrawlOutcome::Completed {
+                email_confirmed: false,
+                bot_detection_passed: true,
+            },
+            CrawlOutcome::Completed {
+                email_confirmed: true,
+                bot_detection_passed: true,
+            },
+            CrawlOutcome::Unreachable,
+            CrawlOutcome::NoAuthFlow,
+            CrawlOutcome::SignupBlocked("policy".into()),
+            CrawlOutcome::SignupFailed("captcha".into()),
+            CrawlOutcome::Quarantined("panic: worker".into()),
+        ] {
+            assert_round_trips(&SiteCrawl {
+                domain: "x.com".into(),
+                outcome,
+                records: Vec::new(),
+                stored_cookies: Vec::new(),
+                resilience: None,
+            });
+        }
+    }
+
+    #[test]
+    fn all_enum_variants_round_trip() {
+        let mut crawl = exhaustive_crawl();
+        for method in [
+            Method::Get,
+            Method::Post,
+            Method::Head,
+            Method::Put,
+            Method::Delete,
+            Method::Options,
+        ] {
+            crawl.records[0].request.method = method;
+            assert_round_trips(&crawl);
+        }
+        for kind in [
+            ResourceKind::Document,
+            ResourceKind::Script,
+            ResourceKind::Image,
+            ResourceKind::Stylesheet,
+            ResourceKind::Xhr,
+            ResourceKind::Subdocument,
+            ResourceKind::Beacon,
+        ] {
+            crawl.records[0].request.kind = kind;
+            assert_round_trips(&crawl);
+        }
+        for error in [
+            None,
+            Some(FetchError::DnsFailure),
+            Some(FetchError::ConnectTimeout),
+            Some(FetchError::Reset),
+            Some(FetchError::TruncatedBody),
+            Some(FetchError::SlowResponse),
+            Some(FetchError::Http5xx(599)),
+        ] {
+            crawl.records[0].error = error;
+            assert_round_trips(&crawl);
+        }
+        for from_cache in [
+            None,
+            Some(CacheDisposition::Hit),
+            Some(CacheDisposition::Stale),
+            Some(CacheDisposition::Revalidated),
+        ] {
+            crawl.records[0].from_cache = from_cache;
+            assert_round_trips(&crawl);
+        }
+        for same_site in [
+            None,
+            Some(SameSite::Strict),
+            Some(SameSite::Lax),
+            Some(SameSite::None),
+        ] {
+            crawl.stored_cookies[0].same_site = same_site;
+            assert_round_trips(&crawl);
+        }
+        for (secure, http_only, max_age) in [
+            (false, false, None),
+            (true, false, Some(i64::MIN)),
+            (false, true, Some(i64::MAX)),
+        ] {
+            let cookie = &mut crawl.stored_cookies[0];
+            cookie.secure = secure;
+            cookie.http_only = http_only;
+            cookie.max_age = max_age;
+            assert_round_trips(&crawl);
+        }
+        crawl.resilience = None;
+        assert_round_trips(&crawl);
+    }
+
+    /// Header maps hold static and owned strings side by side. Both decode
+    /// equal through the codec, and the hand-written serde impl gives both
+    /// the derived `{"entries": [[name, value], …]}` shape.
+    #[test]
+    fn borrowed_and_owned_headers_round_trip() {
         let mut crawl = exhaustive_crawl();
         let mut headers = HeaderMap::new();
         headers.insert("Host", String::from("shop0001.com"));
@@ -964,33 +988,45 @@ pub(crate) mod tests {
         crawl.records[0].request.headers = headers.clone();
         crawl.records[0].response.headers = headers.clone();
 
-        let generic = generic_bytes(&crawl);
-        let mut fast = Vec::new();
-        encode_site_crawl(&crawl, &mut fast);
-        assert_eq!(fast, generic);
+        let decoded = decode_site_crawl(&assert_round_trips(&crawl)).unwrap();
+        assert_eq!(decoded.records[0].request.headers, headers);
+        assert_eq!(decoded.records[0].response.headers, headers);
 
-        let tree = crate::vbin::decode_value(&generic).unwrap();
+        let tree = serde::value::to_value(&crawl).unwrap();
         let back: SiteCrawl = serde::value::from_value(tree).unwrap();
         assert_eq!(back.records[0].request.headers, headers);
-        assert_eq!(back.records[0].response.headers, headers);
-        assert_eq!(generic_bytes(&back), generic);
-        let fast_back = decode_site_crawl(&fast).unwrap();
-        assert_eq!(fast_back.records[0].request.headers, headers);
-        assert_eq!(generic_bytes(&fast_back), generic);
-
         assert_eq!(
             serde_json::to_string(&headers).unwrap(),
             r#"{"entries":[["Host","shop0001.com"],["X-Trace","static-value"],["Cache-Control","no-store"],["cookie","sid=7"]]}"#
         );
     }
 
+    /// Every string is written once per segment: a `User-Agent` on fifty
+    /// requests appears once as text, the other forty-nine times as a
+    /// back-reference.
     #[test]
-    fn fast_codec_matches_the_generic_path_on_an_exhaustive_crawl() {
-        assert_codec_agrees(&exhaustive_crawl());
+    fn a_repeated_string_is_written_once() {
+        let ua = "Mozilla/5.0 (X11; Linux x86_64; rv:88.0) Gecko/20100101 Firefox/88.0-test";
+        let mut crawl = exhaustive_crawl();
+        let record = crawl.records[0].clone();
+        crawl.records = (0..50)
+            .map(|_| {
+                let mut r = record.clone();
+                r.request.headers.insert("User-Agent", ua);
+                r
+            })
+            .collect();
+        let bytes = assert_round_trips(&crawl);
+        let copies = bytes
+            .windows(ua.len())
+            .filter(|w| *w == ua.as_bytes())
+            .count();
+        assert_eq!(copies, 1);
     }
 
-    /// A run of records with the same initiator decodes to one shared URL;
-    /// a different initiator, or none, between them decodes as written.
+    /// Equal initiators decode to one shared URL, wherever they recur in the
+    /// segment; a different initiator, or none, between them decodes as
+    /// written.
     #[test]
     fn repeated_initiators_decode_shared_and_equal() {
         let mut crawl = exhaustive_crawl();
@@ -1005,7 +1041,9 @@ pub(crate) mod tests {
             Some(&b),
             Some(&a),
             Some(&a),
+            Some(&b),
         ];
+        // Each record holds its own copy, as separately built requests do.
         crawl.records = initiators
             .iter()
             .map(|initiator| {
@@ -1014,10 +1052,7 @@ pub(crate) mod tests {
                 r
             })
             .collect();
-        assert_codec_agrees(&crawl);
-        let mut bytes = Vec::new();
-        encode_site_crawl(&crawl, &mut bytes);
-        let decoded = decode_site_crawl(&bytes).unwrap();
+        let decoded = decode_site_crawl(&assert_round_trips(&crawl)).unwrap();
         let got: Vec<Option<&Arc<Url>>> = decoded
             .records
             .iter()
@@ -1027,104 +1062,19 @@ pub(crate) mod tests {
             assert_eq!(g.map(|u| &**u), want.map(|u| &**u));
         }
         let shared = |i: usize, j: usize| Arc::ptr_eq(got[i].unwrap(), got[j].unwrap());
-        assert!(shared(0, 1) && shared(1, 3) && shared(5, 6));
-        assert!(
-            !shared(3, 5),
-            "a different initiator in between is decoded afresh"
-        );
+        assert!(shared(0, 1) && shared(1, 3) && shared(3, 5) && shared(5, 6));
+        assert!(shared(4, 7));
+        assert!(!shared(3, 4), "different initiators stay distinct");
     }
 
+    /// A v1 site record (keyed vbin, what the generic value tree encodes)
+    /// is not a v2 record: the decoder refuses it, and a reader skips and
+    /// counts the segment.
     #[test]
-    fn all_outcomes_agree() {
-        for outcome in [
-            CrawlOutcome::Completed {
-                email_confirmed: false,
-                bot_detection_passed: true,
-            },
-            CrawlOutcome::Unreachable,
-            CrawlOutcome::NoAuthFlow,
-            CrawlOutcome::SignupBlocked("policy".into()),
-            CrawlOutcome::SignupFailed("captcha".into()),
-            CrawlOutcome::Quarantined("panic: worker".into()),
-        ] {
-            assert_codec_agrees(&SiteCrawl {
-                domain: "x.com".into(),
-                outcome,
-                records: Vec::new(),
-                stored_cookies: Vec::new(),
-                resilience: None,
-            });
-        }
-    }
-
-    #[test]
-    fn all_enum_variants_agree() {
-        let mut crawl = exhaustive_crawl();
-        for method in [
-            Method::Get,
-            Method::Post,
-            Method::Head,
-            Method::Put,
-            Method::Delete,
-            Method::Options,
-        ] {
-            crawl.records[0].request.method = method;
-            assert_codec_agrees(&crawl);
-        }
-        for kind in [
-            ResourceKind::Document,
-            ResourceKind::Script,
-            ResourceKind::Image,
-            ResourceKind::Stylesheet,
-            ResourceKind::Xhr,
-            ResourceKind::Subdocument,
-            ResourceKind::Beacon,
-        ] {
-            crawl.records[0].request.kind = kind;
-            assert_codec_agrees(&crawl);
-        }
-        for error in [
-            None,
-            Some(FetchError::DnsFailure),
-            Some(FetchError::ConnectTimeout),
-            Some(FetchError::Reset),
-            Some(FetchError::TruncatedBody),
-            Some(FetchError::SlowResponse),
-            Some(FetchError::Http5xx(599)),
-        ] {
-            crawl.records[0].error = error;
-            assert_codec_agrees(&crawl);
-        }
-        for same_site in [
-            None,
-            Some(SameSite::Strict),
-            Some(SameSite::Lax),
-            Some(SameSite::None),
-        ] {
-            crawl.stored_cookies[0].same_site = same_site;
-            assert_codec_agrees(&crawl);
-        }
-    }
-
-    /// What a future writer that added a field would emit: the exhaustive
-    /// crawl's value tree plus one unknown `new_field`.
-    fn new_field_bytes() -> Vec<u8> {
+    fn a_v1_keyed_record_is_rejected_and_the_segment_skipped() {
         let tree = serde::value::to_value(&exhaustive_crawl()).unwrap();
-        let serde::Value::Obj(mut entries) = tree else {
-            panic!("crawl serializes to an object")
-        };
-        entries.push(("new_field".into(), serde::Value::U64(1)));
         let mut bytes = Vec::new();
-        crate::vbin::encode_value(&serde::Value::Obj(entries), &mut bytes);
-        bytes
-    }
-
-    /// A future writer might add a field. The fast decoder must refuse it
-    /// rather than silently drop data, and a reader must skip and count the
-    /// segment.
-    #[test]
-    fn unknown_fields_are_rejected_and_the_segment_skipped() {
-        let bytes = new_field_bytes();
+        crate::vbin::encode_value(&tree, &mut bytes);
         assert!(decode_site_crawl(&bytes).is_err());
         let payload = pii_encodings::deflate::compress(&bytes);
         let raw_len = bytes.len() as u32;
@@ -1132,8 +1082,8 @@ pub(crate) mod tests {
             crate::format::decode_site(&payload, raw_len).map(|c| c.domain),
             Err(crate::format::FrameError::Corrupt("record shape"))
         );
-        // An archive whose only site segment carries the unknown field: an
-        // honest archive's meta prefix, then the segment, with no footer.
+        // An archive whose only site segment is the v1 record: an honest
+        // archive's meta prefix, then the segment, with no footer.
         let meta = crate::ArchiveMeta {
             spec: pii_web::UniverseSpec::default(),
             browser: pii_browser::profiles::BrowserKind::Firefox88Vanilla,
@@ -1171,53 +1121,331 @@ pub(crate) mod tests {
 
     #[test]
     fn truncated_input_errors_cleanly() {
-        let bytes = generic_bytes(&exhaustive_crawl());
+        let bytes = encode(&exhaustive_crawl());
         for cut in 0..bytes.len() {
             assert!(decode_site_crawl(&bytes[..cut]).is_err());
         }
     }
 
-    /// Neither site decoder panics on `raw`, and whenever the direct decoder
-    /// accepts it the generic value-tree route decodes the same crawl.
-    fn assert_site_decoders_agree(raw: &[u8]) -> Result<(), TestCaseError> {
+    /// `refs` one-byte back-references to a 64 KiB domain, as resilience
+    /// errors: without a bound, a million of them would decode to 64 GB.
+    fn back_reference_bomb(refs: u64) -> Vec<u8> {
+        let long = "x".repeat(64 * 1024);
+        let mut raw = Vec::new();
+        write_uvar(&mut raw, (long.len() as u64) << 1);
+        raw.extend_from_slice(long.as_bytes());
+        raw.push(1); // Unreachable
+        raw.extend_from_slice(&[0, 0]); // no records, no cookies
+        raw.push(1); // resilience follows
+        raw.extend_from_slice(&[0, 0, 0, 0]); // attempts, retries, rescued, virtual_ms
+        write_uvar(&mut raw, refs);
+        raw.extend(std::iter::repeat_n(1u8, refs as usize)); // entry 0
+        raw
+    }
+
+    #[test]
+    fn a_back_reference_bomb_is_refused() {
+        let few = decode_site_crawl(&back_reference_bomb(10)).expect("ten copies decode");
+        let errors = few.resilience.expect("resilience").errors;
+        assert_eq!(errors.len(), 10);
+        assert!(errors.iter().all(|e| *e == few.domain));
+
+        let bomb = back_reference_bomb(1_000_000);
+        assert_eq!(
+            decode_site_crawl(&bomb).map(|c| c.domain.len()),
+            Err(VbinError("string amplification"))
+        );
+        let payload = pii_encodings::deflate::compress(&bomb);
+        assert_eq!(
+            crate::format::decode_site(&payload, bomb.len() as u32).map(|c| c.domain.len()),
+            Err(crate::format::FrameError::Corrupt("record shape"))
+        );
+    }
+
+    /// A table reference past the entries decoded so far is an error, for
+    /// strings and for initiator URLs alike.
+    #[test]
+    fn forward_references_are_refused() {
+        // Site "d", unreachable, with one record whose URL parts all refer
+        // to "d" and whose initiator byte is `initiator`.
+        let site = |initiator: u8| {
+            let mut raw = vec![2, b'd', 1, 1]; // domain, Unreachable, 1 record
+            raw.extend([0, 0, 0]); // flags, Get, Document
+            raw.extend([0, 1, 1, 0, 1]); // url: scheme, host, no port, path
+            raw.extend([0, 0, initiator]); // no headers, no body, initiator
+            raw.extend([0xc8, 0x01, 0, 0, 0, 0]); // 200, no headers/body/error/cache
+            raw.extend([0, 0]); // no cookies, no resilience
+            raw
+        };
+        let decoded = decode_site_crawl(&site(0)).expect("a backward reference decodes");
+        assert_eq!(decoded.records[0].request.url.path, "d");
+        assert!(decoded.records[0].request.initiator.is_none());
+        assert_eq!(
+            decode_site_crawl(&site(2)).map(|c| c.domain),
+            Err(VbinError("URL reference"))
+        );
+        let mut first_is_a_reference = site(0);
+        first_is_a_reference[0] = 1;
+        assert_eq!(
+            decode_site_crawl(&first_is_a_reference).map(|c| c.domain),
+            Err(VbinError("string reference"))
+        );
+    }
+
+    /// A crawl of the smallest records, cookies and resilience errors the
+    /// format has encodes each in exactly its count bound, and decodes: the
+    /// bounds are the true minima, so no valid count is refused.
+    #[test]
+    fn minimal_elements_meet_their_count_bounds() {
+        let d = Url {
+            scheme: "d".into(),
+            host: "d".into(),
+            port: None,
+            path: "d".into(),
+            query: None,
+            fragment: None,
+        };
+        let record = FetchRecord {
+            request: Request {
+                method: Method::Get,
+                url: d,
+                headers: HeaderMap::new(),
+                body: None,
+                kind: ResourceKind::Document,
+                initiator: None,
+            },
+            response: Response {
+                status: 0,
+                headers: HeaderMap::new(),
+                body: None,
+            },
+            blocked: None,
+            error: None,
+            from_cache: None,
+        };
+        let n = 50;
+        let crawl = SiteCrawl {
+            domain: "d".into(),
+            outcome: CrawlOutcome::Unreachable,
+            records: vec![record; n],
+            stored_cookies: vec![
+                Cookie {
+                    path: "d".into(),
+                    ..Cookie::new("d", "d")
+                };
+                n
+            ],
+            resilience: Some(SiteResilience {
+                errors: vec!["d".into(); n],
+                ..SiteResilience::default()
+            }),
+        };
+        let prefix = 2 + 1; // the domain literal, the outcome
+        let counts = 1 + 1 + 1; // records, cookies, resilience errors
+        let resilience = 1 + 4; // its flag, attempts, retries, rescued, virtual_ms
+        assert_eq!(
+            assert_round_trips(&crawl).len(),
+            prefix + counts + resilience + n * (MIN_RECORD + MIN_COOKIE + MIN_STR)
+        );
+    }
+
+    /// Neither site decoder (the record codec, and the segment decode that
+    /// inflates first) panics on `raw`, and whatever they accept re-encodes
+    /// to a crawl that decodes equal: nothing accepted is lost on the next
+    /// write.
+    fn assert_site_decoders_are_total(raw: &[u8]) -> Result<(), TestCaseError> {
         let payload = pii_encodings::deflate::compress(raw);
         let _ = crate::format::decode_site(&payload, raw.len() as u32);
-        if let Ok(fast) = decode_site_crawl(raw) {
-            let tree = crate::vbin::decode_value(raw);
-            prop_assert!(tree.is_ok(), "fast accepted what vbin rejects: {raw:02x?}");
-            let generic: Result<SiteCrawl, _> = serde::value::from_value(tree.unwrap());
-            prop_assert!(
-                generic.is_ok(),
-                "fast accepted what serde rejects: {raw:02x?}"
-            );
-            prop_assert_eq!(
-                serde_json::to_string(&fast).unwrap(),
-                serde_json::to_string(&generic.unwrap()).unwrap()
-            );
+        if let Ok(crawl) = decode_site_crawl(raw) {
+            let again = decode_site_crawl(&encode(&crawl));
+            prop_assert!(again.is_ok(), "re-encoding failed: {raw:02x?}");
+            prop_assert_eq!(json(&again.unwrap()), json(&crawl));
         }
         Ok(())
     }
 
     #[test]
-    fn site_decoders_agree_on_every_one_byte_edit() {
-        let mut valid = Vec::new();
-        encode_site_crawl(&exhaustive_crawl(), &mut valid);
+    fn site_decoders_are_total_on_every_one_byte_edit() {
+        let valid = encode(&exhaustive_crawl());
         for at in 0..=valid.len() {
             let mut edits = vec![valid[..at].to_vec()];
-            for byte in [0x00, 0x7f, 0xff] {
+            for byte in [0x00, 0x01, 0x7f, 0xff] {
                 let mut inserted = valid.clone();
                 inserted.insert(at, byte);
                 edits.push(inserted);
             }
             if at < valid.len() {
-                for mask in [0x01, 0x20, 0x80] {
+                for mask in [0x01, 0x02, 0x20, 0x80] {
                     let mut flipped = valid.clone();
                     flipped[at] ^= mask;
                     edits.push(flipped);
                 }
             }
             for raw in edits {
-                assert_site_decoders_agree(&raw).unwrap();
+                assert_site_decoders_are_total(&raw).unwrap();
+            }
+        }
+    }
+
+    /// A seed-7 1x crawl at one worker under the given settings.
+    fn seed_7_crawls(
+        faults: pii_net::fault::FaultProfile,
+        cache: Option<pii_net::cache::CacheStrategy>,
+        repeat: u32,
+        watchdog_ms: Option<u64>,
+    ) -> Vec<SiteCrawl> {
+        let universe = pii_web::Universe::generate_with(pii_web::UniverseSpec {
+            seed: 7,
+            ..pii_web::UniverseSpec::default()
+        });
+        let mut crawler = pii_crawler::Crawler::new(&universe);
+        crawler.workers = 1;
+        crawler.faults = universe.fault_plan(faults);
+        crawler.cache = cache;
+        crawler.repeat = repeat;
+        crawler.watchdog_ms = watchdog_ms;
+        crawler
+            .run(pii_browser::profiles::BrowserKind::Firefox88Vanilla)
+            .crawls
+    }
+
+    /// Every site of the seed-7 crawls the store tests pin — plain, the
+    /// paper's faults with a warm-cache revisit, hostile — round-trips, and
+    /// decodes to well under the amplification bound.
+    #[test]
+    fn every_seed_7_capture_round_trips() {
+        use pii_net::cache::CacheStrategy;
+        use pii_net::fault::FaultProfile;
+        let mut worst = 0.0f64;
+        for crawls in [
+            seed_7_crawls(FaultProfile::None, None, 1, None),
+            seed_7_crawls(
+                FaultProfile::PaperMay2021,
+                Some(CacheStrategy::CacheFirst),
+                2,
+                None,
+            ),
+            seed_7_crawls(FaultProfile::Hostile, None, 1, Some(4000)),
+        ] {
+            assert_eq!(crawls.len(), 404);
+            for crawl in &crawls {
+                let bytes = assert_round_trips(crawl);
+                let (_, strings) = decode(&bytes).unwrap();
+                worst = worst.max(strings as f64 / bytes.len() as f64);
+            }
+        }
+        assert!(
+            worst * 4.0 < STRING_AMPLIFICATION as f64,
+            "an honest segment decodes to {worst:.1}x its size in strings"
+        );
+    }
+
+    /// A crawl drawn from a pool of `distinct` strings (plus the empty
+    /// string): every pool string first as a header of record 0, then one
+    /// record per pick whose header name is also its URL path, with
+    /// initiators interleaved from three URLs that share the pool's text.
+    fn sharing_crawl(distinct: usize, picks: &[(u16, u16, u8)]) -> SiteCrawl {
+        let pool: Vec<String> = std::iter::once(String::new())
+            .chain((0..distinct).map(|i| format!("s{i}")))
+            .collect();
+        let at = |i: u16| pool[i as usize % pool.len()].clone();
+        let url = |host: String, path: String, query: Option<String>| Url {
+            scheme: "https".into(),
+            host,
+            port: None,
+            path,
+            query,
+            fragment: None,
+        };
+        let initiators = [
+            Arc::new(url("a.example".into(), at(1), None)),
+            Arc::new(url("b.example".into(), at(1), Some(at(2)))),
+            Arc::new(url(at(3), "/".into(), None)),
+        ];
+        let mut first = HeaderMap::new();
+        for (i, s) in pool.iter().enumerate() {
+            first.insert(s.clone(), pool[i * 7 % pool.len()].clone());
+        }
+        let record = |headers: HeaderMap, path: String, host: String, pick: u8| FetchRecord {
+            request: Request {
+                method: Method::Get,
+                url: url(host, path, (pick & 1 == 1).then(|| at(u16::from(pick)))),
+                headers,
+                body: (pick & 2 == 2).then(Vec::new),
+                kind: ResourceKind::Image,
+                initiator: match pick % 4 {
+                    0 => None,
+                    n => Some(Arc::new(Url::clone(&initiators[usize::from(n) - 1]))),
+                },
+            },
+            response: Response {
+                status: 200,
+                headers: HeaderMap::new(),
+                body: None,
+            },
+            blocked: (pick & 4 == 4).then(|| at(u16::from(pick))),
+            error: None,
+            from_cache: None,
+        };
+        let mut records = vec![record(first, "/".into(), "shop.example".into(), 0)];
+        for &(a, b, pick) in picks {
+            let mut headers = HeaderMap::new();
+            headers.insert(at(a), at(b));
+            headers.insert("", "");
+            records.push(record(headers, at(a), at(b), pick));
+        }
+        SiteCrawl {
+            domain: at(0),
+            outcome: CrawlOutcome::SignupBlocked(at(5)),
+            stored_cookies: picks
+                .iter()
+                .map(|&(a, b, _)| Cookie {
+                    domain: Some(at(b)),
+                    ..Cookie::new(at(a), at(b))
+                })
+                .collect(),
+            resilience: Some(SiteResilience {
+                errors: picks.iter().map(|&(a, _, _)| at(a)).collect(),
+                ..SiteResilience::default()
+            }),
+            records,
+        }
+    }
+
+    proptest! {
+        /// String-sharing edge cases: empty strings, the same text as a
+        /// header name and as a path, one-, two- and three-byte references
+        /// (pools of up to 140 and over 16,384 strings), and interleaved
+        /// initiators, which decode shared.
+        #[test]
+        fn string_sharing_edge_cases_round_trip(
+            regime in 0u8..3,
+            offset in 0usize..140,
+            picks in proptest::collection::vec(any::<u64>(), 0..40),
+        ) {
+            let distinct = match regime {
+                0 => 0,
+                1 => 1 + offset,
+                _ => 16_380 + offset,
+            };
+            let picks: Vec<(u16, u16, u8)> = picks
+                .iter()
+                .map(|&p| (p as u16, (p >> 16) as u16, (p >> 32) as u8))
+                .collect();
+            let crawl = sharing_crawl(distinct, &picks);
+            let decoded = decode_site_crawl(&encode(&crawl));
+            prop_assert!(decoded.is_ok());
+            let decoded = decoded.unwrap();
+            prop_assert_eq!(json(&decoded), json(&crawl));
+            let initiators: Vec<&Arc<Url>> = decoded
+                .records
+                .iter()
+                .filter_map(|r| r.request.initiator.as_ref())
+                .collect();
+            for x in &initiators {
+                for y in &initiators {
+                    prop_assert_eq!(Arc::ptr_eq(x, y), x == y);
+                }
             }
         }
     }
@@ -1227,15 +1455,14 @@ pub(crate) mod tests {
         fn site_decoders_are_total_on_arbitrary_bytes(
             raw in proptest::collection::vec(any::<u8>(), 0..1024),
         ) {
-            assert_site_decoders_agree(&raw)?;
+            assert_site_decoders_are_total(&raw)?;
         }
 
         #[test]
         fn site_decoders_are_total_on_damaged_encodings(
             edits in proptest::collection::vec(any::<u64>(), 1..6),
         ) {
-            let mut raw = Vec::new();
-            encode_site_crawl(&exhaustive_crawl(), &mut raw);
+            let mut raw = encode(&exhaustive_crawl());
             // Each edit flips bits of a byte, inserts one, or truncates.
             for edit in edits {
                 let (at, byte) = ((edit >> 16) as usize % (raw.len() + 1), (edit >> 8) as u8);
@@ -1245,7 +1472,7 @@ pub(crate) mod tests {
                     _ => raw.truncate(at),
                 }
             }
-            assert_site_decoders_agree(&raw)?;
+            assert_site_decoders_are_total(&raw)?;
         }
     }
 }

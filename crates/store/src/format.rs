@@ -1,8 +1,8 @@
-//! On-disk framing of the `.store` archive (format version 1).
+//! On-disk framing of the `.store` archive (format version 2).
 //!
 //! ```text
 //! file    := HEADER segment* footer trailer
-//! HEADER  := b"PIISTOR1"                                  (8 bytes)
+//! HEADER  := b"PIISTOR2"                                  (8 bytes)
 //! segment := b"PSEG" kind:u8 site_index:u32 records:u32
 //!            raw_len:u32 payload_len:u32 payload_crc:u32
 //!            label_len:u16 label header_crc:u32 payload
@@ -12,10 +12,12 @@
 //! trailer := footer_offset:u64 footer_len:u32 b"PIISEND1"  (20 bytes)
 //! ```
 //!
-//! All integers are little-endian. `payload` is the DEFLATE-compressed
-//! [`crate::vbin`] encoding of one record ([`encode_record`]); `payload_crc`
-//! is the CRC-32 (IEEE) of the *compressed* bytes, so any single bit flip in
-//! a segment body is detected before inflation is even attempted.
+//! All integers are little-endian. `payload` is DEFLATE-compressed: a site
+//! segment holds one [`crate::fast`] site record ([`encode_site`]), the
+//! meta segment the generic [`crate::vbin`] encoding of the archive meta
+//! ([`encode_record`]). `payload_crc` is the CRC-32 (IEEE) of the
+//! *compressed* bytes, so any single bit flip in a segment body is detected
+//! before inflation is even attempted.
 //! `header_crc` covers every header byte before it, so framing damage is
 //! distinguishable from body damage: a bad header makes the reader resync
 //! by scanning for the next `PSEG` magic, a bad body skips exactly one
@@ -23,13 +25,20 @@
 //! trailer makes it discoverable from the end of the file. A truncated file
 //! loses the footer and any partial tail segment — never the complete
 //! segments before them, which the sequential recovery scan still yields.
+//!
+//! The digit in the leading magic is the format version. Version 2 changed
+//! only the site record; the framing above is version 1's. A file whose
+//! magic names another version is refused by that version
+//! ([`magic_version`]), never decoded as this one.
 
 use pii_hashes::crc::Crc32;
 use pii_hashes::Hasher;
 use serde::{Deserialize, Serialize};
 
-/// Leading file magic.
-pub const FILE_MAGIC: &[u8; 8] = b"PIISTOR1";
+/// The archive format version this build writes and reads.
+pub const FORMAT_VERSION: u8 = 2;
+/// Leading file magic: `PIISTOR` and the format version's digit.
+pub const FILE_MAGIC: &[u8; 8] = b"PIISTOR2";
 /// Per-segment magic.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"PSEG";
 /// Footer-index magic.
@@ -64,6 +73,15 @@ impl SegmentKind {
             1 => Some(SegmentKind::Site),
             _ => None,
         }
+    }
+}
+
+/// The format version a leading magic names — the digit after `PIISTOR` —
+/// or `None` when the bytes are not a `pii-store` magic at all.
+pub fn magic_version(magic: &[u8]) -> Option<u8> {
+    match magic.strip_prefix(&FILE_MAGIC[..7])? {
+        &[digit] if digit.is_ascii_digit() => Some(digit - b'0'),
+        _ => None,
     }
 }
 
@@ -133,12 +151,10 @@ pub struct EncodedRecord {
     pub payload: Vec<u8>,
 }
 
-/// The shared record codec: the serde value tree rendered through
-/// [`crate::vbin`] then DEFLATE. Both the archive writer and the
-/// directory-export path encode records through this one helper, so the
-/// two never drift. The binary form exists for replay speed — see the
-/// `vbin` module doc — and is *exact*: floats round-trip by bit pattern
-/// rather than through decimal formatting.
+/// The meta record codec: the serde value tree rendered through
+/// [`crate::vbin`] then DEFLATE. The binary form is *exact*: floats
+/// round-trip by bit pattern rather than through decimal formatting. Site
+/// records have their own codec, [`encode_site`].
 pub fn encode_record<T: Serialize>(value: &T) -> EncodedRecord {
     let raw = {
         let _span = pii_telemetry::span("store.encode");
@@ -180,9 +196,9 @@ fn inflate_payload(payload: &[u8], raw_len: u32) -> Result<Vec<u8>, FrameError> 
         .map_err(|_| FrameError::Corrupt("deflate stream"))
 }
 
-/// [`encode_record`] for site segments, bypassing the intermediate value
-/// tree via [`crate::fast`]. Byte-identical output — `crates/store/src/fast.rs`
-/// tests and the `tests/store.rs` proptests pin the equivalence.
+/// The site record codec: the positional v2 encoding of [`crate::fast`],
+/// then DEFLATE. `crates/store/src/fast.rs` tests and `tests/store.rs` hold
+/// its round trip to the generic serde route, value for value.
 pub fn encode_site(crawl: &pii_crawler::SiteCrawl) -> EncodedRecord {
     let mut raw = Vec::new();
     {
@@ -192,11 +208,11 @@ pub fn encode_site(crawl: &pii_crawler::SiteCrawl) -> EncodedRecord {
     deflate_record(&raw)
 }
 
-/// [`decode_record`] for site segments, through the direct decoder in
-/// [`crate::fast`]. A payload in any other shape than [`encode_site`]
-/// writes — an unknown field, say — is `Corrupt`, so readers skip and count
-/// the segment instead of guessing at it. `raw_len` is as for
-/// [`decode_record`].
+/// Inverse of [`encode_site`]. A payload in any other shape than
+/// [`encode_site`] writes — a v1 keyed record, say, or one whose strings
+/// would pass [`crate::fast::STRING_AMPLIFICATION`] — is `Corrupt`, so
+/// readers skip and count the segment instead of guessing at it. `raw_len`
+/// is as for [`decode_record`].
 pub fn decode_site(payload: &[u8], raw_len: u32) -> Result<pii_crawler::SiteCrawl, FrameError> {
     let raw = inflate_payload(payload, raw_len)?;
     crate::fast::decode_site_crawl(&raw).map_err(|_| FrameError::Corrupt("record shape"))
@@ -594,6 +610,22 @@ mod tests {
                 entry(2, 300, "c.com"),
             ]
         );
+    }
+
+    #[test]
+    fn the_magic_names_its_version() {
+        assert_eq!(magic_version(FILE_MAGIC), Some(FORMAT_VERSION));
+        assert_eq!(magic_version(b"PIISTOR1"), Some(1));
+        for foreign in [
+            &b""[..],
+            b"PIIS",
+            b"PIISTOR",
+            b"PIISTORx",
+            b"PIISTOR12",
+            b"GET / HT",
+        ] {
+            assert_eq!(magic_version(foreign), None, "{foreign:?}");
+        }
     }
 
     #[test]

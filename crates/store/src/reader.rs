@@ -32,13 +32,16 @@ use std::path::Path;
 const SCAN_WINDOW: usize = 64 * 1024;
 
 /// Why an archive could not be opened at all. Damage *inside* the archive
-/// never produces this — only a missing/unreadable file, foreign bytes, or
-/// an unrecoverable meta segment do.
+/// never produces this — only a missing/unreadable file, foreign bytes, an
+/// archive in another format version, or an unrecoverable meta segment do.
 #[derive(Debug)]
 pub enum StoreError {
     Io(std::io::Error),
     /// The file is not a `pii-store` archive (bad leading magic).
     NotAnArchive,
+    /// The leading magic names a format version this build does not read
+    /// (v1 wrote keyed site records). Nothing past the magic is decoded.
+    UnsupportedVersion(u8),
     /// The meta segment (spec, browser, fault profile) is unreadable, so
     /// there is nothing to replay against.
     MetaUnreadable(String),
@@ -49,6 +52,15 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "archive I/O: {e}"),
             StoreError::NotAnArchive => f.write_str("not a pii-store archive"),
+            StoreError::UnsupportedVersion(v) if *v < format::FORMAT_VERSION => write!(
+                f,
+                "archive format v{v} is no longer supported; re-run `crawl --out`"
+            ),
+            StoreError::UnsupportedVersion(v) => write!(
+                f,
+                "archive format v{v} is newer than this build reads (v{})",
+                format::FORMAT_VERSION
+            ),
             StoreError::MetaUnreadable(why) => write!(f, "archive meta unreadable: {why}"),
         }
     }
@@ -205,10 +217,7 @@ impl ArchiveReader {
     }
 
     fn from_source(source: Source) -> Result<ArchiveReader, StoreError> {
-        let magic = source.read_at(0, format::FILE_MAGIC.len())?;
-        if magic.as_slice() != format::FILE_MAGIC {
-            return Err(StoreError::NotAnArchive);
-        }
+        check_magic(&source.read_at(0, format::FILE_MAGIC.len())?)?;
         let (index, scan_damage, used_footer) = match ArchiveReader::index_from_footer(&source) {
             Some(index) => (index, Vec::new(), true),
             None => {
@@ -474,6 +483,19 @@ impl ArchiveReader {
             report,
         }
     }
+}
+
+/// Accept this build's leading magic; refuse another format version by its
+/// number and anything else as foreign bytes. The reader and the resuming
+/// writer both open files through this one check.
+pub(crate) fn check_magic(magic: &[u8]) -> Result<(), StoreError> {
+    if magic == format::FILE_MAGIC {
+        return Ok(());
+    }
+    Err(match format::magic_version(magic) {
+        Some(version) => StoreError::UnsupportedVersion(version),
+        None => StoreError::NotAnArchive,
+    })
 }
 
 /// Read and CRC-verify the segment header at `at` with two bounded reads:

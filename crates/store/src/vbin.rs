@@ -1,5 +1,7 @@
-//! Compact binary encoding of the serde [`Value`] tree — the archive's
-//! pre-compression record form.
+//! Compact binary encoding of the serde [`Value`] tree — the meta
+//! segment's pre-compression form. Site segments have their own positional
+//! codec ([`crate::fast`]), which shares this module's varint writer and
+//! bounded `Reader`.
 //!
 //! Segments originally held JSON text, but parsing 76 MB of JSON dominated
 //! replay (escape scanning, number re-parsing, per-character dispatch) and

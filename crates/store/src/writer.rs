@@ -173,9 +173,9 @@ impl ArchiveWriter<std::io::BufWriter<std::fs::File>> {
     /// of them; everything from there on (a torn segment, a stale footer,
     /// trailing garbage) is truncated away. A missing file, an empty file,
     /// or a torn *meta* segment restarts the archive from scratch; a file
-    /// that is not a `pii-store` archive at all, or whose meta describes a
-    /// different run than `meta`, is refused with an error rather than
-    /// silently overwritten.
+    /// that is not a `pii-store` archive at all, one in another format
+    /// version, or one whose meta describes a different run than `meta`, is
+    /// refused with an error and left byte-unchanged.
     pub fn open_append(
         path: &Path,
         meta: &ArchiveMeta,
@@ -214,9 +214,9 @@ impl ArchiveWriter<std::io::BufWriter<std::fs::File>> {
             )
         };
         match scan {
-            TailScan::NotAnArchive => Err(std::io::Error::new(
+            TailScan::Refused(why) => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                format!("{}: not a pii-store archive", path.display()),
+                format!("{}: {why}", path.display()),
             )),
             TailScan::MetaMismatch => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -509,8 +509,10 @@ pub fn write_archive(
 enum TailScan {
     /// No committed meta segment — restart the archive from scratch.
     Restart,
-    /// The leading magic is foreign; refuse to touch the file.
-    NotAnArchive,
+    /// The leading magic is foreign or names another format version;
+    /// refuse to touch the file rather than truncate what this build
+    /// cannot read.
+    Refused(reader::StoreError),
     /// The committed meta describes a different run; refuse to append.
     MetaMismatch,
     /// `keep` bytes hold the magic, meta, and the committed site segments
@@ -540,8 +542,8 @@ fn scan_tail(source: &reader::Source, expected: &ArchiveMeta) -> TailScan {
     if magic.len() < format::FILE_MAGIC.len() {
         return TailScan::Restart;
     }
-    if magic.as_slice() != format::FILE_MAGIC {
-        return TailScan::NotAnArchive;
+    if let Err(why) = reader::check_magic(&magic) {
+        return TailScan::Refused(why);
     }
     let meta_at = format::FILE_MAGIC.len() as u64;
     let meta_header = match reader::read_header_at(source, meta_at) {

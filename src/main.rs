@@ -452,10 +452,14 @@ fn main() {
                 }
                 Err(e) => {
                     eprintln!("crawl aborted: {e}");
-                    eprintln!(
-                        "the partial archive is resumable with: pii-study crawl --out {} --resume",
-                        out.display()
-                    );
+                    // A refused file (foreign, another format version, a
+                    // different run) was left untouched; it is not resumable.
+                    if e.kind() != std::io::ErrorKind::InvalidData {
+                        eprintln!(
+                            "the partial archive is resumable with: pii-study crawl --out {} --resume",
+                            out.display()
+                        );
+                    }
                     std::process::exit(1);
                 }
             }

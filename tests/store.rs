@@ -115,7 +115,7 @@ fn exported_archive_replays_the_exported_dataset() {
     assert_eq!(summary.segments, r.dataset.crawls.len());
     assert!(
         summary.compression_ratio() > 2.0,
-        "capture JSON should deflate well, got {:.2}x",
+        "site records should still deflate, got {:.2}x",
         summary.compression_ratio()
     );
     let replay = ArchiveReader::open(&path)
@@ -139,6 +139,67 @@ fn foreign_files_are_rejected() {
         ArchiveReader::open(&temp_path("missing.store")),
         Err(StoreError::Io(_))
     ));
+}
+
+/// What every path refuses a v1 archive with.
+const V1_REFUSAL: &str = "archive format v1 is no longer supported; re-run `crawl --out`";
+
+/// A file at `name` that an archive writer of format v1 would have started:
+/// the `PIISTOR1` magic, then bytes this build must never decode.
+fn v1_archive(name: &str) -> (std::path::PathBuf, Vec<u8>) {
+    let mut bytes = toy_archive(&toy_crawls());
+    bytes[..format::FILE_MAGIC.len()].copy_from_slice(b"PIISTOR1");
+    let path = temp_path(name);
+    std::fs::write(&path, &bytes).unwrap();
+    (path, bytes)
+}
+
+fn is_v1_refusal<T>(result: Result<T, StoreError>) -> bool {
+    match result {
+        Err(e @ StoreError::UnsupportedVersion(1)) => e.to_string() == V1_REFUSAL,
+        _ => false,
+    }
+}
+
+/// Opening a v1 archive, from a file or from bytes, fails with the named
+/// version error, never as foreign bytes and never by decoding it.
+#[test]
+fn v1_archives_are_refused_on_open() {
+    let (path, bytes) = v1_archive("v1-open.store");
+    assert!(is_v1_refusal(ArchiveReader::open(&path).map(|r| r.len())));
+    assert!(is_v1_refusal(
+        ArchiveReader::from_bytes(bytes).map(|r| r.len())
+    ));
+}
+
+/// `store verify` and `store repair` refuse a v1 archive by name; repair
+/// writes nothing and leaves the archive as it was.
+#[test]
+fn v1_archives_are_refused_by_store_verify_and_repair() {
+    let (path, bytes) = v1_archive("v1-verify.store");
+    assert!(is_v1_refusal(
+        pii_suite::store::verify(&path).map(|r| r.bytes)
+    ));
+    let out = temp_path("v1-repaired.store");
+    assert!(is_v1_refusal(pii_suite::store::repair(&path, &out)));
+    assert!(!out.exists());
+    assert!(is_v1_refusal(pii_suite::store::repair(&path, &path)));
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+}
+
+/// `crawl --out X --resume` over a v1 archive fails with the named version
+/// error and leaves X byte-unchanged: the resume scan neither truncates it
+/// nor restarts it.
+#[test]
+fn v1_archives_are_refused_by_a_resumed_crawl() {
+    let (path, bytes) = v1_archive("v1-resume.store");
+    let err = Study::paper()
+        .crawl_to_archive_with(&path, true, None)
+        .map(|(summary, _)| summary)
+        .expect_err("a v1 archive must not be resumed");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().ends_with(V1_REFUSAL), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
 }
 
 /// Degenerate inputs the file backend must reject (or recover) cleanly:
@@ -246,10 +307,11 @@ struct PinnedCapture {
 
 /// SHA-256s of seed-7 1x archives, the same at any worker count. Every
 /// other test here compares archives with each other or with the live
-/// pipeline; these notice a change to the bytes a capture produces (compressor output, vbin
-/// layout, framing, and — through the measured cells — the crawl's retry,
-/// revisit and watchdog paths). Re-pin only on a deliberate format or
-/// capture change.
+/// pipeline; these notice a change to the bytes a capture produces
+/// (compressor output, the site record codec, framing, and — through the
+/// measured cells — the crawl's retry, revisit and watchdog paths). Re-pin
+/// only on a deliberate format or capture change; format v2 re-pinned all
+/// three, after replays of v1 and v2 archives printed the same bytes.
 const PINNED_CAPTURES: [PinnedCapture; 3] = [
     PinnedCapture {
         flags: "",
@@ -258,7 +320,7 @@ const PINNED_CAPTURES: [PinnedCapture; 3] = [
         repeat: 1,
         watchdog_ms: None,
         watchdogged: 0,
-        sha256: "b35f464d971146675c8a861432f0826be024de211ab72525aa9352b071b52c8b",
+        sha256: "1356cfef22548645617bf7238426cd0a14434db14726eba2e37a0a3205e33177",
     },
     PinnedCapture {
         flags: "--faults paper-may-2021 --cache cache-first --repeat 2",
@@ -267,7 +329,7 @@ const PINNED_CAPTURES: [PinnedCapture; 3] = [
         repeat: 2,
         watchdog_ms: None,
         watchdogged: 0,
-        sha256: "6199a8995fec3ec1f303007fffcb6672f45aac5722895126ed6add2bb0c98e35",
+        sha256: "fdcc3aa43f667c1ac512bc869bdb94437621702e40d43a204a96efa337e9ca98",
     },
     PinnedCapture {
         flags: "--faults hostile --watchdog-ms 4000",
@@ -276,7 +338,7 @@ const PINNED_CAPTURES: [PinnedCapture; 3] = [
         repeat: 1,
         watchdog_ms: Some(4000),
         watchdogged: 42,
-        sha256: "b3045bc1e16ccc38a46506579c96af8498a4de42f28be29112bc7bac949be796",
+        sha256: "64101f2a452cd53cbc7ba2f52c81a22e6715ea32b5e694d41d027bfe8a7911eb",
     },
 ];
 
